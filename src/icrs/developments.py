@@ -406,7 +406,7 @@ class _Machine:
         v = st.value
         if v not in self._match_cache:
             hit = None
-            for rule in self.system.rules:
+            for rule in self.system.rules_for(v):
                 if match(rule, v) is not None:
                     hit = rule
                     break

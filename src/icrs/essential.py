@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    FiniteJumpsViolated, NotAPrefixSet, PreconditionViolated, ResidualHitsPrefix,
+    FiniteJumpsViolated, NotAPrefixSet, PositionError, PreconditionViolated,
+    ResidualHitsPrefix, TermError,
 )
 from .developments import (
     DevRecord, DevSequence, PathSpace, RuleNode,
@@ -174,7 +175,7 @@ def mirrors(t, s, prefix):
         try:
             a = subterm_at(t, tuple(p))
             b = subterm_at(s, tuple(p))
-        except Exception:
+        except (PositionError, TermError):
             return False, f"position {position_str(tuple(p))} missing"
         if root_key(a) != root_key(b):
             return False, (f"roots differ at {position_str(tuple(p))}: "

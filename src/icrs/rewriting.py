@@ -15,15 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    ArityMismatch, FiniteChainsViolated, InfiniteResultError, StaleRedex,
-    UnassignedMetaVariable,
+    ArityMismatch, FiniteChainsViolated, InfiniteResultError, PositionError,
+    StaleRedex, TermError, UnassignedMetaVariable,
 )
 from .systems import Rule
 from .terms import (
     Abs, MetaApp, Position, Rec, RecVar, Sym, Term, Var,
-    alpha_eq, check_guarded, free_recvars, free_vars, fresh_name, graft,
-    iter_tagged, positions_to_depth, resolve, set_tag_at, strip_tags,
-    subterm_at,
+    alpha_eq, check_guarded, children, free_recvars, free_vars, fresh_name,
+    graft, iter_tagged, resolve, set_tag_at, strip_tags, subterm_at,
 )
 
 
@@ -157,7 +156,7 @@ def apply_valuation(valuation, metaterm):
     out = go(metaterm)
     try:
         check_guarded(out)
-    except Exception as e:
+    except TermError as e:
         raise FiniteChainsViolated(str(e)) from e
     return out
 
@@ -177,12 +176,14 @@ def match(rule, term, position=()):
     """Match the rule's pattern against the subterm at the position.
 
     Returns the unique valuation whose lhs-instance is alpha-equal to the
-    subterm, or None.  A candidate binding whose free variables would escape
-    through the meta-variable's argument list does not match.
+    subterm, or None (also when the position is not in the term).  A
+    candidate binding whose free variables would escape through the
+    meta-variable's argument list does not match.  Callers that already hold
+    the node pass it with the empty position.
     """
     try:
         target = subterm_at(term, position)
-    except Exception:
+    except (PositionError, TermError):
         return None
     assignment = {}
 
@@ -225,24 +226,34 @@ def match(rule, term, position=()):
 
 
 def find_redexes(term, system, depth_bound):
-    """All redexes at depth < depth_bound, shallowest first.  On rational
-    terms the bound keeps the enumeration finite; redexes repeating around a
-    cycle appear once per distinct position up to the bound."""
+    """All redexes at depth < depth_bound, ordered by (depth, position) and
+    at one position by rule order.  On rational terms the bound keeps the
+    enumeration finite; redexes repeating around a cycle appear once per
+    distinct position up to the bound.  One breadth-first walk: each node is
+    matched where it is reached, against the rules indexed by its root."""
     out = []
-    if depth_bound <= 0:
-        return out
-    for p in sorted(positions_to_depth(term, depth_bound - 1)):
-        for rule in system.rules:
-            v = match(rule, term, p)
-            if v is not None:
-                out.append(Redex(p, rule, v))
-    out.sort(key=lambda u: (u.depth, u.position))
+    level = [((), term)]
+    for depth in range(depth_bound):
+        below = []
+        for p, t in level:
+            node = resolve(t)
+            for rule in system.rules_for(node):
+                v = match(rule, node)
+                if v is not None:
+                    out.append(Redex(p, rule, v))
+            if depth + 1 < depth_bound:
+                below.extend((p + (i,), c) for i, c in children(node))
+        level = below
     return out
 
 
 def redex_at(term, system, p):
-    for rule in system.rules:
-        v = match(rule, term, p)
+    try:
+        node = resolve(subterm_at(term, p))
+    except (PositionError, TermError):
+        return None
+    for rule in system.rules_for(node):
+        v = match(rule, node)
         if v is not None:
             return Redex(p, rule, v)
     return None
@@ -263,7 +274,7 @@ class StepRecord:
         tagged = self.source
         for i, p in enumerate(positions):
             tagged = set_tag_at(tagged, p, ("d", i))
-        new = _contract_term(tagged, self.redex)
+        new, _ = _contract_term(tagged, self.redex)
         found, complete = iter_tagged(new)
         if not complete:
             raise InfiniteResultError(
@@ -291,22 +302,20 @@ class StepRecord:
 
 
 def _contract_term(term, redex):
+    """The graft of the instantiated rhs over the redex, and the valuation
+    it was instantiated with; raises StaleRedex when the rule no longer
+    matches there."""
     v = match(redex.rule, term, redex.position)
     if v is None:
         raise StaleRedex(
             f"rule {redex.rule.name} does not match at "
             f"{'.'.join(map(str, redex.position)) or '@'}")
-    return graft(term, redex.position, apply_valuation(v, redex.rule.rhs))
+    return graft(term, redex.position, apply_valuation(v, redex.rule.rhs)), v
 
 
 def contract(term, redex):
     """Contract the redex, checking it still matches."""
-    v = match(redex.rule, term, redex.position)
-    if v is None:
-        raise StaleRedex(
-            f"rule {redex.rule.name} does not match at "
-            f"{'.'.join(map(str, redex.position)) or '@'}")
-    target = graft(term, redex.position, apply_valuation(v, redex.rule.rhs))
+    target, v = _contract_term(term, redex)
     return StepRecord(term, strip_tags(target), Redex(redex.position, redex.rule, v))
 
 

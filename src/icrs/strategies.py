@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FuelExhausted, NoEligibleRedex, PreconditionViolated
+from .errors import (
+    FuelExhausted, NoEligibleRedex, PositionError, PreconditionViolated,
+    TermError,
+)
 from .developments import dev_sequence_of_steps
 from .essential import essential_positions
 from .rewriting import Redex, contract, find_redexes, match
@@ -26,7 +29,7 @@ from .syntax import position_str
 from .systems import require_valid, rule_meta
 from .terms import (
     Abs, Rec, RecVar, Sym, Term, Var, alpha_eq, children, hole, is_hole,
-    positions_to_depth, resolve, root_key, truncate,
+    path_nodes, positions_to_depth, resolve, root_key, truncate,
 )
 
 
@@ -113,32 +116,31 @@ class Approximant:
 # predicates
 
 def is_normal_form(term, system):
+    return min_redex_depth(term, system) is None
+
+
+def min_redex_depth(term, system):
+    """Depth of the shallowest redex, or None when the term is normal.
+
+    Breadth-first over the distinct resolved nodes of the rational term: a
+    node is first met at its shallowest depth, and whether it is a redex
+    depends on the node alone, so each is matched once."""
     seen = set()
-    stack = [resolve(term)]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        for rule in system.rules:
-            if match(rule, v) is not None:
-                return False
-        for _, c in children(v):
-            stack.append(resolve(c))
-    return True
-
-
-def min_redex_depth(term, system, bound=64):
-    """Depth of the shallowest redex, or None when the term is normal."""
-    if is_normal_form(term, system):
-        return None
-    for d in range(bound):
-        for p in positions_to_depth(term, d):
-            if len(p) == d:
-                for rule in system.rules:
-                    if match(rule, term, p) is not None:
-                        return d
-    raise PreconditionViolated("shallowest redex deeper than the bound")
+    level = [term]
+    depth = 0
+    while level:
+        below = []
+        for t in level:
+            v = resolve(t)
+            if v in seen:
+                continue
+            seen.add(v)
+            if any(match(rule, v) is not None for rule in system.rules_for(v)):
+                return depth
+            below.extend(c for _, c in children(v))
+        level = below
+        depth += 1
+    return None
 
 
 def outermost_redexes(term, system, depth_bound):
@@ -163,17 +165,19 @@ class _Predicate:
         self._needed_cache = {}
 
     def satisfies(self, term, position, rule):
+        if self.kind.kind == "outermost-fair":
+            try:
+                *above, node = path_nodes(term, position)
+            except (PositionError, TermError):
+                return False
+            if match(rule, node) is None:
+                return False
+            return not any(match(r, a) is not None
+                           for a in above for r in self.system.rules_for(a))
         if match(rule, term, position) is None:
             return False
-        if self.kind.kind == "fair":
-            return True
-        if self.kind.kind == "outermost-fair":
-            for k in range(len(position)):
-                for r in self.system.rules:
-                    if match(r, term, position[:k]) is not None:
-                        return False
-            return True
-        return position in self._needed_positions(term)
+        return (self.kind.kind == "fair"
+                or position in self._needed_positions(term))
 
     def _needed_positions(self, term):
         if term not in self._needed_cache:
@@ -455,10 +459,10 @@ def detect_rational_nf(trace):
     prefixes are eventually periodic; None otherwise."""
     system = trace.system
     final = trace.final
-    if is_normal_form(final, system):
-        return final
     d = min_redex_depth(final, system)
-    if d is None or d == 0:
+    if d is None:
+        return final
+    if d == 0:
         return None
     snapshot = truncate(final, d)
     candidate = _fold_rational(snapshot)

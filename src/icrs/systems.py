@@ -10,9 +10,11 @@ fully-extended system throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .errors import ParseError, PreconditionViolated, SystemCheckFailed, TermError
+from .errors import (
+    EngineError, ParseError, PreconditionViolated, SystemCheckFailed, TermError,
+)
 from .terms import (
     HOLE, Abs, MetaApp, Rec, RecVar, Sym, Term, Var,
     children, free_vars, meta_vars, resolve, subterm_at,
@@ -42,6 +44,29 @@ class RewriteSystem:
             if r.name == name:
                 return r
         raise KeyError(name)
+
+    @cached_property
+    def _rules_by_root(self):
+        """(symbol, arity) of the lhs root -> the rules that can match under
+        that root, in system order; None -> the rules whose lhs root is no
+        symbol (check_rule rejects them, an unchecked system may have them),
+        which are candidates at every node."""
+        def key(r):
+            return (r.lhs.fun, len(r.lhs.args)) if isinstance(r.lhs, Sym) else None
+
+        index = {None: tuple(r for r in self.rules if key(r) is None)}
+        for k in {key(r) for r in self.rules}:
+            index[k] = tuple(r for r in self.rules if key(r) in (k, None))
+        return index
+
+    def rules_for(self, node):
+        """The rules that can match at the resolved node, in system order:
+        those whose lhs root is the node's symbol with its arity, and those
+        whose lhs root is no symbol."""
+        index = self._rules_by_root
+        if isinstance(node, Sym):
+            return index.get((node.fun, len(node.args)), index[None])
+        return index[None]
 
 
 def infer_signature(rules, declared=None):
@@ -442,7 +467,7 @@ def _overlap_instance(r1, inner, p, uni):
             sigma[z] = Substitute(argnames, uni._const())
     try:
         instance = apply_valuation(Valuation(sigma), r1.lhs)
-    except Exception:  # a witness is best-effort; the position is authoritative
+    except EngineError:  # a witness is best-effort; the position is authoritative
         instance = None
     return OverlapWitness(r1.name, inner.name, p, instance)
 

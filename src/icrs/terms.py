@@ -210,6 +210,14 @@ def subterm_at(t, p):
     return t
 
 
+def path_nodes(t, p):
+    """The resolved nodes from the root down to position p, root first."""
+    out = [resolve(t)]
+    for i in p:
+        out.append(resolve(child_at(out[-1], i)))
+    return out
+
+
 def has_position(t, p):
     try:
         subterm_at(t, p)
@@ -509,44 +517,53 @@ def set_tag_at(t, p, tag):
     return graft(t, p, replace(node, tag=tag))
 
 
-@lru_cache(maxsize=None)
-def _has_tags(t):
-    match t:
-        case Var(_, tag) | Abs(_, _, tag) | Sym(_, _, tag):
-            if tag is not None:
-                return True
-    match t:
-        case Abs(_, body, _) | Rec(_, body):
-            return _has_tags(body)
-        case Sym(_, args, _) | MetaApp(_, args):
-            return any(_has_tags(a) for a in args)
-        case _:
-            return False
-
-
 def iter_tagged(t):
     """(position, tag) pairs of all tagged nodes.
 
     Returns (pairs, complete).  complete is False when a tagged node sits
     inside a cycle, i.e. the true position set is infinite; pairs then lists
-    one representative occurrence per path into the cycle.
+    one representative occurrence per path into the cycle.  A path goes
+    round a cycle when it meets again a rec binder it already passed:
+    unrolling a cycle re-inserts the very same Rec object, so identity tells
+    it.
     """
     out = []
     complete = True
+    on_path = set()  # ids of the Rec nodes on the current path
+    tagged = {}  # id(node) -> (node, is a tag inside); holding the node keeps its id
 
-    def walk(u, p, on_path):
+    def has_tags(u):
+        hit = tagged.get(id(u))
+        if hit is None:
+            match u:
+                case Var(_, tag) | Abs(_, _, tag) | Sym(_, _, tag) if tag is not None:
+                    found = True
+                case Abs(_, body, _) | Rec(_, body):
+                    found = has_tags(body)
+                case Sym(_, args, _) | MetaApp(_, args):
+                    found = any(has_tags(a) for a in args)
+                case _:
+                    found = False
+            hit = tagged[id(u)] = (u, found)
+        return hit[1]
+
+    def walk(u, p):
         nonlocal complete
         r = resolve(u)
-        if not _has_tags(r):
+        if not has_tags(r):
             return
-        if r in on_path:
-            complete = False
-            return
+        if isinstance(u, Rec):
+            if id(u) in on_path:
+                complete = False
+                return
+            on_path.add(id(u))
         tag = getattr(r, "tag", None)
         if tag is not None:
             out.append((p, tag))
         for i, c in children(r):
-            walk(c, p + (i,), on_path | {r})
+            walk(c, p + (i,))
+        if isinstance(u, Rec):
+            on_path.remove(id(u))
 
-    walk(t, (), frozenset())
+    walk(t, ())
     return out, complete

@@ -127,6 +127,21 @@ class TestNormalize:
                         parse_term("rec S. g(b, S)"))
         assert all("rule" in s and "position" in s for s in payload["steps"])
 
+    @pytest.mark.parametrize("system, term, depth, nf", [
+        ("spine_growth.crs", "f(a, c)", 64, "rec S. g(b, S)"),
+        ("map_streams.crs", "map([z] s(z), rec L. cons(zero, L))", 63,
+         "rec S. cons(s(zero), S)"),
+    ])
+    def test_rational_form_past_depth_64(self, system, term, depth, nf):
+        # the shallowest redex of the final term lies below depth 64
+        code, out = run("normalize", corpus(system), "--term", term,
+                        "--strategy", "fair", "--depth", str(depth),
+                        "--emit", "rational", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert alpha_eq(parse_term(payload["rational_normal_form"]),
+                        parse_term(nf))
+
 
 class TestEssential:
     def test_scripted_narrative(self):

@@ -7,7 +7,9 @@ from icrs import (
     apply_valuation, contract, descendants, find_redexes, graft, match,
     parse_system, parse_term, print_term, residuals, subterm_at, substitute,
 )
-from icrs.errors import ArityMismatch, FiniteChainsViolated, StaleRedex
+from icrs.errors import (
+    ArityMismatch, FiniteChainsViolated, InfiniteResultError, StaleRedex,
+)
 from icrs.oracle import brute_descendant_map, brute_descendants
 from icrs.rewriting import redex_at
 from icrs.syntax import parse_metaterm
@@ -122,6 +124,12 @@ class TestMatch:
         assert alpha_eq(apply_valuation(v, dup_system.rule("r").lhs),
                         T("f([x] g(x), a)"))
 
+    def test_missing_position_is_no_match(self, spine_system):
+        rule = spine_system.rule("once")
+        assert match(rule, T("f(a, c)"), (3,)) is None
+        assert match(rule, T("f(a, c)"), (1, 1)) is None
+        assert match(rule, T("f(a, c)"), (1,)) is not None
+
     def test_escape_blocks_match(self):
         # Z() cannot capture the bound x it would need to carry out of scope
         system = parse_system("rule r: g([x] f(Z)) -> Z ;")
@@ -233,6 +241,14 @@ class TestDescendants:
             assert mine == oracle
             checked += 1
         assert checked >= 20
+
+    def test_descendant_inside_a_cycle_raises(self):
+        system = parse_system("rule r: f(X) -> rec S. g(X, S) ;")
+        t = T("f(a)")
+        rec = contract(t, redex_at(t, system, ()))
+        # a lands at 1, 2.1, 2.2.1, ...: infinitely many descendants
+        with pytest.raises(InfiniteResultError):
+            rec.descendant_map([(1,)])
 
 
 class TestResiduals:
