@@ -7,7 +7,7 @@
     icrs essential FILE --script SCRIPT --prefix POS,POS
 
 Exit codes: 0 ok, 1 check/validation failure, 2 parse error, 3 divergence
-suspected, 4 budget exhausted.
+suspected, 4 budget exhausted (including terms too deep to traverse).
 """
 
 from __future__ import annotations
@@ -394,6 +394,10 @@ def main(argv=None):
         return EXIT_BUDGET
     except BudgetExceeded as e:
         sys.stderr.write(f"budget exceeded: {e}\n")
+        return EXIT_BUDGET
+    except RecursionError:
+        sys.stderr.write("budget exceeded: term too deep to traverse "
+                         "(recursion limit reached)\n")
         return EXIT_BUDGET
     except OSError as e:
         sys.stderr.write(f"{e}\n")

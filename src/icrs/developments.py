@@ -581,19 +581,15 @@ def _rel_descend_path(rel, q):
     return rel
 
 
-def _machine(term, redexes, system):
-    return _Machine(term, redexes, system)
-
-
 def has_finite_jumps(term, redexes, system):
     """True iff no path of the term w.r.t. the redex set has an infinite
     unlabelled stretch; equivalently, iff the set has a complete development."""
-    return _machine(term, redexes, system).finite_jumps()
+    return _Machine(term, redexes, system).finite_jumps()
 
 
 def target_term(term, redexes, system):
     """The unique term matching the maximal path projections."""
-    m = _machine(term, redexes, system)
+    m = _Machine(term, redexes, system)
     m.check_finite_jumps()
     return m.target()
 

@@ -52,21 +52,26 @@ def _check_prefix_set(positions, term, what="prefix set"):
     return ps
 
 
-def path_prefix_set(prefix, stage_or_space, term=None, redexes=None, system=None):
+def path_prefix_set(prefix, stage_or_space, redexes=None, system=None):
     """All paths whose projection edge-word lies in the prefix set.
 
-    Accepts either a DevRecord stage or (term, redexes, system) explicitly.
+    Accepts a DevRecord stage, a PathSpace, or (term, redexes, system)
+    explicitly.  A stage realised step by step is a complete development by
+    construction, so only the other forms are checked for finite jumps.
     """
+    realised = False
     if isinstance(stage_or_space, DevRecord):
         space = _space_of_stage(stage_or_space)
         tgt = stage_or_space.target
+        realised = stage_or_space.finite
     elif isinstance(stage_or_space, PathSpace):
         space = stage_or_space
         tgt = None
     else:
         space = PathSpace(stage_or_space, redexes, system)
         tgt = None
-    if not has_finite_jumps(space.term, space.redexes, space.system):
+    if not realised and not has_finite_jumps(space.term, space.redexes,
+                                             space.system):
         raise FiniteJumpsViolated("the stage has no complete development")
     if tgt is not None:
         prefix = _check_prefix_set(prefix, tgt)

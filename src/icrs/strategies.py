@@ -22,8 +22,8 @@ from .errors import (
     FuelExhausted, NoEligibleRedex, PositionError, PreconditionViolated,
     TermError,
 )
-from .developments import dev_sequence_of_steps
-from .essential import essential_positions
+from .developments import DevRecord
+from .essential import epsilon_step
 from .rewriting import Redex, contract, find_redexes, match
 from .syntax import position_str
 from .systems import require_valid, rule_meta
@@ -531,16 +531,25 @@ class Pilot:
 
     def essential_start_positions(self):
         """Positions of the pilot's initial term essential for some stratum
-        prefix; by the neededness correspondence these are the needed ones."""
-        out = set()
-        specs = self.trace.step_specs()
+        prefix; by the neededness correspondence these are the needed ones.
+
+        Epsilon distributes over unions of prefix sets (a path's edge word
+        lies in P | Q iff it lies in P or in Q), so one backward sweep over
+        the pilot's own steps, adding each stratum's prefix at its index,
+        gives the union of the per-stratum essential sets."""
+        at_index = {}
         for st in self.strata:
-            if not st.prefix:
-                continue
-            dev = dev_sequence_of_steps(self.trace.initial,
-                                        specs[: st.index], self.trace.system)
-            out |= essential_positions(st.prefix, dev)
-        return frozenset(out)
+            if st.prefix:
+                at_index.setdefault(st.index, set()).update(st.prefix)
+        system = self.trace.system
+        last = max(at_index, default=0)
+        prefix = frozenset(at_index.get(last, ()))
+        for i in reversed(range(last)):
+            step = self.trace.steps[i]
+            stage = DevRecord(step.source, step.target, (step.redex,), (step,),
+                              system)
+            prefix = epsilon_step(prefix, stage) | at_index.get(i, frozenset())
+        return prefix
 
 
 def needed_pilot(term, system, depth_goal, fuel):

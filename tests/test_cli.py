@@ -117,6 +117,14 @@ class TestNormalize:
                         "--term", "c", "--depth", "3", "--fuel", "30")
         assert code == 3
 
+    def test_too_deep_term_exits_budget(self, capsys):
+        deep = "g(" * 3000 + "b" + ")" * 3000
+        code, out = run("normalize", corpus("spine_growth.crs"), "--term", deep)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("budget exceeded: term too deep")
+        assert "Traceback" not in out + err
+
     def test_json_roundtrip(self):
         code, out = run("normalize", corpus("spine_growth.crs"),
                         "--term", "f(a, c)", "--depth", "4", "--json")
