@@ -24,13 +24,13 @@ from .rewriting import (
 from .developments import (
     ALL_REDEXES, AllRedexes, DevRecord, DevSequence, Path, PathProjection,
     PathSpace, RuleNode, TermNode,
-    complete_development, dev_sequence_of_steps, enumerate_paths,
-    has_finite_jumps, project_dev_over_finite, project_path, project_sequence,
-    redexes_from_positions, target_term,
+    complete_development, dev_sequence_of_steps, has_finite_jumps,
+    project_dev_over_finite, project_sequence, redexes_from_positions,
+    target_term,
 )
 from .essential import (
     Measure, PathPrefixSet, ProjectionResult, ReductionDescriptor,
-    check_mirror, classify_redex, emaciate_reduction, emaciate_step,
+    classify_redex, emaciate_reduction, emaciate_step,
     epsilon_seq, epsilon_step, essential_positions, essential_skeleton,
     measure, measure_less, mirrors, path_prefix_set, sequence_mirrors,
     sub_mirrors, zeta,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import (
     BudgetExceeded, FiniteJumpsViolated, InfiniteStageSet, PreconditionViolated,
 )
-from .rewriting import Redex, StepRecord, contract, match, redex_at
+from .rewriting import Redex, StepRecord, contract, match, redex_at, residuals
 from .syntax import position_str
 from .systems import Rule, rule_meta, require_valid
 from .terms import (
@@ -324,14 +324,6 @@ class PathSpace:
         return out
 
 
-def enumerate_paths(term, redexes, system, budget=4000):
-    return PathSpace(term, redexes, system).enumerate(budget=budget)
-
-
-def project_path(space, path):
-    return space.project(path)
-
-
 # ---------------------------------------------------------------------------
 # class machine: finite jumps + target term on rational terms
 
@@ -622,12 +614,6 @@ class DevRecord:
                    for p, qs in cur.items()}
         return cur
 
-    def descendants(self, positions):
-        out = set()
-        for qs in self.descendant_map(positions).values():
-            out |= qs
-        return out
-
     def residual_map(self, redexes):
         if self.steps is None:
             raise InfiniteStageSet("residual tracking needs a stepwise development")
@@ -645,17 +631,6 @@ class DevRecord:
             cur = {orig: tuple(r for u in us for r in bypos[u.position])
                    for orig, us in cur.items()}
         return cur
-
-    def residuals(self, redexes):
-        out = []
-        seen = set()
-        for rs in self.residual_map(redexes).values():
-            for r in rs:
-                if r.position not in seen:
-                    seen.add(r.position)
-                    out.append(r)
-        out.sort(key=lambda u: u.position)
-        return out
 
 
 def complete_development(term, redexes, system):
@@ -736,9 +711,9 @@ def project_dev_over_finite(dev_u, finite_redexes):
         raise InfiniteStageSet("projection needs a stepwise development")
     system = dev_u.system
     dev_v = complete_development(dev_u.source, finite_redexes, system)
-    u_after_v = dev_v.residuals(list(dev_u.redexes))
+    u_after_v = residuals(dev_u.redexes, dev_v)
     right = complete_development(dev_v.target, u_after_v, system)
-    v_after_u = dev_u.residuals(list(finite_redexes))
+    v_after_u = residuals(finite_redexes, dev_u)
     bottom = complete_development(dev_u.target, v_after_u, system)
     return right, bottom
 
@@ -760,10 +735,10 @@ def project_sequence(dev_seq, redex, system=None):
     for stage in dev_seq.stages:
         if stage.steps is None:
             raise InfiniteStageSet("projection requires finite stage sets")
-        v_i = prev_left.residuals(list(stage.redexes))
+        v_i = residuals(stage.redexes, prev_left)
         new_stage = complete_development(cur_term, v_i, system)
         new_stages.append(new_stage)
         cur_term = new_stage.target
-        cur_res = stage.residuals(cur_res)
+        cur_res = residuals(cur_res, stage)
         prev_left = complete_development(stage.target, cur_res, system)
     return DevSequence(new_initial, tuple(new_stages))

@@ -26,7 +26,7 @@ from .developments import (
     DevRecord, DevSequence, PathSpace, RuleNode,
     complete_development, has_finite_jumps, project_sequence,
 )
-from .rewriting import Redex, match
+from .rewriting import Redex, match, residuals
 from .syntax import position_str
 from .systems import rule_meta
 from .terms import is_prefix_set, root_key, subterm_at
@@ -242,17 +242,6 @@ def sub_mirrors(e_seq, q_prefix, d_seq, p_prefix):
     return True, ""
 
 
-def check_mirror(t, s, prefix, mode="term"):
-    if mode == "term":
-        return mirrors(t, s, prefix)
-    if mode == "sequence":
-        return sequence_mirrors(t, s, prefix)
-    if mode == "sub":
-        q, p = prefix
-        return sub_mirrors(t, q, s, p)
-    raise PreconditionViolated(f"unknown mirror mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # skeletons and emaciated projections
 
@@ -311,7 +300,7 @@ def _residuals_through(dev_seq, redex):
     """Residuals of an initial-term redex through the whole sequence."""
     cur = [redex]
     for stage in dev_seq.stages:
-        cur = stage.residuals(cur)
+        cur = residuals(cur, stage)
     return cur
 
 

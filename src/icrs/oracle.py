@@ -53,29 +53,12 @@ def _replay_step(term, position, rule):
     return graft(term, position, apply_valuation(v, rule.rhs))
 
 
-def brute_descendants(positions, steps, source=None):
+def brute_descendant_map(positions, steps, source=None):
     """Label the positions, replay the steps in the labelled system, read the
-    labelled positions off the final term.
+    labelled positions off the final term, per position.
 
     steps: StepRecords (their sources fix the reduction), or (term, specs).
     """
-    if source is None:
-        source = steps[0].source
-        specs = [(s.redex.position, s.redex.rule) for s in steps]
-    else:
-        specs = list(steps)
-    tagged = source
-    for i, p in enumerate(positions):
-        tagged = set_tag_at(tagged, tuple(p), ("o", i))
-    for pos, rule in specs:
-        tagged = _replay_step(tagged, tuple(pos), rule)
-    found, complete = iter_tagged(tagged)
-    if not complete:
-        raise DevelopmentExplosion("a label landed inside a cycle")
-    return {q for q, _ in found}
-
-
-def brute_descendant_map(positions, steps, source=None):
     if source is None:
         source = steps[0].source
         specs = [(s.redex.position, s.redex.rule) for s in steps]
@@ -94,6 +77,14 @@ def brute_descendant_map(positions, steps, source=None):
     for q, tag in found:
         out[positions[tag[1]]].add(q)
     return {p: frozenset(qs) for p, qs in out.items()}
+
+
+def brute_descendants(positions, steps, source=None):
+    """Union of the brute-force descendant sets of the positions."""
+    out = set()
+    for qs in brute_descendant_map(positions, steps, source).values():
+        out |= qs
+    return out
 
 
 # ---------------------------------------------------------------------------

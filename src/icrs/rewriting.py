@@ -164,14 +164,6 @@ def apply_valuation(valuation, metaterm):
 # ---------------------------------------------------------------------------
 # matching
 
-_FRESH = [0]
-
-
-def _fresh_binder():
-    _FRESH[0] += 1
-    return f"_b{_FRESH[0]}"
-
-
 def match(rule, term, position=()):
     """Match the rule's pattern against the subterm at the position.
 
@@ -179,7 +171,9 @@ def match(rule, term, position=()):
     subterm, or None (also when the position is not in the term).  A
     candidate binding whose free variables would escape through the
     meta-variable's argument list does not match.  Callers that already hold
-    the node pass it with the empty position.
+    the node pass it with the empty position.  A binder of the subterm is
+    renamed by its pattern depth (`_b0`, `_b1`, ...), so matching the same
+    redex twice gives equal valuations.
     """
     try:
         target = subterm_at(term, position)
@@ -210,7 +204,8 @@ def match(rule, term, position=()):
             case Abs(x, pbody, _):
                 if not isinstance(tm, Abs):
                     return False
-                z = _fresh_binder()
+                # skip names free in the subterm (bound by its context)
+                z = fresh_name(f"_b{len(scope)}", free_vars(tm) | set(scope))
                 tbody = substitute(tm.body, (tm.var,), (Var(z),))
                 return go(pbody, tbody, {**pairs, x: z}, scope + (z,))
             case Sym(f, pargs, _):
@@ -320,7 +315,8 @@ def contract(term, redex):
 
 
 def descendants(positions, step):
-    """Union of the per-position descendant sets across one step."""
+    """Union of the per-position descendant sets across a StepRecord or a
+    DevRecord."""
     dm = step.descendant_map(positions)
     out = set()
     for qs in dm.values():
@@ -329,6 +325,8 @@ def descendants(positions, step):
 
 
 def residuals(redexes, step):
+    """The residuals of the redexes across a StepRecord or a stepwise
+    DevRecord, one per position, ordered by position."""
     rm = step.residual_map(redexes)
     out = []
     seen = set()

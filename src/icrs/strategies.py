@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    FuelExhausted, NoEligibleRedex, PositionError, PreconditionViolated,
-    TermError,
-)
+from .errors import FuelExhausted, NoEligibleRedex, PreconditionViolated
 from .developments import DevRecord
 from .essential import epsilon_step
 from .rewriting import Redex, contract, find_redexes, match
@@ -155,7 +152,7 @@ def outermost_redexes(term, system, depth_bound):
 
 
 class _Predicate:
-    """satisfies(term, position, rule): does the redex satisfy the strategy
+    """satisfies(term, redex): does a redex of the term satisfy the strategy
     predicate?  Scan-free for members (checked against ancestors only) so the
     bookkeeping never depends on the enumeration bound."""
 
@@ -164,20 +161,14 @@ class _Predicate:
         self.system = system
         self._needed_cache = {}
 
-    def satisfies(self, term, position, rule):
+    def satisfies(self, term, redex):
+        if self.kind.kind == "fair":
+            return True
         if self.kind.kind == "outermost-fair":
-            try:
-                *above, node = path_nodes(term, position)
-            except (PositionError, TermError):
-                return False
-            if match(rule, node) is None:
-                return False
+            *above, _ = path_nodes(term, redex.position)
             return not any(match(r, a) is not None
                            for a in above for r in self.system.rules_for(a))
-        if match(rule, term, position) is None:
-            return False
-        return (self.kind.kind == "fair"
-                or position in self._needed_positions(term))
+        return redex.position in self._needed_positions(term)
 
     def _needed_positions(self, term):
         if term not in self._needed_cache:
@@ -203,11 +194,17 @@ class Obligation:
 
 
 class FairnessTracker:
+    """Obligations over the observed terms.  `tracked` holds the Redex of
+    every member of an open obligation in the current term, taken from the
+    scan or from the residual map of the last step, so no member is matched
+    again."""
+
     def __init__(self, kind, system, spawn_bound):
         self.pred = _Predicate(kind, system)
         self.system = system
         self.spawn_bound = spawn_bound
         self.obligations = []
+        self.tracked = {}  # (position, rule name) -> Redex
 
     def _live(self):
         return [ob for ob in self.obligations if ob.open]
@@ -218,43 +215,40 @@ class FairnessTracker:
         # clause 2: an obligation none of whose members satisfies the
         # predicate any more is discharged vacuously
         for ob in self._live():
-            if not any(self.pred.satisfies(term, p, self.system.rule(rn))
-                       for p, rn in ob.members):
+            if not any(self.pred.satisfies(term, self.tracked[m])
+                       for m in ob.members):
                 ob.resolved_at = index
                 ob.resolution = "vacuous"
         live_sets = {ob.members for ob in self._live()}
         for u in redexes:
-            if self.pred.satisfies(term, u.position, u.rule):
-                key = frozenset([(u.position, u.rule.name)])
+            if self.pred.satisfies(term, u):
+                m = (u.position, u.rule.name)
+                key = frozenset([m])
                 if key not in live_sets:
                     self.obligations.append(Obligation(index, key))
                     live_sets.add(key)
+                    self.tracked[m] = u
 
     def observe_step(self, index, term, step):
         contracted = step.redex.position
-        contracted_sat = self.pred.satisfies(term, contracted, step.redex.rule)
+        contracted_sat = self.pred.satisfies(term, step.redex)
         live = self._live()
-        member_redexes = {}
-        for ob in live:
-            for p, rn in ob.members:
-                if (p, rn) not in member_redexes:
-                    rule = self.system.rule(rn)
-                    v = match(rule, term, p)
-                    member_redexes[(p, rn)] = Redex(p, rule, v) if v else None
-        valid = [u for u in member_redexes.values() if u is not None]
-        residual_map = step.residual_map(valid) if valid else {}
+        members = {m for ob in live for m in ob.members}
+        residual_map = (step.residual_map([self.tracked[m] for m in members])
+                        if members else {})
         bypos = {u.position: rs for u, rs in residual_map.items()}
+        self.tracked = {}
         for ob in live:
             if contracted_sat and any(p == contracted for p, _ in ob.members):
                 ob.resolved_at = index
                 ob.resolution = "contracted"
                 continue
             new = set()
-            for p, rn in ob.members:
-                if member_redexes.get((p, rn)) is None:
-                    continue
-                for r in bypos.get(p, ()):
-                    new.add((r.position, r.rule.name))
+            for p, _ in ob.members:
+                for r in bypos[p]:
+                    m = (r.position, r.rule.name)
+                    new.add(m)
+                    self.tracked[m] = r
             ob.members = frozenset(new)
             if not ob.members:
                 ob.resolved_at = index
@@ -277,24 +271,21 @@ class FairnessTracker:
         for ob in self.obligations:
             if not ob.open:
                 continue
-            eligible = []
-            for p, rn in sorted(ob.members, key=lambda m: (len(m[0]), m[0])):
-                rule = self.system.rule(rn)
-                if self.pred.satisfies(term, p, rule):
-                    eligible.append(Redex(p, rule, match(rule, term, p)))
-            if eligible:
-                return eligible[0]
+            for m in sorted(ob.members, key=lambda m: (len(m[0]), m[0])):
+                u = self.tracked[m]
+                if self.pred.satisfies(term, u):
+                    return u
         raise NoEligibleRedex("no tracked redex satisfies the strategy predicate")
 
 
-def select(kind, trace, term):
-    """Rebuild the fairness state from the trace and pick the next redex:
-    the oldest obligation whose members still satisfy the predicate, its
-    outermost-leftmost eligible member."""
+def select(kind, trace):
+    """Rebuild the fairness state from the trace and pick the next redex of
+    its final term: the oldest obligation whose members still satisfy the
+    predicate, its outermost-leftmost eligible member."""
     require_valid(trace.system)
     tracker = _replay_tracker(kind, trace)
-    tracker.observe_term(len(trace.steps), term)
-    return tracker.select(term)
+    tracker.observe_term(len(trace.steps), trace.final)
+    return tracker.select(trace.final)
 
 
 def _replay_tracker(kind, trace, spawn_bound=None):

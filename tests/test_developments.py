@@ -6,7 +6,7 @@ from icrs import (
     ALL_REDEXES, DevSequence, PathSpace, alpha_eq, complete_development,
     dev_sequence_of_steps, find_redexes, has_finite_jumps, parse_system,
     parse_term, print_term, project_dev_over_finite, project_sequence,
-    redexes_from_positions, target_term,
+    redexes_from_positions, residuals, target_term,
 )
 from icrs.errors import FiniteJumpsViolated, InfiniteStageSet
 from icrs.oracle import all_development_orders, brute_descendants
@@ -163,7 +163,7 @@ class TestCompleteDevelopment:
         t = T("f(a, c)")
         us = find_redexes(t, spine_system, 2)
         dev = complete_development(t, us, spine_system)
-        assert dev.residuals(us) == []
+        assert residuals(us, dev) == []
 
 
 class TestProjections:

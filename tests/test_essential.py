@@ -4,11 +4,11 @@ import pytest
 
 from icrs import (
     DevSequence, Measure, PathSpace, ReductionDescriptor, alpha_eq,
-    check_mirror, classify_redex, complete_development, dev_sequence_of_steps,
+    classify_redex, complete_development, dev_sequence_of_steps,
     emaciate_reduction, emaciate_step, epsilon_seq, epsilon_step,
     essential_positions, essential_skeleton, find_redexes, measure,
     measure_less, mirrors, parse_system, parse_term, path_prefix_set,
-    print_term, redexes_from_positions, zeta,
+    print_term, redexes_from_positions, residuals, sequence_mirrors, zeta,
 )
 from icrs.errors import NotAPrefixSet, ResidualHitsPrefix
 from icrs.oracle import brute_descendants
@@ -182,7 +182,7 @@ class TestSkeleton:
         skel = essential_skeleton(growth_seq, {(), (1,)})
         assert [len(list(st.redexes)) for st in skel.stages] == [0, 1, 1]
         assert print_term(skel.final) == "g(h(g(h(g(a)))))"
-        ok, why = check_mirror(skel, growth_seq, {(), (1,)}, mode="sequence")
+        ok, why = sequence_mirrors(skel, growth_seq, {(), (1,)})
         assert ok, why
         assert measure(skel, {(), (1,)}) == measure(growth_seq, {(), (1,)})
 
@@ -218,7 +218,7 @@ class TestEmaciate:
         assert print_term(res.sequence.final) == "g(h(g(g(h(a)))))"
         assert measure(res.sequence, P) == measure(d1, P)
         assert epsilon_seq(P, res.sequence)[0] == epsilon_seq(P, d1)[0]
-        ok, why = check_mirror(res.sequence, d1, P, mode="sequence")
+        ok, why = sequence_mirrors(res.sequence, d1, P)
         assert ok, why
 
     def test_narrative_final_step_empties(self, growth_system, growth_seq):
@@ -258,7 +258,7 @@ class TestEmaciateReduction:
         res = emaciate_reduction(seq, desc, P)
         assert len(res.sequence) == len(seq)
         assert measure(res.sequence, P) == measure(skel, P)
-        ok, why = check_mirror(res.sequence, skel, P, mode="sequence")
+        ok, why = sequence_mirrors(res.sequence, skel, P)
         assert ok, why
 
 
@@ -326,7 +326,7 @@ class TestSplitInvariance:
             k = rng.randint(1, len(us) - 1)
             v1 = us[:k]
             dev1 = complete_development(t, v1, system)
-            v2 = dev1.residuals(us[k:])
+            v2 = residuals(us[k:], dev1)
             dev2 = complete_development(dev1.target, v2, system)
             if not alpha_eq(dev2.target, dev.target):
                 continue  # alpha-renamed targets do not share positions naming
@@ -369,7 +369,7 @@ class TestResidualEssentiality:
             after_seq = res.sequence
             after = epsilon_seq(prefix, after_seq)[0]
             for v in candidates:
-                vres = step_dev.residuals([v])
+                vres = residuals([v], step_dev)
                 positions = {r.position for r in vres}
                 if v.position in before and v.position != u.position:
                     assert positions & after, (v.position, positions, after)

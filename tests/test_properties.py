@@ -7,7 +7,7 @@ import random
 import pytest
 
 from icrs import (
-    ALL_REDEXES, DevSequence, FAIR, OUTERMOST_FAIR, alpha_eq, check_mirror,
+    ALL_REDEXES, DevSequence, FAIR, OUTERMOST_FAIR, alpha_eq,
     complete_development, dev_sequence_of_steps, emaciate_step, epsilon_seq,
     essential_skeleton, find_redexes, needed_fair, needed_pilot, normalize,
     parse_system, parse_term, print_term, redexes_from_positions,
@@ -87,8 +87,6 @@ class TestSubMirroring:
         with_p = emaciate_step(D, u, P).sequence
         with_q = emaciate_step(D, u, Q).sequence
         ok, why = sub_mirrors(with_q, Q, with_p, P)
-        assert ok, why
-        ok, why = check_mirror(with_q, with_p, (Q, P), mode="sub")
         assert ok, why
 
     def test_random_instances(self):

@@ -47,20 +47,20 @@ class TestSelect:
     def test_serves_oldest_obligation(self, spine_system):
         t = T("f(a, c)")
         empty = Trace(spine_system, "fair", [t], [])
-        u = select(FAIR, empty, t)
+        u = select(FAIR, empty)
         assert u.position == ()  # ties broken outermost-leftmost
 
     def test_outermost_fair_ignores_covered(self, spine_system):
         t = T("f(a, c)")
         empty = Trace(spine_system, "outermost-fair", [t], [])
-        u = select(OUTERMOST_FAIR, empty, t)
+        u = select(OUTERMOST_FAIR, empty)
         assert u.position == ()
 
     def test_needed_fair_skips_loop(self, spine_system):
         kind = needed_fair(pilot_depth=4, pilot_fuel=200)
         t = T("f(a, c)")
         empty = Trace(spine_system, "needed-fair", [t], [])
-        u = select(kind, empty, t)
+        u = select(kind, empty)
         assert u.rule.name != "loop"
 
 
