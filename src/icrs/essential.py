@@ -16,6 +16,7 @@ the essential positions and the mirrored part of the final term.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -188,47 +189,21 @@ def mirrors(t, s, prefix):
     return True, ""
 
 
-def sequence_mirrors(e_seq, d_seq, prefix):
-    """Development sequences: stage-wise equal essential sets, mirroring
-    terms, and identical path prefix sets."""
+def _mirrors_by(fits, e_seq, q_prefix, d_seq, p_prefix, missing, relation):
+    """Mirroring of e_seq with Q against d_seq with P, the essential and
+    path prefix sets compared by fits(of e_seq, of d_seq)."""
     if len(e_seq) != len(d_seq):
         return False, "lengths differ"
-    pd = epsilon_seq(prefix, d_seq)
-    try:
-        pe = epsilon_seq(prefix, e_seq)
-    except NotAPrefixSet:
-        return False, "prefix set positions missing from the mirroring sequence"
-    for i in range(len(d_seq) + 1):
-        if pd[i] != pe[i]:
-            return False, f"essential sets differ at stage {i}"
-        td = d_seq.stages[i - 1].target if i else d_seq.initial
-        te = e_seq.stages[i - 1].target if i else e_seq.initial
-        ok, why = mirrors(te, td, pd[i])
-        if not ok:
-            return False, f"stage {i}: {why}"
-    for i in range(len(d_seq)):
-        pps_d = path_prefix_set(pd[i + 1], d_seq.stages[i])
-        pps_e = path_prefix_set(pe[i + 1], e_seq.stages[i])
-        if frozenset(pps_d.paths) != frozenset(pps_e.paths):
-            return False, f"path prefix sets differ at stage {i + 1}"
-    return True, ""
-
-
-def sub_mirrors(e_seq, q_prefix, d_seq, p_prefix):
-    """Sub-mirroring for Q included in P: inclusions of essential sets, term
-    mirroring on the smaller sets, and path-prefix-set inclusion."""
-    if len(e_seq) != len(d_seq):
-        return False, "lengths differ"
-    if not frozenset(map(tuple, q_prefix)) <= frozenset(map(tuple, p_prefix)):
+    if not fits(frozenset(map(tuple, q_prefix)), frozenset(map(tuple, p_prefix))):
         return False, "Q is not included in P"
     pd = epsilon_seq(p_prefix, d_seq)
     try:
         qe = epsilon_seq(q_prefix, e_seq)
     except NotAPrefixSet:
-        return False, "prefix set positions missing from the sub-mirroring sequence"
+        return False, f"prefix set positions missing from the {missing} sequence"
     for i in range(len(d_seq) + 1):
-        if not qe[i] <= pd[i]:
-            return False, f"essential sets not included at stage {i}"
+        if not fits(qe[i], pd[i]):
+            return False, f"essential sets {relation} at stage {i}"
         td = d_seq.stages[i - 1].target if i else d_seq.initial
         te = e_seq.stages[i - 1].target if i else e_seq.initial
         ok, why = mirrors(te, td, qe[i])
@@ -237,9 +212,23 @@ def sub_mirrors(e_seq, q_prefix, d_seq, p_prefix):
     for i in range(len(d_seq)):
         pps_d = path_prefix_set(pd[i + 1], d_seq.stages[i])
         pps_e = path_prefix_set(qe[i + 1], e_seq.stages[i])
-        if not frozenset(pps_e.paths) <= frozenset(pps_d.paths):
-            return False, f"path prefix sets not included at stage {i + 1}"
+        if not fits(frozenset(pps_e.paths), frozenset(pps_d.paths)):
+            return False, f"path prefix sets {relation} at stage {i + 1}"
     return True, ""
+
+
+def sequence_mirrors(e_seq, d_seq, prefix):
+    """Development sequences: stage-wise equal essential sets, mirroring
+    terms, and identical path prefix sets."""
+    return _mirrors_by(operator.eq, e_seq, prefix, d_seq, prefix,
+                       "mirroring", "differ")
+
+
+def sub_mirrors(e_seq, q_prefix, d_seq, p_prefix):
+    """Sub-mirroring for Q included in P: inclusions of essential sets, term
+    mirroring on the smaller sets, and path-prefix-set inclusion."""
+    return _mirrors_by(operator.le, e_seq, q_prefix, d_seq, p_prefix,
+                       "sub-mirroring", "not included")
 
 
 # ---------------------------------------------------------------------------

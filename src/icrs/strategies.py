@@ -17,6 +17,7 @@ reach normal forms.  Exhaustive neededness lives in the oracle module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import FuelExhausted, NoEligibleRedex, PreconditionViolated
 from .developments import DevRecord
@@ -154,12 +155,31 @@ def outermost_redexes(term, system, depth_bound):
 class _Predicate:
     """satisfies(term, redex): does a redex of the term satisfy the strategy
     predicate?  Scan-free for members (checked against ancestors only) so the
-    bookkeeping never depends on the enumeration bound."""
+    bookkeeping never depends on the enumeration bound.
+
+    Needed-fair classifies a redex by whether its position is essential for
+    an outermost-fair pilot run from the term.  One live pilot serves every
+    term on its trace: a term met again is looked up among the pilot's
+    terms, and a fresh pilot starts only for a term that is not there.  A
+    suffix of an outermost-fair reduction is itself outermost-fair (a redex
+    outermost in the suffix is outermost in the whole run at the same index,
+    so the run contracts it or its residuals stop being outermost), and it
+    tends to the same limit.  Its strata stratify that limit: a stratum of
+    depth d whose index falls before the suffix's start collapses to the
+    start, because every step of the suffix is at depth d or more already.
+    A fresh pilot from the same term ages its obligations afresh and may
+    take other steps, but by the neededness correspondence the essential
+    positions of every outermost-fair reduction to the limit are the needed
+    ones (Huet & Levy, "Computations in orthogonal rewriting systems", 1991;
+    Middeldorp, "Call by need computations to root-stable form", 1997), so
+    the suffix's essential set is the fresh pilot's."""
 
     def __init__(self, kind, system):
         self.kind = kind
         self.system = system
-        self._needed_cache = {}
+        self._pilot = None
+        self._on_pilot = {}  # term -> first index on the live pilot's trace
+        self._held = (None, None)  # (term in hand, its needed positions)
 
     def satisfies(self, term, redex):
         if self.kind.kind == "fair":
@@ -171,11 +191,18 @@ class _Predicate:
         return redex.position in self._needed_positions(term)
 
     def _needed_positions(self, term):
-        if term not in self._needed_cache:
-            pilot = needed_pilot(term, self.system,
-                                 self.kind.pilot_depth, self.kind.pilot_fuel)
-            self._needed_cache[term] = pilot.essential_start_positions()
-        return self._needed_cache[term]
+        if self._held[0] is not term:
+            start = self._on_pilot.get(term)
+            if start is None:
+                self._pilot = needed_pilot(term, self.system,
+                                           self.kind.pilot_depth,
+                                           self.kind.pilot_fuel)
+                self._on_pilot = {}
+                for i, t in enumerate(self._pilot.trace.terms):
+                    self._on_pilot.setdefault(t, i)
+                start = 0
+            self._held = (term, self._pilot.essential_start_positions(start))
+        return self._held[1]
 
 
 # ---------------------------------------------------------------------------
@@ -197,48 +224,52 @@ class FairnessTracker:
     """Obligations over the observed terms.  `tracked` holds the Redex of
     every member of an open obligation in the current term, taken from the
     scan or from the residual map of the last step, so no member is matched
-    again."""
+    again.  `live` holds the open obligations in ledger order; it is pruned
+    wherever an obligation is resolved, so no step rescans the ledger."""
 
     def __init__(self, kind, system, spawn_bound):
         self.pred = _Predicate(kind, system)
         self.system = system
         self.spawn_bound = spawn_bound
         self.obligations = []
+        self.live = []
         self.tracked = {}  # (position, rule name) -> Redex
 
-    def _live(self):
-        return [ob for ob in self.obligations if ob.open]
+    def _prune(self):
+        self.live = [ob for ob in self.live if ob.open]
 
     def observe_term(self, index, term, redexes=None):
         if redexes is None:
             redexes = find_redexes(term, self.system, self.spawn_bound)
         # clause 2: an obligation none of whose members satisfies the
         # predicate any more is discharged vacuously
-        for ob in self._live():
+        for ob in self.live:
             if not any(self.pred.satisfies(term, self.tracked[m])
                        for m in ob.members):
                 ob.resolved_at = index
                 ob.resolution = "vacuous"
-        live_sets = {ob.members for ob in self._live()}
+        self._prune()
+        live_sets = {ob.members for ob in self.live}
         for u in redexes:
             if self.pred.satisfies(term, u):
                 m = (u.position, u.rule.name)
                 key = frozenset([m])
                 if key not in live_sets:
-                    self.obligations.append(Obligation(index, key))
+                    ob = Obligation(index, key)
+                    self.obligations.append(ob)
+                    self.live.append(ob)
                     live_sets.add(key)
                     self.tracked[m] = u
 
     def observe_step(self, index, term, step):
         contracted = step.redex.position
         contracted_sat = self.pred.satisfies(term, step.redex)
-        live = self._live()
-        members = {m for ob in live for m in ob.members}
+        members = {m for ob in self.live for m in ob.members}
         residual_map = (step.residual_map([self.tracked[m] for m in members])
                         if members else {})
         bypos = {u.position: rs for u, rs in residual_map.items()}
         self.tracked = {}
-        for ob in live:
+        for ob in self.live:
             if contracted_sat and any(p == contracted for p, _ in ob.members):
                 ob.resolved_at = index
                 ob.resolution = "contracted"
@@ -253,9 +284,10 @@ class FairnessTracker:
             if not ob.members:
                 ob.resolved_at = index
                 ob.resolution = "vacuous"
+        self._prune()
         # identically-tracked obligations are redundant: keep the oldest
         by_members = {}
-        for ob in self._live():
+        for ob in self.live:
             other = by_members.get(ob.members)
             if other is None:
                 by_members[ob.members] = ob
@@ -266,11 +298,10 @@ class FairnessTracker:
                 other.resolved_at = index
                 other.resolution = "merged"
                 by_members[ob.members] = ob
+        self._prune()
 
     def select(self, term):
-        for ob in self.obligations:
-            if not ob.open:
-                continue
+        for ob in self.live:
             for m in sorted(ob.members, key=lambda m: (len(m[0]), m[0])):
                 u = self.tracked[m]
                 if self.pred.satisfies(term, u):
@@ -520,27 +551,44 @@ class Pilot:
     trace: object
     strata: tuple
 
-    def essential_start_positions(self):
-        """Positions of the pilot's initial term essential for some stratum
-        prefix; by the neededness correspondence these are the needed ones.
-
-        Epsilon distributes over unions of prefix sets (a path's edge word
-        lies in P | Q iff it lies in P or in Q), so one backward sweep over
+    @cached_property
+    def _swept(self):
+        """The backward sweep's set at every index up to the deepest
+        stratum's.  Epsilon distributes over unions of prefix sets (a path's
+        edge word lies in P | Q iff it lies in P or in Q), so one sweep over
         the pilot's own steps, adding each stratum's prefix at its index,
-        gives the union of the per-stratum essential sets."""
+        gives at each index the union of the per-stratum essential sets."""
         at_index = {}
         for st in self.strata:
             if st.prefix:
                 at_index.setdefault(st.index, set()).update(st.prefix)
         system = self.trace.system
         last = max(at_index, default=0)
-        prefix = frozenset(at_index.get(last, ()))
+        swept = [frozenset(at_index.get(last, ()))]
         for i in reversed(range(last)):
             step = self.trace.steps[i]
             stage = DevRecord(step.source, step.target, (step.redex,), (step,),
                               system)
-            prefix = epsilon_step(prefix, stage) | at_index.get(i, frozenset())
-        return prefix
+            swept.append(epsilon_step(swept[-1], stage)
+                         | at_index.get(i, frozenset()))
+        swept.reverse()
+        return tuple(swept)
+
+    def essential_start_positions(self, start=0):
+        """Positions of the pilot's term at index `start` essential for some
+        stratum prefix of the suffix from there; by the neededness
+        correspondence these are the needed ones.  Strata whose index falls
+        before `start` collapse to it, with the positions of that term above
+        their depth as prefix."""
+        swept = self._swept
+        out = swept[start] if start < len(swept) else frozenset()
+        collapsed = [st.depth for st in self.strata
+                     if st.prefix and st.index < start]
+        if collapsed:
+            above = positions_to_depth(self.trace.terms[start],
+                                       max(collapsed) - 1)
+            out = out | frozenset(above)
+        return out
 
 
 def needed_pilot(term, system, depth_goal, fuel):

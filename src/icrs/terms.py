@@ -18,6 +18,7 @@ results are stripped of tags.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -495,17 +496,25 @@ def prefix_closure(positions):
 # descendant-tracking tags
 
 def strip_tags(t):
+    """The term without tags; a node with no tag at or below it comes back
+    as the very same object, so untagged subterms are shared, not copied."""
     match t:
         case Var(x, tag):
             return Var(x) if tag is not None else t
         case Abs(x, body, tag):
-            return Abs(x, strip_tags(body))
+            new = strip_tags(body)
+            return t if tag is None and new is body else Abs(x, new)
         case Sym(f, args, tag):
-            return Sym(f, tuple(strip_tags(a) for a in args))
+            new = tuple(map(strip_tags, args))
+            if tag is None and all(map(operator.is_, new, args)):
+                return t
+            return Sym(f, new)
         case MetaApp(z, args):
-            return MetaApp(z, tuple(strip_tags(a) for a in args))
+            new = tuple(map(strip_tags, args))
+            return t if all(map(operator.is_, new, args)) else MetaApp(z, new)
         case Rec(v, body):
-            return Rec(v, strip_tags(body))
+            new = strip_tags(body)
+            return t if new is body else Rec(v, new)
         case _:
             return t
 

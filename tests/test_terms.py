@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,12 @@ from icrs import (
 )
 from icrs.errors import NotCycleRoot, PositionError, TermError
 from icrs.syntax import parse_metaterm
-from icrs.terms import check_guarded, free_vars, hole, prefix_closure
+from icrs.terms import (
+    MetaApp, check_guarded, free_vars, hole, iter_tagged, prefix_closure,
+    set_tag_at, strip_tags,
+)
+
+import genrand
 
 
 def T(text):
@@ -176,6 +182,52 @@ class TestRecDiscipline:
 
     def test_guard_through_abstraction_ok(self):
         check_guarded(Rec("G", Abs("x", Sym("g", (Var("x"), RecVar("G"))))))
+
+
+def rebuilt(t):
+    """The former strip_tags: rebuilds every node, tagged or not."""
+    match t:
+        case Var(x, tag):
+            return Var(x) if tag is not None else t
+        case Abs(x, body, tag):
+            return Abs(x, rebuilt(body))
+        case Sym(f, args, tag):
+            return Sym(f, tuple(rebuilt(a) for a in args))
+        case MetaApp(z, args):
+            return MetaApp(z, tuple(rebuilt(a) for a in args))
+        case Rec(v, body):
+            return Rec(v, rebuilt(body))
+        case _:
+            return t
+
+
+class TestStripTags:
+    def test_untagged_term_comes_back_as_is(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            t = genrand.random_term(rng, genrand.random_system(rng), 4)
+            assert strip_tags(t) is t
+
+    def test_tagged_terms_strip_as_the_rebuild_did(self):
+        rng = random.Random(8)
+        tagged = 0
+        for _ in range(200):
+            t = genrand.random_term(rng, genrand.random_system(rng), 4)
+            for i, p in enumerate(sorted(positions_to_depth(t, 3))):
+                if rng.random() < 0.3:
+                    t = set_tag_at(t, p, ("d", i))
+            stripped = strip_tags(t)
+            assert stripped == rebuilt(t)
+            assert iter_tagged(stripped)[0] == []
+            tagged += stripped != t
+        assert tagged >= 100
+
+    def test_untagged_siblings_are_shared(self):
+        untagged = T("g(a, [x] h(x))")
+        t = Sym("f", (Sym("a", (), tag=1), untagged))
+        stripped = strip_tags(t)
+        assert stripped == T("f(a, g(a, [x] h(x)))")
+        assert stripped.args[1] is untagged
 
 
 @settings(max_examples=60)
