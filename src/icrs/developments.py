@@ -30,8 +30,8 @@ from .syntax import position_str
 from .systems import Rule, rule_meta, require_valid
 from .terms import (
     Abs, MetaApp, Rec, RecVar, Sym, Var,
-    alpha_eq, children, free_vars, fresh_name, has_vars, resolve, root_label,
-    subterm_at,
+    alpha_eq, child_at, children, free_vars, fresh_name, has_vars, resolve,
+    root_label, subterm_at,
 )
 
 
@@ -134,16 +134,26 @@ class PathSpace:
         self.redexes = redexes
         self.all = isinstance(redexes, AllRedexes)
         self._by_pos = None if self.all else {u.position: u for u in redexes}
-        self._sub_cache = {}
+        self._sub_cache = {(): resolve(term)}
         self._redex_cache = {}
         self._label_cache = {}
         self._bound_cache = {}
 
     # -- term access -------------------------------------------------------
     def subterm(self, p):
-        if p not in self._sub_cache:
-            self._sub_cache[p] = resolve(subterm_at(self.term, p))
-        return self._sub_cache[p]
+        """The resolved node at p, reached by one step from each uncached
+        prefix, starting below the longest cached one (the root always is)."""
+        cache = self._sub_cache
+        node = cache.get(p)
+        if node is not None:
+            return node
+        k = len(p) - 1
+        while p[:k] not in cache:
+            k -= 1
+        node = cache[p[:k]]
+        for k in range(k, len(p)):
+            node = cache[p[:k + 1]] = resolve(child_at(node, p[k]))
+        return node
 
     def redex(self, p):
         """The U-redex at p, if any."""
@@ -154,16 +164,13 @@ class PathSpace:
         return self._redex_cache[p]
 
     def _binder_position(self, p, name):
-        """Position of the abstraction binding `name` at p, scanning the
-        actual branch from the root (innermost binder wins)."""
-        best = None
-        t = self.term
-        for i, step in enumerate(p):
-            t = resolve(t)
+        """Position of the abstraction binding `name` at p on the actual
+        branch (innermost binder wins), read off the cached prefixes."""
+        for i in range(len(p) - 1, -1, -1):
+            t = self.subterm(p[:i])
             if isinstance(t, Abs) and t.var == name:
-                best = p[:i]
-            t = subterm_at(t, (step,))
-        return best
+                return p[:i]
+        return None
 
     def bound_by(self, p):
         """(redex, lhs variable name) when the variable at p is bound by the

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DevelopmentExplosion
 from .developments import AllRedexes, Path, PathSpace, has_finite_jumps
-from .rewriting import Redex, match, find_redexes, redex_at
+from .rewriting import Redex, apply_valuation, match, find_redexes, redex_at
 from .systems import rule_meta
 from .terms import (
     alpha_eq, graft, iter_tagged, resolve, set_tag_at, strip_tags, truncate,
@@ -48,8 +48,6 @@ def _replay_step(term, position, rule):
     if v is None:
         raise DevelopmentExplosion(
             f"oracle step does not match at {position}")
-    from .rewriting import apply_valuation
-
     return graft(term, position, apply_valuation(v, rule.rhs))
 
 

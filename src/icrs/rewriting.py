@@ -21,8 +21,8 @@ from .errors import (
 from .systems import Rule
 from .terms import (
     Abs, MetaApp, Position, Rec, RecVar, Sym, Term, Var,
-    alpha_eq, check_guarded, children, free_recvars, free_vars, fresh_name,
-    graft, iter_tagged, resolve, set_tag_at, strip_tags, subterm_at,
+    _subst_recvar, alpha_eq, check_guarded, children, free_recvars, free_vars,
+    fresh_name, graft, iter_tagged, resolve, set_tag_at, strip_tags, subterm_at,
 )
 
 
@@ -111,8 +111,6 @@ def _subst(s, m):
                 incoming |= free_recvars(t)
             if v in incoming:
                 v2 = fresh_name(v, incoming | free_recvars(body))
-                from .terms import _subst_recvar
-
                 body = _subst_recvar(body, v, RecVar(v2))
                 v = v2
             return Rec(v, _subst(body, m))

@@ -19,7 +19,7 @@ results are stripped of tags.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,46 +30,89 @@ Position = tuple
 HOLE = "_|_"
 
 
-@dataclass(frozen=True)
 class Term:
-    __slots__ = ()
+    """Base of the node classes.
+
+    Nodes are frozen, slotted dataclasses that compare structurally, tags
+    included.  Each node is hashed once, when it is built, and keeps the
+    value in the `_hash` slot: the hash of the tuple of its fields, which a
+    plain frozen dataclass would recompute over the whole subtree on every
+    call.  Children are hashed before their parent, so building a node costs
+    one hash of its own fields.
+    """
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor, so the hash is taken afresh
+        # (string hashes differ between processes)
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Term.__hash__
+    return cls
+
+
+_set = object.__setattr__
+
+
+@_node
 class Var(Term):
     name: str
     tag: object = None
 
+    def __post_init__(self):
+        _set(self, "_hash", hash((self.name, self.tag)))
 
-@dataclass(frozen=True)
+
+@_node
 class Abs(Term):
     var: str
     body: Term
     tag: object = None
 
+    def __post_init__(self):
+        _set(self, "_hash", hash((self.var, self.body, self.tag)))
 
-@dataclass(frozen=True)
+
+@_node
 class Sym(Term):
     fun: str
     args: tuple = ()
     tag: object = None
 
+    def __post_init__(self):
+        _set(self, "_hash", hash((self.fun, self.args, self.tag)))
 
-@dataclass(frozen=True)
+
+@_node
 class MetaApp(Term):
     mv: str
     args: tuple = ()
 
+    def __post_init__(self):
+        _set(self, "_hash", hash((self.mv, self.args)))
 
-@dataclass(frozen=True)
+
+@_node
 class Rec(Term):
     var: str
     body: Term
 
+    def __post_init__(self):
+        _set(self, "_hash", hash((self.var, self.body)))
 
-@dataclass(frozen=True)
+
+@_node
 class RecVar(Term):
     name: str
+
+    def __post_init__(self):
+        _set(self, "_hash", hash((self.name,)))
 
 
 def hole():
@@ -217,14 +260,6 @@ def path_nodes(t, p):
     for i in p:
         out.append(resolve(child_at(out[-1], i)))
     return out
-
-
-def has_position(t, p):
-    try:
-        subterm_at(t, p)
-        return True
-    except PositionError:
-        return False
 
 
 def root_label(t):
@@ -474,11 +509,20 @@ def distance(t, u):
 
 
 def is_prefix_set(positions, t):
-    ps = set(map(tuple, positions))
-    for p in ps:
-        if p and p[:-1] not in ps:
+    """Is the set prefix-closed and made of positions of t?  Positions are
+    visited shortest first, and each is reached by one step from its
+    parent's node (which a prefix set must contain)."""
+    nodes = {}
+    for p in sorted(set(map(tuple, positions)), key=len):
+        if not p:
+            nodes[p] = t
+            continue
+        parent = nodes.get(p[:-1])
+        if parent is None:
             return False
-        if not has_position(t, p):
+        try:
+            nodes[p] = child_at(parent, p[-1])
+        except PositionError:
             return False
     return True
 

@@ -5,13 +5,20 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from icrs import parse_system
-
 CORPUS = pathlib.Path(__file__).parent.parent / "src" / "icrs" / "corpus"
 
 
 def corpus_text(name):
     return (CORPUS / name).read_text()
+
+
+def parse_system(text):
+    # Imported on use: collecting bench/test_checks.py imports the engine
+    # afresh, and a conftest loads before that, so a module-level import
+    # would hand the fixtures classes from a discarded copy of the engine.
+    from icrs import parse_system
+
+    return parse_system(text)
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,11 @@ from icrs import (
     parse_term, print_term, project_dev_over_finite, project_sequence,
     redexes_from_positions, residuals, target_term,
 )
+from icrs.developments import TermNode
 from icrs.errors import FiniteJumpsViolated, InfiniteStageSet
 from icrs.oracle import all_development_orders, brute_descendants
 from icrs.rewriting import redex_at
+from icrs.terms import Abs, Rec, Sym, Var, resolve, subterm_at
 
 import genrand
 
@@ -225,3 +227,59 @@ class TestRandomisedAgreement:
             assert alpha_eq(out.finals[0], dev.target)
             assert alpha_eq(target_term(t, us, system), dev.target)
             done += 1
+
+
+def root_walk_binder(term, p, name):
+    """The former PathSpace._binder_position: the branch walked from the
+    root, the innermost binder of `name` winning."""
+    best = None
+    t = term
+    for i, step in enumerate(p):
+        t = resolve(t)
+        if isinstance(t, Abs) and t.var == name:
+            best = p[:i]
+        t = subterm_at(t, (step,))
+    return best
+
+
+def one_binder_name(t):
+    """The term with every binder and variable called x, so that inner
+    binders shadow outer ones."""
+    match t:
+        case Var():
+            return Var("x")
+        case Abs(_, body):
+            return Abs("x", one_binder_name(body))
+        case Sym(f, args):
+            return Sym(f, tuple(map(one_binder_name, args)))
+        case Rec(v, body):
+            return Rec(v, one_binder_name(body))
+        case _:
+            return t
+
+
+class TestPathSpaceWalks:
+    @pytest.mark.parametrize("all_redexes", [False, True])
+    def test_node_local_walks_agree_with_root_walks(self, all_redexes):
+        rng = random.Random(23 + all_redexes)
+        cyclic = positions = 0
+        for k in range(60):
+            system = genrand.random_system(rng)
+            t = genrand.random_term(rng, system, 4)
+            if k % 2:
+                t = one_binder_name(t)
+            cyclic += "rec" in print_term(t)
+            us = (ALL_REDEXES if all_redexes
+                  else genrand.random_redex_set(rng, t, system, max_size=3))
+            space = PathSpace(t, us, system)
+            paths = space.enumerate(budget=30, collect_all=True).maximal
+            reached = {n.position for path in paths for n in path.nodes
+                       if isinstance(n, TermNode)}
+            for p in sorted(reached):
+                node = space.subterm(p)
+                assert node == resolve(subterm_at(t, p))
+                for name in ("x", "x1", "x2", "x3", "x4"):
+                    assert space._binder_position(p, name) == root_walk_binder(t, p, name)
+            positions += len(reached)
+        assert cyclic >= 10
+        assert positions >= 1000

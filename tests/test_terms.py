@@ -1,4 +1,7 @@
+import pathlib
+import pickle
 import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -6,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from icrs import (
     Abs, Rec, RecVar, Sym, Var, alpha_eq, distance, graft, is_prefix_set,
-    parse_term, positions_to_depth, print_term, subterm_at, truncate, unfold,
+    parse_system, parse_term, positions_to_depth, print_term, resolve,
+    subterm_at, truncate, unfold,
 )
 from icrs.errors import NotCycleRoot, PositionError, TermError
 from icrs.syntax import parse_metaterm
 from icrs.terms import (
-    MetaApp, check_guarded, free_vars, hole, iter_tagged, prefix_closure,
-    set_tag_at, strip_tags,
+    MetaApp, check_guarded, children, free_vars, hole, iter_tagged,
+    prefix_closure, set_tag_at, strip_tags,
 )
 
 import genrand
@@ -167,6 +171,142 @@ class TestPrefixSets:
 
     def test_closure_helper(self):
         assert prefix_closure([(1, 1)]) == {(), (1,), (1, 1)}
+
+
+def has_position(t, p):
+    try:
+        subterm_at(t, p)
+        return True
+    except PositionError:
+        return False
+
+
+def old_is_prefix_set(positions, t):
+    """The former is_prefix_set: every position walked from the root."""
+    ps = set(map(tuple, positions))
+    for p in ps:
+        if p and p[:-1] not in ps:
+            return False
+        if not has_position(t, p):
+            return False
+    return True
+
+
+class TestPrefixSetAgreement:
+    def test_agrees_with_root_walks_on_random_terms(self):
+        rng = random.Random(31)
+        verdicts = {True: 0, False: 0}
+        cyclic = 0
+        for _ in range(150):
+            t = genrand.random_term(rng, genrand.random_system(rng), 4)
+            cyclic += "rec" in print_term(t)
+            known = sorted(positions_to_depth(t, 4))
+            closed = genrand.random_prefix_set(rng, t, max_depth=4)
+            candidates = [
+                closed,
+                closed - {()},  # root missing
+                {p for p in closed if len(p) != 1},  # parents missing deeper
+                {p for p in known if rng.random() < 0.5},
+                closed | {(9,), (1, 9)},  # not positions of the term
+                closed | {p + (7,) for p in known},
+                set(),
+            ]
+            for ps in candidates:
+                expected = old_is_prefix_set(ps, t)
+                assert is_prefix_set(ps, t) == expected, (print_term(t), ps)
+                verdicts[expected] += 1
+        assert cyclic >= 20
+        assert min(verdicts.values()) >= 150
+
+
+CORPUS = pathlib.Path(__file__).parent.parent / "src" / "icrs" / "corpus"
+
+
+def corpus_terms():
+    """Rule sides of every corpus system, the fixpoint term and the
+    benchmark's normalize inputs."""
+    out = []
+    for f in sorted(CORPUS.glob("*.crs")):
+        for r in parse_system(f.read_text()).rules:
+            out += [r.lhs, r.rhs]
+    lines = (CORPUS / "lambda_fixpoint.term").read_text().splitlines()
+    out.append(parse_term(" ".join(
+        ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#"))))
+    out += [T("f(a, c)"), T("f(a)"), T("map([z] s(z), rec L. cons(zero, L))")]
+    return out
+
+
+def node_sample():
+    """Every node of the corpus terms and of seeded random terms (cyclic
+    ones included), with the resolved unrollings of their rec binders."""
+    rng = random.Random(17)
+    roots = corpus_terms()
+    for _ in range(120):
+        roots.append(genrand.random_term(rng, genrand.random_system(rng), 4))
+    out, stack = [], list(roots)
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        if isinstance(t, Rec):
+            out.append(resolve(t))
+            stack.append(t.body)
+        else:
+            stack.extend(c for _, c in children(t))
+    return out
+
+
+def dataclass_hash(t):
+    """The hash a plain frozen dataclass computes: its compare fields' tuple."""
+    return hash(tuple(getattr(t, f.name) for f in fields(t) if f.compare))
+
+
+class TestNodes:
+    @pytest.fixture(scope="class")
+    def nodes(self):
+        out = node_sample()
+        kinds = {type(t) for t in out}
+        assert kinds == {Var, Abs, Sym, MetaApp, Rec, RecVar}
+        return out
+
+    def test_hash_is_the_dataclass_hash(self, nodes):
+        for t in nodes:
+            assert hash(t) == dataclass_hash(t)
+
+    def test_nodes_have_no_dict(self, nodes):
+        for t in nodes:
+            assert not hasattr(t, "__dict__")
+
+    def test_replaced_tag_rehashes(self, nodes):
+        for t in nodes:
+            if isinstance(t, (Var, Abs, Sym)):
+                tagged = replace(t, tag=("d", 3))
+                assert hash(tagged) == dataclass_hash(tagged)
+                assert tagged != t and tagged.tag == ("d", 3)
+                assert replace(tagged, tag=None) == t
+                assert hash(replace(tagged, tag=None)) == hash(t)
+
+    def test_positional_patterns_bind_the_fields(self, nodes):
+        for t in nodes:
+            match t:
+                case Var(x, tag):
+                    assert (x, tag) == (t.name, t.tag)
+                case Abs(x, body, tag):
+                    assert (x, body, tag) == (t.var, t.body, t.tag)
+                case Sym(f, args, tag):
+                    assert (f, args, tag) == (t.fun, t.args, t.tag)
+                case MetaApp(z, args):
+                    assert (z, args) == (t.mv, t.args)
+                case Rec(v, body):
+                    assert (v, body) == (t.var, t.body)
+                case RecVar(n):
+                    assert n == t.name
+                case _:
+                    pytest.fail(f"unmatched node {t!r}")
+
+    def test_equality_is_structural_and_copies_rehash(self, nodes):
+        for t in nodes[:200]:
+            twin = pickle.loads(pickle.dumps(t))
+            assert twin == t and hash(twin) == hash(t) and twin is not t
 
 
 class TestRecDiscipline:
