@@ -3,16 +3,18 @@
 A step contracts an lhs-instance at a position: the term is rebuilt as
 C[instantiated rhs] with the surrounding context kept verbatim (fixed
 representatives: grafting never renames, so variables bound by the context
-stay bound).  Descendants and residuals are computed by replaying the step on
-a copy of the source whose nodes carry labels; rule-side material comes out
-unlabelled, substitute bodies keep theirs, and labels of substituted
-variables are dropped, so positions in the redex pattern and positions of
-redex-bound variables have no descendants.
+stay bound).  Only the path down to the redex is rebuilt; the target shares
+every other subterm with the source.  Descendants of positions below the
+redex are computed by replaying the step on a copy of the redex subterm
+whose nodes carry labels; rule-side material comes out unlabelled,
+substitute bodies keep theirs, and labels of substituted variables are
+dropped, so positions in the redex pattern and positions of redex-bound
+variables have no descendants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     ArityMismatch, FiniteChainsViolated, InfiniteResultError, PositionError,
@@ -22,7 +24,8 @@ from .systems import Rule
 from .terms import (
     Abs, MetaApp, Position, Rec, RecVar, Sym, Term, Var,
     _subst_recvar, alpha_eq, check_guarded, children, free_recvars, free_vars,
-    fresh_name, graft, iter_tagged, resolve, set_tag_at, strip_tags, subterm_at,
+    fresh_name, iter_tagged, path_nodes, rebuild_path, resolve, set_tag_at,
+    subterm_at,
 )
 
 
@@ -255,61 +258,148 @@ def redex_at(term, system, p):
 # ---------------------------------------------------------------------------
 # steps
 
+def _disjoint(q, p):
+    """Neither position is a prefix of the other."""
+    n = min(len(q), len(p))
+    return q[:n] != p[:n]
+
+
 @dataclass(frozen=True)
 class StepRecord:
+    """One contraction.  `path` holds the resolved nodes of the source from
+    the root down to the redex, `target_path` the nodes of the target from
+    the root down to the contractum; the target shares every subterm off
+    that path with the source, so everything a step changes is reached from
+    these nodes.
+
+    In an orthogonal, fully-extended system a position disjoint from the
+    redex keeps its subterm, and one above it keeps its pattern, because the
+    redex lies in one of its meta-variable arguments (Huet & Levy,
+    "Computations in orthogonal rewriting systems", 1991; Klop, van Oostrom
+    & van Raamsdonk, "Combinatory reduction systems: introduction and
+    survey", 1993).  Only positions below the redex are replayed."""
     source: Term
     target: Term
     redex: Redex
+    path: tuple = field(compare=False, repr=False)
+    target_path: tuple = field(compare=False, repr=False)
 
     def descendant_map(self, positions):
-        """position -> frozenset of descendant positions, via labelled replay."""
-        positions = [tuple(p) for p in positions]
-        tagged = self.source
-        for i, p in enumerate(positions):
-            tagged = set_tag_at(tagged, p, ("d", i))
-        new, _ = _contract_term(tagged, self.redex)
-        found, complete = iter_tagged(new)
+        """position -> frozenset of descendant positions.  A position
+        disjoint from the redex or above it is its own descendant and the
+        redex position has none; those below it are labelled in the redex
+        subterm alone, which is contracted again."""
+        p = self.redex.position
+        n = len(p)
+        out = dict.fromkeys(map(tuple, positions))
+        below = []
+        for q in out:
+            if q[:n] != p:
+                # the position must be in the source, as a label placed there
+                k = next((k for k, i in enumerate(q) if i != p[k]), len(q))
+                if isinstance(path_nodes(self.path[k], q[k:])[-1], MetaApp):
+                    raise TermError("cannot tag a meta-variable node")
+                out[q] = frozenset((q,))
+            elif len(q) == n:
+                out[q] = frozenset()
+            else:
+                below.append(q)
+        if not below:
+            return out
+        tagged = self.path[-1]
+        for i, q in enumerate(below):
+            tagged = set_tag_at(tagged, q[n:], i)
+        rule = self.redex.rule
+        v = match(rule, tagged)
+        if v is None:
+            raise StaleRedex(f"rule {rule.name} does not match the labelled redex")
+        found, complete = iter_tagged(apply_valuation(v, rule.rhs))
         if not complete:
             raise InfiniteResultError(
                 "a descendant lands inside a cycle; the descendant set is infinite")
-        out = {p: set() for p in positions}
-        for q, tag in found:
-            out[positions[tag[1]]].add(q)
-        return {p: frozenset(qs) for p, qs in out.items()}
+        descs = [set() for _ in below]
+        for r, i in found:
+            descs[i].add(p + r)
+        out.update(zip(below, map(frozenset, descs)))
+        return out
 
     def residual_map(self, redexes):
-        """redex -> tuple of residual redexes (empty for the contracted one)."""
-        redexes = list(redexes)
-        desc = self.descendant_map([u.position for u in redexes])
-        out = {}
-        for u in redexes:
-            rs = []
-            for q in sorted(desc[u.position]):
-                v = match(u.rule, self.target, q)
-                if v is None:
-                    raise StaleRedex(
-                        f"descendant of a redex root is not a {u.rule.name} redex")
-                rs.append(Redex(q, u.rule, v))
-            out[u] = tuple(rs)
+        """redex -> tuple of residual redexes (empty for the contracted one),
+        for redexes of the source.  A redex disjoint from the contracted one
+        is its own residual, its subterm being the very same object in the
+        target; one above it is matched again at the rebuilt node at its
+        position; those below it are matched at their descendants, inside
+        the contractum."""
+        p = self.redex.position
+        n = len(p)
+        out = dict.fromkeys(redexes)
+        below = []
+        for u in out:
+            q = u.position
+            if _disjoint(q, p):
+                out[u] = (u,)
+            elif len(q) < n:
+                out[u] = (_residual(u.rule, self.target_path[len(q)], (), q),)
+            elif len(q) == n:
+                out[u] = ()
+            else:
+                below.append(u)
+        if below:
+            desc = self.descendant_map([u.position for u in below])
+            contractum = self.target_path[-1]
+            for u in below:
+                out[u] = tuple(_residual(u.rule, contractum, q[n:], q)
+                               for q in sorted(desc[u.position]))
+        return out
+
+    def target_redexes(self, redexes, system, depth_bound):
+        """The redexes of the target at depth < depth_bound, ordered as
+        `find_redexes` orders them, given `redexes`, those of the source at
+        the same bound.  Those disjoint from the contracted position are
+        kept, the ancestors of it are matched again at the rebuilt nodes,
+        and only the contractum is scanned: new redexes appear nowhere
+        else."""
+        p = self.redex.position
+        n = len(p)
+        out = [u for u in redexes if _disjoint(u.position, p)]
+        for k, node in enumerate(self.target_path[:min(n, depth_bound)]):
+            for rule in system.rules_for(node):
+                v = match(rule, node)
+                if v is not None:
+                    out.append(Redex(p[:k], rule, v))
+        out.extend(Redex(p + u.position, u.rule, u.valuation)
+                   for u in find_redexes(self.target_path[-1], system,
+                                         depth_bound - n))
+        # stable: at one position the redexes come from one part, in rule order
+        out.sort(key=lambda u: (len(u.position), u.position))
         return out
 
 
-def _contract_term(term, redex):
-    """The graft of the instantiated rhs over the redex, and the valuation
-    it was instantiated with; raises StaleRedex when the rule no longer
-    matches there."""
-    v = match(redex.rule, term, redex.position)
+def _residual(rule, node, r, q):
+    v = match(rule, node, r)
     if v is None:
-        raise StaleRedex(
-            f"rule {redex.rule.name} does not match at "
-            f"{'.'.join(map(str, redex.position)) or '@'}")
-    return graft(term, redex.position, apply_valuation(v, redex.rule.rhs)), v
+        raise StaleRedex(f"descendant of a redex root is not a {rule.name} redex")
+    return Redex(q, rule, v)
 
 
 def contract(term, redex):
-    """Contract the redex, checking it still matches."""
-    target, v = _contract_term(term, redex)
-    return StepRecord(term, strip_tags(target), Redex(redex.position, redex.rule, v))
+    """Contract the redex, checking it still matches: one walk down to the
+    redex, the match at the node in hand, and the path rebuilt over the
+    instantiated rhs."""
+    p = redex.position
+    try:
+        path = path_nodes(term, p)
+    except (PositionError, TermError):
+        v = None
+    else:
+        v = match(redex.rule, path[-1])
+    if v is None:
+        raise StaleRedex(
+            f"rule {redex.rule.name} does not match at "
+            f"{'.'.join(map(str, p)) or '@'}")
+    target_path = rebuild_path(path, p, apply_valuation(v, redex.rule.rhs))
+    return StepRecord(term, target_path[0], Redex(p, redex.rule, v),
+                      tuple(path), tuple(target_path))
 
 
 def descendants(positions, step):

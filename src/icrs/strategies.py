@@ -154,8 +154,10 @@ def outermost_redexes(term, system, depth_bound):
 
 class _Predicate:
     """satisfies(term, redex): does a redex of the term satisfy the strategy
-    predicate?  Scan-free for members (checked against ancestors only) so the
-    bookkeeping never depends on the enumeration bound.
+    predicate?  The answer never depends on the enumeration bound.
+    Outermost-fair checks the ancestors of the redex: those above the bound
+    of the term's recorded scan by its redex positions, deeper ones (which
+    tracked residuals reach) by matching.
 
     Needed-fair classifies a redex by whether its position is essential for
     an outermost-fair pilot run from the term.  One live pilot serves every
@@ -177,15 +179,30 @@ class _Predicate:
     def __init__(self, kind, system):
         self.kind = kind
         self.system = system
+        self._scan = (None, frozenset(), 0)  # (term, its redex positions, bound)
         self._pilot = None
         self._on_pilot = {}  # term -> first index on the live pilot's trace
         self._held = (None, None)  # (term in hand, its needed positions)
+
+    def scanned(self, term, redexes, bound):
+        """Record the redexes of the term at depth < bound: outermost-fair
+        then answers for ancestors above the bound from their positions."""
+        if self.kind.kind == "outermost-fair":
+            self._scan = (term, frozenset(u.position for u in redexes), bound)
 
     def satisfies(self, term, redex):
         if self.kind.kind == "fair":
             return True
         if self.kind.kind == "outermost-fair":
-            *above, _ = path_nodes(term, redex.position)
+            p = redex.position
+            scanned, roots, bound = self._scan
+            k = min(len(p), bound) if scanned is term else 0
+            if any(p[:i] in roots for i in range(k)):
+                return False
+            if k == len(p):
+                return True
+            # ancestors at or past the bound, which tracked residuals reach
+            above = path_nodes(term, p)[k:-1]
             return not any(match(r, a) is not None
                            for a in above for r in self.system.rules_for(a))
         return redex.position in self._needed_positions(term)
@@ -241,6 +258,7 @@ class FairnessTracker:
     def observe_term(self, index, term, redexes=None):
         if redexes is None:
             redexes = find_redexes(term, self.system, self.spawn_bound)
+        self.pred.scanned(term, redexes, self.spawn_bound)
         # clause 2: an obligation none of whose members satisfies the
         # predicate any more is discharged vacuously
         for ob in self.live:
@@ -362,8 +380,8 @@ def normalize(term, system, kind, depth_goal, fuel):
     steps = []
     cur = term
     status = None
+    redexes = find_redexes(cur, system, scan_bound)
     for _ in range(fuel):
-        redexes = find_redexes(cur, system, scan_bound)
         tracker.observe_term(len(steps), cur, redexes)
         if not any(u.depth < stable_bound for u in redexes):
             status = "stable"
@@ -372,6 +390,7 @@ def normalize(term, system, kind, depth_goal, fuel):
         rec = contract(cur, u)
         tracker.observe_step(len(steps), cur, rec)
         steps.append(rec)
+        redexes = rec.target_redexes(redexes, system, scan_bound)
         cur = rec.target
         terms.append(cur)
     trace = Trace(system, kind.kind, terms, steps, ledger=tracker.obligations)

@@ -312,26 +312,28 @@ def graft(t, p, s):
     captured by binders on the path, as contexts require."""
     if not p:
         return s
-    u = resolve(t)
-    i, rest = p[0], p[1:]
-    match u:
-        case Abs(x, body, tag):
-            if i != 0:
-                raise PositionError(f"no child {i} under [{x}]")
-            return Abs(x, graft(body, rest, s), tag)
-        case Sym(f, args, tag):
-            if not 1 <= i <= len(args):
-                raise PositionError(f"no child {i} under {f}")
-            new = list(args)
-            new[i - 1] = graft(args[i - 1], rest, s)
-            return Sym(f, tuple(new), tag)
-        case MetaApp(z, args):
-            if not 1 <= i <= len(args):
-                raise PositionError(f"no child {i} under {z}")
-            new = list(args)
-            new[i - 1] = graft(args[i - 1], rest, s)
-            return MetaApp(z, tuple(new))
-    raise PositionError(f"no child {i} at leaf")
+    return rebuild_path(path_nodes(t, p[:-1]), p, s)[0]
+
+
+def rebuild_path(nodes, p, s):
+    """Put s at position p under the resolved path nodes (root first, as
+    `path_nodes` gives them; a node at p itself is ignored) and rebuild the
+    path upwards.  Every subterm off the path is shared.  Returns the new
+    path nodes, root first, ending with s."""
+    out = [s]
+    for node, i in zip(reversed(nodes[:len(p)]), reversed(p)):
+        match node:
+            case Abs(x, _, tag) if i == 0:
+                s = Abs(x, s, tag)
+            case Sym(f, args, tag) if 1 <= i <= len(args):
+                s = Sym(f, args[:i - 1] + (s,) + args[i:], tag)
+            case MetaApp(z, args) if 1 <= i <= len(args):
+                s = MetaApp(z, args[:i - 1] + (s,) + args[i:])
+            case _:
+                raise PositionError(f"no child {i} under {root_label(node)}")
+        out.append(s)
+    out.reverse()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +566,10 @@ def strip_tags(t):
 
 
 def set_tag_at(t, p, tag):
-    node = resolve(subterm_at(t, p))
-    if isinstance(node, MetaApp):
+    nodes = path_nodes(t, p)
+    if isinstance(nodes[-1], MetaApp):
         raise TermError("cannot tag a meta-variable node")
-    return graft(t, p, replace(node, tag=tag))
+    return rebuild_path(nodes, p, replace(nodes[-1], tag=tag))[0]
 
 
 def iter_tagged(t):
