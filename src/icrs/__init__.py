@@ -31,14 +31,13 @@ from .developments import (
 from .essential import (
     Measure, PathPrefixSet, ProjectionResult, ReductionDescriptor,
     classify_redex, emaciate_reduction, emaciate_step,
-    epsilon_seq, epsilon_step, essential_positions, essential_skeleton,
-    measure, measure_less, mirrors, path_prefix_set, sequence_mirrors,
-    sub_mirrors, zeta,
+    epsilon_seq, epsilon_step, essential_skeleton, measure, measure_less,
+    mirrors, path_prefix_set, sequence_mirrors, sub_mirrors, zeta,
 )
 from .strategies import (
     FAIR, OUTERMOST_FAIR, Approximant, StrategyKind, Trace,
     detect_rational_nf, fairness_audit, is_normal_form, needed_fair,
-    needed_pilot, normalize, outermost_redexes, select, trace_of,
+    needed_pilot, normalize, outermost_redexes, trace_of,
 )
 from . import errors, oracle
 

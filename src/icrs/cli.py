@@ -14,25 +14,34 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
-from . import developments, essential, strategies
+from . import _randgen, essential, oracle, strategies
 from .errors import (
     BudgetExceeded, FiniteJumpsViolated, FuelExhausted, InfiniteResultError,
-    ParseError, PreconditionViolated, SystemCheckFailed,
+    ParseError, PreconditionViolated, SystemCheckFailed, TermError,
 )
 from .developments import (
-    ALL_REDEXES, PathSpace, complete_development, redexes_from_positions,
+    ALL_REDEXES, DevSequence, PathSpace, complete_development,
+    redexes_from_positions,
 )
-from .syntax import parse_position, parse_system, parse_term, position_str, print_term
+from .rewriting import find_redexes
+from .syntax import (
+    parse_position, parse_script, parse_system, parse_term, position_str,
+    print_term,
+)
 from .systems import check_system
-from .terms import positions_to_depth
+from .terms import alpha_eq, positions_to_depth
 
 EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_PARSE = 2
 EXIT_DIVERGENCE = 3
 EXIT_BUDGET = 4
+
+_STATUS_EXIT = {"divergence-suspected": EXIT_DIVERGENCE,
+                "fuel-exhausted": EXIT_BUDGET}
 
 
 def _load_system(path):
@@ -75,7 +84,7 @@ def cmd_develop(args, out):
         if e.witness:
             out.write("cycle witness:\n")
             for st in e.witness[:12]:
-                out.write(f"  {_render_state(st)}\n")
+                out.write(f"  {st.render()}\n")
         return EXIT_CHECK
     out.write(f"target: {print_term(dev.target)}\n")
     if dev.steps is not None and not args.all_redexes:
@@ -91,15 +100,6 @@ def cmd_develop(args, out):
             qs = ", ".join(position_str(r.position) for r in rs) or "-"
             out.write(f"  {u.rule.name}@{position_str(u.position)} -> {qs}\n")
     return EXIT_OK
-
-
-def _render_state(st):
-    from .developments import _TState
-    from .syntax import print_term as pt
-
-    if isinstance(st, _TState):
-        return f"term node {pt(st.value, max_depth=3)}"
-    return f"rule {st.rule.name} rhs node {pt(st.value, max_depth=3)}"
 
 
 def cmd_paths(args, out):
@@ -129,6 +129,7 @@ def cmd_normalize(args, out):
         "needed-fair": strategies.needed_fair(pilot_depth=args.depth + 2),
     }[args.strategy]
     approx, trace = strategies.normalize(term, system, kind, args.depth, args.fuel)
+    code = _STATUS_EXIT.get(approx.status, EXIT_OK)
     if args.json:
         nf = (strategies.detect_rational_nf(trace)
               if approx.status in ("normal-form", "approximant") else None)
@@ -143,11 +144,7 @@ def cmd_normalize(args, out):
             "rational_normal_form": print_term(nf) if nf is not None else None,
         }
         out.write(json.dumps(payload, sort_keys=True) + "\n")
-        if approx.status == "divergence-suspected":
-            return EXIT_DIVERGENCE
-        if approx.status == "fuel-exhausted":
-            return EXIT_BUDGET
-        return EXIT_OK
+        return code
     if args.emit in ("trace", "all"):
         for i, step in enumerate(trace.steps):
             out.write(f"step {i}: {step.redex.rule.name}@"
@@ -164,81 +161,13 @@ def cmd_normalize(args, out):
             out.write(f"rational normal form: {print_term(nf)}\n")
         else:
             out.write("rational normal form: none detected\n")
-    if approx.status == "divergence-suspected":
-        return EXIT_DIVERGENCE
-    if approx.status == "fuel-exhausted":
-        return EXIT_BUDGET
-    return EXIT_OK
-
-
-def _parse_script(text, system):
-    """Development-sequence scripts:
-
-        term f(a, b) ;
-        prefix @, 1 ;          # optional, can be given on the command line
-        stage { redexes @, 1.0 }
-        stage { redexes 2 }
-    """
-    from .syntax import _Tokens
-
-    ts = _Tokens(text)
-    term = None
-    prefix = []
-    stages = []
-    while ts.peek()[0] != "eof":
-        kind, chunk, line, col = ts.peek()
-        if chunk == "term":
-            ts.next()
-            from .syntax import _parse_term
-
-            term = _parse_term(ts, frozenset(), frozenset(), False)
-            ts.expect(";")
-        elif chunk == "prefix":
-            ts.next()
-            prefix.extend(_script_positions(ts))
-            ts.expect(";")
-        elif chunk == "stage":
-            ts.next()
-            ts.expect("{")
-            ts.expect("redexes")
-            stages.append(_script_positions(ts))
-            ts.expect("}")
-        else:
-            ts.error("expected 'term', 'prefix' or 'stage'")
-    if term is None:
-        raise ParseError("script declares no term")
-    return term, prefix, stages
-
-
-def _script_positions(ts):
-    out = []
-
-    def one():
-        kind, chunk, line, col = ts.next()
-        if chunk == "@":
-            return ()
-        if kind != "num":
-            raise ParseError("expected a position", line, col)
-        steps = [int(chunk)]
-        while ts.peek()[1] == ".":
-            ts.next()
-            k, c, l2, c2 = ts.next()
-            if k != "num":
-                raise ParseError("expected a position step", l2, c2)
-            steps.append(int(c))
-        return tuple(steps)
-
-    out.append(one())
-    while ts.peek()[1] == ",":
-        ts.next()
-        out.append(one())
-    return out
+    return code
 
 
 def cmd_essential(args, out):
     system = _load_system(args.file)
     with open(args.script, encoding="utf-8") as fh:
-        term, script_prefix, stage_positions = _parse_script(fh.read(), system)
+        term, script_prefix, stage_positions = parse_script(fh.read())
     prefix = _positions_arg(args.prefix) if args.prefix else script_prefix
     cur = term
     stages = []
@@ -247,13 +176,14 @@ def cmd_essential(args, out):
         dev = complete_development(cur, redexes, system)
         stages.append(dev)
         cur = dev.target
-    dev_seq = developments.DevSequence(term, tuple(stages))
+    dev_seq = DevSequence(term, tuple(stages))
     seq = essential.epsilon_seq(prefix, dev_seq)
     mu = essential.measure(dev_seq, prefix)
+    # redexes of the initial term, so each is classified by seq[0] alone
+    redexes = find_redexes(term, system, max((len(p) for p in seq[0]), default=0) + 2)
+    verdicts = ["essential" if u.position in seq[0] else "inessential"
+                for u in redexes]
     if args.json:
-        from .rewriting import find_redexes
-
-        bound = max((len(p) for p in seq[0]), default=0) + 2
         payload = {
             "final": print_term(dev_seq.final),
             "essential_positions": [sorted(position_str(p) for p in ps)
@@ -261,8 +191,8 @@ def cmd_essential(args, out):
             "measure": list(mu.values),
             "redexes": [{"rule": u.rule.name,
                          "position": position_str(u.position),
-                         "classification": essential.classify_redex(u, dev_seq, prefix)}
-                        for u in find_redexes(term, system, bound)],
+                         "classification": verdict}
+                        for u, verdict in zip(redexes, verdicts)],
         }
         out.write(json.dumps(payload, sort_keys=True) + "\n")
         return EXIT_OK
@@ -271,27 +201,14 @@ def cmd_essential(args, out):
         rendered = ", ".join(position_str(p) for p in sorted(ps)) or "-"
         out.write(f"essential positions of stage term {i}: {{{rendered}}}\n")
     out.write(f"measure: {mu.render()}\n")
-    from .rewriting import find_redexes
-
-    for u in find_redexes(term, system, max((len(p) for p in seq[0]), default=0) + 2):
-        verdict = essential.classify_redex(u, dev_seq, prefix)
+    for u, verdict in zip(redexes, verdicts):
         out.write(f"redex {u.rule.name}@{position_str(u.position)}: {verdict}\n")
     return EXIT_OK
 
 
 def cmd_suite(args, out):
     """Seeded randomized oracle runs, serialized for CI."""
-    import random
-
-    from . import oracle
-    from .developments import complete_development
-    from .rewriting import find_redexes
-    from .terms import alpha_eq
-
     rng = random.Random(args.seed)
-    from . import _randgen
-
-    reports = []
     order_ok = 0
     fjp_instances = []
     phi_ok = 0
@@ -380,7 +297,7 @@ def main(argv=None):
     out = sys.stdout
     try:
         return args.fn(args, out)
-    except ParseError as e:
+    except (ParseError, TermError) as e:
         sys.stderr.write(f"parse error: {e}\n")
         return EXIT_PARSE
     except SystemCheckFailed as e:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from .errors import (
     BudgetExceeded, FiniteJumpsViolated, InfiniteStageSet, PreconditionViolated,
 )
-from .rewriting import Redex, StepRecord, contract, match, redex_at, residuals
-from .syntax import position_str
+from .rewriting import Redex, contract, match, redex_at, residuals
+from .syntax import position_str, print_term
 from .systems import Rule, rule_meta, require_valid
 from .terms import (
     Abs, MetaApp, Rec, RecVar, Sym, Var,
@@ -293,13 +293,6 @@ class PathSpace:
             return PathEnumeration(tuple(everything), tuple(truncated))
         return PathEnumeration(tuple(maximal), tuple(truncated))
 
-    def maximal_paths(self, budget=4000):
-        enum = self.enumerate(budget=budget)
-        if enum.truncated:
-            raise BudgetExceeded(
-                f"{len(enum.truncated)} paths exceed the {budget}-node budget")
-        return enum.maximal
-
     def descendants_of(self, p, budget=4000):
         """Positions the term node p contributes to in the developed term:
         edge words of labelled finite paths ending at (s, p).
@@ -353,6 +346,9 @@ class _TState:
     env: tuple   # ((term var name, 'ord' | _Closure), ...) name-sorted
     nenv: tuple  # ((orig binder name, chosen name), ...) name-sorted
 
+    def render(self):
+        return f"term node {print_term(self.value, max_depth=3)}"
+
 
 @dataclass(frozen=True)
 class _RState:
@@ -363,6 +359,9 @@ class _RState:
     env: tuple
     nenv: tuple
     rnenv: tuple
+
+    def render(self):
+        return f"rule {self.rule.name} rhs node {print_term(self.value, max_depth=3)}"
 
 
 def _assoc_extend(table, items):

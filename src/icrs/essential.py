@@ -4,9 +4,9 @@ part of a development's final term.
 Given a complete development s =U=> t and a prefix set P of t, the paths of s
 whose projection edge-word stays inside P form the path prefix set; reading
 the positions those paths touch (pattern positions for redex endpoints) back
-off gives the prefix set of s that feeds P.  Iterating through a finite
-sequence of complete developments classifies every position and redex of the
-initial term as essential or inessential for P, yields the tuple measure
+off gives the prefix set of s that feeds P.  One backward sweep through a
+finite sequence of complete developments classifies every position and redex
+of the initial term as essential or inessential for P, yields the tuple measure
 ordered length-first then lexicographically, and drives the emaciated
 projection: replace the sequence by its all-essential finite skeleton, then
 project that skeleton over a step.  Projecting an essential step strictly
@@ -17,15 +17,15 @@ the essential positions and the mirrored part of the final term.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
-    FiniteJumpsViolated, NotAPrefixSet, PositionError, PreconditionViolated,
-    ResidualHitsPrefix, TermError,
+    NotAPrefixSet, PositionError, PreconditionViolated, ResidualHitsPrefix,
+    TermError,
 )
 from .developments import (
-    DevRecord, DevSequence, PathSpace, RuleNode,
-    complete_development, has_finite_jumps, project_sequence,
+    AllRedexes, DevSequence, PathSpace, RuleNode, complete_development,
+    project_sequence,
 )
 from .rewriting import Redex, match, residuals
 from .syntax import position_str
@@ -37,13 +37,10 @@ from .terms import is_prefix_set, root_key, subterm_at
 class PathPrefixSet:
     paths: tuple
     anchor: frozenset  # the prefix set of the development target it came from
+    space: PathSpace = field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.paths)
-
-
-def _space_of_stage(stage):
-    return PathSpace(stage.source, stage.redexes, stage.system)
 
 
 def _check_prefix_set(positions, term, what="prefix set"):
@@ -53,38 +50,20 @@ def _check_prefix_set(positions, term, what="prefix set"):
     return ps
 
 
-def path_prefix_set(prefix, stage_or_space, redexes=None, system=None):
-    """All paths whose projection edge-word lies in the prefix set.
-
-    Accepts a DevRecord stage, a PathSpace, or (term, redexes, system)
-    explicitly.  A stage realised step by step is a complete development by
-    construction, so only the other forms are checked for finite jumps.
-    """
-    realised = False
-    if isinstance(stage_or_space, DevRecord):
-        space = _space_of_stage(stage_or_space)
-        tgt = stage_or_space.target
-        realised = stage_or_space.finite
-    elif isinstance(stage_or_space, PathSpace):
-        space = stage_or_space
-        tgt = None
-    else:
-        space = PathSpace(stage_or_space, redexes, system)
-        tgt = None
-    if not realised and not has_finite_jumps(space.term, space.redexes,
-                                             space.system):
-        raise FiniteJumpsViolated("the stage has no complete development")
-    if tgt is not None:
-        prefix = _check_prefix_set(prefix, tgt)
-    else:
-        prefix = frozenset(tuple(p) for p in prefix)
+def path_prefix_set(prefix, stage):
+    """All paths of a development stage (a DevRecord) whose projection
+    edge-word lies in the given prefix set of the stage target.  A DevRecord
+    is a complete development by construction: realised step by step, or
+    built by the walk machine after its finite jumps check."""
+    prefix = _check_prefix_set(prefix, stage.target)
     if not prefix:
-        return PathPrefixSet((), frozenset())
+        return PathPrefixSet((), prefix)
+    space = PathSpace(stage.source, stage.redexes, stage.system)
     enum = space.enumerate(word_filter=lambda w: w in prefix, collect_all=True)
     if enum.truncated:
         raise PreconditionViolated("path prefix set enumeration was cut short")
     kept = tuple(p for p in enum.maximal if p.word in prefix)
-    return PathPrefixSet(kept, prefix)
+    return PathPrefixSet(kept, prefix, space)
 
 
 def zeta(space, path):
@@ -101,30 +80,39 @@ def zeta(space, path):
     return frozenset(u.position + rel for rel in meta.pattern_positions)
 
 
+def _fed(pps):
+    """Union of zeta over a path prefix set."""
+    out = set()
+    for path in pps.paths:
+        out |= zeta(pps.space, path)
+    return frozenset(out)
+
+
 def epsilon_step(prefix, stage):
     """Prefix set of the stage source feeding the given prefix set of the
     stage target (union of zeta over the path prefix set)."""
-    space = _space_of_stage(stage)
-    pps = path_prefix_set(prefix, stage)
-    out = set()
-    for path in pps.paths:
-        out |= zeta(space, path)
-    return frozenset(out)
+    return _fed(path_prefix_set(prefix, stage))
+
+
+def _sweep(prefix, dev_seq):
+    """The backward pass: (P_0, ..., P_n) with P_n the given prefix set and
+    each earlier set the epsilon image through the next stage, and the path
+    prefix set of every stage (stage i from P_i+1), first stage first."""
+    sets = [_check_prefix_set(prefix, dev_seq.final)]
+    path_sets = []
+    for stage in reversed(dev_seq.stages):
+        pps = path_prefix_set(sets[-1], stage)
+        path_sets.append(pps)
+        sets.append(_fed(pps))
+    sets.reverse()
+    path_sets.reverse()
+    return tuple(sets), tuple(path_sets)
 
 
 def epsilon_seq(prefix, dev_seq):
     """(P_0, ..., P_n) with P_n the given prefix set and each earlier set the
     epsilon image through the corresponding stage."""
-    prefix = _check_prefix_set(prefix, dev_seq.final)
-    out = [prefix]
-    for stage in reversed(dev_seq.stages):
-        out.append(epsilon_step(out[-1], stage))
-    out.reverse()
-    return tuple(out)
-
-
-def essential_positions(prefix, dev_seq):
-    return epsilon_seq(prefix, dev_seq)[0]
+    return _sweep(prefix, dev_seq)[0]
 
 
 def classify_redex(redex, dev_seq, prefix):
@@ -154,12 +142,11 @@ class Measure:
 
 def measure(dev_seq, prefix):
     """Per-stage path-prefix-set cardinalities, last stage first."""
-    seq = epsilon_seq(prefix, dev_seq)
-    ls = []
-    for i, stage in enumerate(dev_seq.stages):
-        pps = path_prefix_set(seq[i + 1], stage)
-        ls.append(len(pps))
-    return Measure(tuple(reversed(ls)))
+    return _measure(_sweep(prefix, dev_seq)[1])
+
+
+def _measure(path_sets):
+    return Measure(tuple(len(pps) for pps in reversed(path_sets)))
 
 
 def measure_less(a, b):
@@ -196,9 +183,9 @@ def _mirrors_by(fits, e_seq, q_prefix, d_seq, p_prefix, missing, relation):
         return False, "lengths differ"
     if not fits(frozenset(map(tuple, q_prefix)), frozenset(map(tuple, p_prefix))):
         return False, "Q is not included in P"
-    pd = epsilon_seq(p_prefix, d_seq)
+    pd, pps_d = _sweep(p_prefix, d_seq)
     try:
-        qe = epsilon_seq(q_prefix, e_seq)
+        qe, pps_e = _sweep(q_prefix, e_seq)
     except NotAPrefixSet:
         return False, f"prefix set positions missing from the {missing} sequence"
     for i in range(len(d_seq) + 1):
@@ -210,9 +197,7 @@ def _mirrors_by(fits, e_seq, q_prefix, d_seq, p_prefix, missing, relation):
         if not ok:
             return False, f"stage {i}: {why}"
     for i in range(len(d_seq)):
-        pps_d = path_prefix_set(pd[i + 1], d_seq.stages[i])
-        pps_e = path_prefix_set(qe[i + 1], e_seq.stages[i])
-        if not fits(frozenset(pps_e.paths), frozenset(pps_d.paths)):
+        if not fits(frozenset(pps_e[i].paths), frozenset(pps_d[i].paths)):
             return False, f"path prefix sets {relation} at stage {i + 1}"
     return True, ""
 
@@ -238,8 +223,11 @@ def essential_skeleton(dev_seq, prefix, initial=None):
     """The finite, all-essential development sequence that mirrors the given
     one: stage by stage keep only the essential redexes, replayed on the
     mirroring term (by default the original initial term)."""
-    prefix = _check_prefix_set(prefix, dev_seq.final)
-    seq = epsilon_seq(prefix, dev_seq)
+    return _skeleton(dev_seq, epsilon_seq(prefix, dev_seq), initial)
+
+
+def _skeleton(dev_seq, seq, initial=None):
+    """essential_skeleton from the sweep's essential sets `seq`."""
     system = dev_seq.system
     t0 = dev_seq.initial if initial is None else initial
     if initial is not None:
@@ -266,8 +254,6 @@ def essential_skeleton(dev_seq, prefix, initial=None):
 
 
 def _stage_redex_list(stage):
-    from .developments import AllRedexes
-
     if isinstance(stage.redexes, AllRedexes):
         raise PreconditionViolated(
             "skeletons need explicitly listed stage redex sets")
@@ -301,14 +287,13 @@ def emaciate_step(dev_seq, redex, prefix):
     redex strictly decreases the measure, an inessential one preserves the
     measure, the essential sets and mirroring.
     """
-    prefix = _check_prefix_set(prefix, dev_seq.final)
-    skel = essential_skeleton(dev_seq, prefix)
+    seq = epsilon_seq(prefix, dev_seq)
+    skel = _skeleton(dev_seq, seq)
     leftover = _residuals_through(skel, redex)
-    hits = [u for u in leftover if u.position in prefix]
+    hits = [u for u in leftover if u.position in seq[-1]]
     if hits:
         raise ResidualHitsPrefix(
             "residual at " + ", ".join(position_str(u.position) for u in hits))
-    seq = epsilon_seq(prefix, dev_seq)
     projected = project_sequence(skel, redex, system=dev_seq.system)
     return ProjectionResult(projected, seq, skel)
 
@@ -359,11 +344,11 @@ def emaciate_reduction(dev_seq, reduction, prefix, system=None):
     prev = measure(cur_seq, prefix)
     for _ in range(reduction.max_rounds):
         nxt_seq, nxt_term = apply_steps(cur_seq, cur_term, reduction.period)
-        m = measure(nxt_seq, prefix)
+        seq, path_sets = _sweep(prefix, nxt_seq)
+        m = _measure(path_sets)
         if m == prev:
-            seq0 = epsilon_seq(prefix, nxt_seq)
-            skel = essential_skeleton(nxt_seq, prefix, initial=reduction.limit)
-            return ProjectionResult(skel, seq0, skel)
+            skel = _skeleton(nxt_seq, seq, initial=reduction.limit)
+            return ProjectionResult(skel, seq, skel)
         cur_seq, cur_term, prev = nxt_seq, nxt_term, m
     raise PreconditionViolated(
         "measure did not stabilise within the round budget")

@@ -20,11 +20,10 @@ from .errors import (
     ArityMismatch, FiniteChainsViolated, InfiniteResultError, PositionError,
     StaleRedex, TermError, UnassignedMetaVariable,
 )
-from .systems import Rule
 from .terms import (
     Abs, MetaApp, Position, Rec, RecVar, Sym, Term, Var,
-    _subst_recvar, alpha_eq, check_guarded, children, free_recvars, free_vars,
-    fresh_name, iter_tagged, path_nodes, rebuild_path, resolve, set_tag_at,
+    alpha_eq, check_guarded, children, free_recvars, free_vars, fresh_name,
+    iter_tagged, path_nodes, rebuild_path, resolve, set_tag_at, subst_recvar,
     subterm_at,
 )
 
@@ -114,7 +113,7 @@ def _subst(s, m):
                 incoming |= free_recvars(t)
             if v in incoming:
                 v2 = fresh_name(v, incoming | free_recvars(body))
-                body = _subst_recvar(body, v, RecVar(v2))
+                body = subst_recvar(body, v, RecVar(v2))
                 v = v2
             return Rec(v, _subst(body, m))
         case _:

@@ -16,6 +16,7 @@ reach normal forms.  Exhaustive neededness lives in the oracle module.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +27,7 @@ from .rewriting import Redex, contract, find_redexes, match
 from .syntax import position_str
 from .systems import require_valid, rule_meta
 from .terms import (
-    Abs, Rec, RecVar, Sym, Term, Var, alpha_eq, children, hole, is_hole,
+    Abs, Rec, RecVar, Sym, Term, Var, alpha_eq, children, env_lookup, is_hole,
     path_nodes, positions_to_depth, resolve, root_key, truncate,
 )
 
@@ -70,7 +71,9 @@ class Trace:
         return len(self.steps)
 
     def depth_floor(self):
-        """Per-index minimum contraction depth from that index on."""
+        """Per-index minimum contraction depth from that index on.  It never
+        decreases, so bisect_left(floor, d) is the index after which every
+        step is at least d deep."""
         depths = [len(s.redex.position) for s in self.steps]
         floor = []
         cur = None
@@ -327,16 +330,6 @@ class FairnessTracker:
         raise NoEligibleRedex("no tracked redex satisfies the strategy predicate")
 
 
-def select(kind, trace):
-    """Rebuild the fairness state from the trace and pick the next redex of
-    its final term: the oldest obligation whose members still satisfy the
-    predicate, its outermost-leftmost eligible member."""
-    require_valid(trace.system)
-    tracker = _replay_tracker(kind, trace)
-    tracker.observe_term(len(trace.steps), trace.final)
-    return tracker.select(trace.final)
-
-
 def _replay_tracker(kind, trace, spawn_bound=None):
     bound = spawn_bound or _default_bound(trace)
     tracker = FairnessTracker(kind, trace.system, bound)
@@ -394,17 +387,14 @@ def normalize(term, system, kind, depth_goal, fuel):
         cur = rec.target
         terms.append(cur)
     trace = Trace(system, kind.kind, terms, steps, ledger=tracker.obligations)
+    floor = trace.depth_floor()
     if status != "stable":
-        floor = trace.depth_floor()
         stuck = bool(floor) and floor[0] == floor[-1] and floor[0] < depth_goal
         status = "divergence-suspected" if stuck else "fuel-exhausted"
         approx = Approximant(truncate(cur, depth_goal), 0,
                              len(steps), status)
         return approx, trace
-    certificate = 0
-    for i, s in enumerate(steps):
-        if len(s.redex.position) < depth_goal:
-            certificate = i + 1
+    certificate = bisect_left(floor, depth_goal)
     if is_normal_form(cur, system):
         approx = Approximant(cur, depth_goal, certificate, "normal-form")
     else:
@@ -424,9 +414,7 @@ def _wildcard_eq(a, b, pairs=()):
     if ka[0] != kb[0]:
         return False
     if ka[0] == "var":
-        from .terms import _env_lookup
-
-        return _env_lookup(pairs, a.name, b.name)
+        return env_lookup(pairs, a.name, b.name)
     if ka[0] == "abs":
         return _wildcard_eq(a.body, b.body, pairs + ((a.var, b.var),))
     if ka != kb:
@@ -617,14 +605,10 @@ def needed_pilot(term, system, depth_goal, fuel):
     approx, trace = normalize(term, system, OUTERMOST_FAIR, depth_goal, fuel)
     if approx.status in ("divergence-suspected", "fuel-exhausted"):
         raise FuelExhausted("pilot run did not stabilise", approx, trace)
-    depths = [len(s.redex.position) for s in trace.steps]
+    floor = trace.depth_floor()
     strata = []
     for d in range(1, depth_goal + 1):
-        n_d = 0
-        for i in range(len(depths) - 1, -1, -1):
-            if depths[i] < d:
-                n_d = i + 1
-                break
+        n_d = bisect_left(floor, d)
         s_d = trace.terms[n_d]
         prefix = frozenset(p for p in positions_to_depth(s_d, d - 1))
         strata.append(Stratum(d, n_d, s_d, prefix))

@@ -14,7 +14,8 @@ when bound by an enclosing rec, otherwise a 0-ary meta-variable (rule sides
 only).  Positions print dot-separated, the root as '@'.
 
 System files hold `sym f/2 ;` declarations and `rule name: lhs -> rhs ;`
-statements; '#' starts a line comment.
+statements; '#' starts a line comment.  Development-sequence scripts hold a
+`term`, an optional `prefix` and `stage { redexes ... }` blocks.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
+from .systems import RewriteSystem, Rule, infer_signature
 from .terms import (
-    HOLE, Abs, MetaApp, Rec, RecVar, Sym, Var, check_guarded,
+    HOLE, Abs, MetaApp, Rec, RecVar, Sym, Var, check_guarded, truncate,
 )
 
 _TOKEN = re.compile(
@@ -168,8 +170,6 @@ def position_str(p):
 
 def parse_system(text):
     """Parse `sym f/2 ;` and `rule name: lhs -> rhs ;` statements."""
-    from .systems import RewriteSystem, Rule, infer_signature
-
     ts = _Tokens(text)
     rules = []
     declared = {}
@@ -199,6 +199,67 @@ def parse_system(text):
     return RewriteSystem(tuple(rules), signature)
 
 
+def parse_script(text):
+    """Development-sequence scripts:
+
+        term f(a, b) ;
+        prefix @, 1 ;          # optional, can be given on the command line
+        stage { redexes @, 1.0 }
+        stage { redexes 2 }
+
+    Returns (term, prefix positions, one position list per stage)."""
+    ts = _Tokens(text)
+    term = None
+    prefix = []
+    stages = []
+    while ts.peek()[0] != "eof":
+        chunk = ts.peek()[1]
+        if chunk == "term":
+            ts.next()
+            term = _parse_term(ts, frozenset(), frozenset(), False)
+            ts.expect(";")
+        elif chunk == "prefix":
+            ts.next()
+            prefix.extend(_script_positions(ts))
+            ts.expect(";")
+        elif chunk == "stage":
+            ts.next()
+            ts.expect("{")
+            ts.expect("redexes")
+            stages.append(_script_positions(ts))
+            ts.expect("}")
+        else:
+            ts.error("expected 'term', 'prefix' or 'stage'")
+    if term is None:
+        raise ParseError("script declares no term")
+    return term, prefix, stages
+
+
+def _script_positions(ts):
+    out = []
+
+    def one():
+        kind, chunk, line, col = ts.next()
+        if chunk == "@":
+            return ()
+        if kind != "num":
+            raise ParseError("expected a position", line, col)
+        steps = [int(chunk)]
+        while ts.peek()[1] == ".":
+            ts.next()
+            k, c, l2, c2 = ts.next()
+            if k != "num":
+                raise ParseError("expected a position step", l2, c2)
+            steps.append(int(c))
+        return tuple(steps)
+
+    out.append(one())
+    while ts.peek()[1] == ",":
+        ts.next()
+        out.append(one())
+    return out
+
+
 # ---------------------------------------------------------------------------
 # printing
 
@@ -206,8 +267,6 @@ def print_term(t, max_depth=None):
     """Render a term.  Rational structure prints with its rec binders; pass
     max_depth to force a truncated rendering of the unfolding instead."""
     if max_depth is not None:
-        from .terms import truncate
-
         t = truncate(t, max_depth)
 
     def go(u):

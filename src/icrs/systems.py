@@ -15,9 +15,10 @@ from functools import cached_property, lru_cache
 from .errors import (
     EngineError, ParseError, PreconditionViolated, SystemCheckFailed, TermError,
 )
+from .rewriting import Substitute, Valuation, apply_substitute, apply_valuation
 from .terms import (
     HOLE, Abs, MetaApp, Rec, RecVar, Sym, Term, Var,
-    children, free_vars, meta_vars, resolve, subterm_at,
+    children, env_lookup, free_vars, meta_vars, resolve, subterm_at,
 )
 
 
@@ -347,9 +348,6 @@ class _Unifier:
     """
 
     def __init__(self):
-        from .rewriting import Substitute
-
-        self._sub = Substitute
         self.sigma = {}
         self._fresh = 0
 
@@ -365,9 +363,7 @@ class _Unifier:
             case _, MetaApp(_, _):
                 return self._flex(b, a, pairs, flip=True)
             case Var(x, _), Var(y, _):
-                from .terms import _env_lookup
-
-                return _env_lookup(pairs, x, y)
+                return env_lookup(pairs, x, y)
             case Abs(x, s, _), Abs(y, t, _):
                 return self.unify(s, t, pairs + ((x, y),))
             case Sym(f, xs, _), Sym(g, ys, _):
@@ -390,7 +386,7 @@ class _Unifier:
             return False
         body = self._ground(other, {v: Var(k) for k, v in trans.items()
                                     if v in allowed})
-        self.sigma[flex.mv] = self._sub(tuple(a.name for a in flex.args), body)
+        self.sigma[flex.mv] = Substitute(tuple(a.name for a in flex.args), body)
         return True
 
     def _coverable(self, t, allowed, local):
@@ -420,10 +416,8 @@ class _Unifier:
             case Sym(f, args, tag):
                 return Sym(f, tuple(self._ground(a, rename) for a in args), tag)
             case MetaApp(z, args):
-                from .rewriting import apply_substitute
-
                 if z not in self.sigma:
-                    self.sigma[z] = self._sub(
+                    self.sigma[z] = Substitute(
                         tuple(a.name for a in args), self._const())
                 sub = self.sigma[z]
                 return apply_substitute(
@@ -454,8 +448,6 @@ def check_orthogonal(system):
 
 def _overlap_instance(r1, inner, p, uni):
     """Build a replayable overlap witness term from the collected bindings."""
-    from .rewriting import Substitute, Valuation, apply_valuation
-
     sigma = dict(uni.sigma)
     for z, places in _metavar_occurrences(r1.lhs).items():
         if z not in sigma:

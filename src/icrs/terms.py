@@ -126,27 +126,28 @@ def is_hole(t):
 # ---------------------------------------------------------------------------
 # rec resolution
 
-def _subst_recvar(t, name, value):
+def subst_recvar(t, name, value):
+    """Replace the free occurrences of rec variable `name` by `value`."""
     match t:
         case RecVar(n):
             return value if n == name else t
         case Rec(v, body):
             if v == name:
                 return t
-            return Rec(v, _subst_recvar(body, name, value))
+            return Rec(v, subst_recvar(body, name, value))
         case Abs(v, body, tag):
-            return Abs(v, _subst_recvar(body, name, value), tag)
+            return Abs(v, subst_recvar(body, name, value), tag)
         case Sym(f, args, tag):
-            return Sym(f, tuple(_subst_recvar(a, name, value) for a in args), tag)
+            return Sym(f, tuple(subst_recvar(a, name, value) for a in args), tag)
         case MetaApp(z, args):
-            return MetaApp(z, tuple(_subst_recvar(a, name, value) for a in args))
+            return MetaApp(z, tuple(subst_recvar(a, name, value) for a in args))
         case _:
             return t
 
 
 @lru_cache(maxsize=None)
 def _unroll(t):
-    return _subst_recvar(t.body, t.var, t)
+    return subst_recvar(t.body, t.var, t)
 
 
 def resolve(t):
@@ -408,11 +409,6 @@ def meta_vars(t):
             return frozenset()
 
 
-def is_plain_term(t):
-    """True iff no meta-variable node occurs (a term, not a meta-term)."""
-    return not meta_vars(t)
-
-
 def fresh_name(base, used):
     if base not in used:
         return base
@@ -439,7 +435,9 @@ def _env_restrict(env, fva, fvb):
     return tuple(reversed(kept))
 
 
-def _env_lookup(env, x, y):
+def env_lookup(env, x, y):
+    """Do variables x and y correspond under the binder pairs env (innermost
+    last)?  Unpaired names correspond only to themselves."""
     for a, b in reversed(env):
         if a == x or b == y:
             return a == x and b == y
@@ -459,7 +457,7 @@ def alpha_eq(t, u):
         assumed.add(key)
         match a, b:
             case Var(x, _), Var(y, _):
-                return _env_lookup(env, x, y)
+                return env_lookup(env, x, y)
             case Abs(x, s, _), Abs(y, v, _):
                 return go(s, v, env + ((x, y),))
             case Sym(f, xs, _), Sym(g, ys, _):

@@ -46,6 +46,15 @@ class TestCheck:
         code, _ = run("check", str(f))
         assert code == 2
 
+    def test_reserved_hole_symbol_exits_parse(self, tmp_path, capsys):
+        f = tmp_path / "hole.crs"
+        f.write_text("rule r: f(_|_) -> a ;")
+        code, out = run("check", str(f))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "parse error: the hole symbol is reserved\n"
+        assert "Traceback" not in out + err
+
     def test_json_reparses(self):
         code, out = run("check", corpus("spine_growth.crs"), "--json")
         assert code == 0
@@ -117,6 +126,14 @@ class TestNormalize:
                         "--term", "c", "--depth", "3", "--fuel", "30")
         assert code == 3
 
+    def test_unguarded_cycle_exits_parse(self, capsys):
+        code, out = run("normalize", corpus("spine_growth.crs"),
+                        "--term", "rec X. X")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "parse error: unguarded cycle through rec X\n"
+        assert "Traceback" not in out + err
+
     def test_too_deep_term_exits_budget(self, capsys):
         deep = "g(" * 3000 + "b" + ")" * 3000
         code, out = run("normalize", corpus("spine_growth.crs"), "--term", deep)
@@ -160,6 +177,7 @@ class TestEssential:
         assert "essential positions of stage term 0: {@, 1, 1.1, 1.1.0}" in out
         assert "measure: (4, 5, 4)" in out
         assert "redex dup@1: essential" in out
+        assert "redex ren@1.1.0: essential" in out
         assert "redex ren@1.1.0.1: inessential" in out
 
     def test_prefix_override_empty_means_all_inessential(self, tmp_path):
@@ -179,6 +197,10 @@ class TestEssential:
         payload = json.loads(out)
         assert payload["measure"] == [4, 5, 4]
         assert payload["final"] == "g(h(h(h(h(a)))))"
+        assert [(r["rule"], r["position"], r["classification"])
+                for r in payload["redexes"]] == [
+            ("ren", "@", "essential"), ("dup", "1", "essential"),
+            ("ren", "1.1.0", "essential"), ("ren", "1.1.0.1", "inessential")]
 
 
 class TestSuite:

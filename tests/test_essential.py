@@ -1,14 +1,18 @@
+import operator
+import pathlib
 import random
 
 import pytest
 
+from icrs import cli
 from icrs import (
     DevSequence, Measure, PathSpace, ReductionDescriptor, alpha_eq,
     classify_redex, complete_development, dev_sequence_of_steps,
     emaciate_reduction, emaciate_step, epsilon_seq, epsilon_step,
-    essential_positions, essential_skeleton, find_redexes, measure,
+    essential_skeleton, find_redexes, measure,
     measure_less, mirrors, parse_system, parse_term, path_prefix_set,
-    print_term, redexes_from_positions, residuals, sequence_mirrors, zeta,
+    print_term, redexes_from_positions, residuals, sequence_mirrors,
+    sub_mirrors, zeta,
 )
 from icrs.errors import NotAPrefixSet, ResidualHitsPrefix
 from icrs.oracle import brute_descendants
@@ -376,3 +380,127 @@ class TestResidualEssentiality:
                 if v.position not in before:
                     assert not (positions & after)
             done += 1
+
+
+def old_epsilon_seq(prefix, seq):
+    """The per-stage route: epsilon_step chained backwards."""
+    out = [frozenset(map(tuple, prefix))]
+    for stage in reversed(seq.stages):
+        out.append(epsilon_step(out[-1], stage))
+    out.reverse()
+    return tuple(out)
+
+
+def old_path_sets(prefix, seq):
+    """path_prefix_set enumerated again per stage from the chained sets."""
+    sets = old_epsilon_seq(prefix, seq)
+    return [path_prefix_set(sets[i + 1], st) for i, st in enumerate(seq.stages)]
+
+
+def old_measure(seq, prefix):
+    return Measure(tuple(len(pps) for pps in reversed(old_path_sets(prefix, seq))))
+
+
+def old_mirrors(fits, e_seq, q_prefix, d_seq, p_prefix):
+    """The verdict of sequence_mirrors (fits is ==) or sub_mirrors (<=)."""
+    if len(e_seq) != len(d_seq) or not fits(frozenset(q_prefix), frozenset(p_prefix)):
+        return False
+    pd = old_epsilon_seq(p_prefix, d_seq)
+    try:
+        qe = old_epsilon_seq(q_prefix, e_seq)
+    except NotAPrefixSet:
+        return False
+    terms_d = [d_seq.initial] + [st.target for st in d_seq.stages]
+    terms_e = [e_seq.initial] + [st.target for st in e_seq.stages]
+    for i in range(len(d_seq) + 1):
+        if not fits(qe[i], pd[i]) or not mirrors(terms_e[i], terms_d[i], qe[i])[0]:
+            return False
+    return all(fits(frozenset(e.paths), frozenset(d.paths))
+               for e, d in zip(old_path_sets(q_prefix, e_seq),
+                               old_path_sets(p_prefix, d_seq)))
+
+
+def random_instances(seed, count):
+    """Seeded (system, development sequence, prefix set of its final term)."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        system = genrand.random_system(rng)
+        seq = genrand.random_dev_sequence(rng, system)
+        prefix = genrand.random_prefix_set(rng, seq.final, max_depth=2)
+        yield rng, system, seq, prefix
+        made += 1
+
+
+class TestOneSweep:
+    """epsilon_seq, measure, the mirroring checks and emaciate_step read one
+    backward sweep; each agrees with the per-stage route it replaced."""
+
+    def test_sets_and_measure(self):
+        stages = 0
+        for _, _, seq, prefix in random_instances(91, 60):
+            assert epsilon_seq(prefix, seq) == old_epsilon_seq(prefix, seq)
+            assert measure(seq, prefix) == old_measure(seq, prefix)
+            stages += len(seq)
+        assert stages >= 60
+
+    def test_mirroring_verdicts(self):
+        verdicts = set()
+        for rng, _, seq, prefix in random_instances(92, 40):
+            sub = prefix & genrand.random_prefix_set(rng, seq.final, max_depth=2)
+            for e_seq in (seq, essential_skeleton(seq, prefix),
+                          essential_skeleton(seq, sub)):
+                got = sequence_mirrors(e_seq, seq, prefix)[0]
+                assert got == old_mirrors(operator.eq, e_seq, prefix, seq, prefix)
+                verdicts.add(got)
+                got = sub_mirrors(e_seq, sub, seq, prefix)[0]
+                assert got == old_mirrors(operator.le, e_seq, sub, seq, prefix)
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_emaciate_step(self):
+        done = refused = 0
+        for rng, system, seq, prefix in random_instances(91, 150):
+            candidates = find_redexes(seq.initial, system, 4)
+            if not candidates:
+                continue
+            u = rng.choice(candidates)
+            leftover = [u]
+            for stage in essential_skeleton(seq, prefix).stages:
+                leftover = residuals(leftover, stage)
+            if any(v.position in prefix for v in leftover):
+                with pytest.raises(ResidualHitsPrefix):
+                    emaciate_step(seq, u, prefix)
+                refused += 1
+                continue
+            res = emaciate_step(seq, u, prefix)
+            sets = old_epsilon_seq(prefix, seq)
+            assert res.essential_sets == sets
+            kept = [[u.position for u in st.redexes if u.position in sets[i]]
+                    for i, st in enumerate(seq.stages)]
+            assert [[u.position for u in st.redexes]
+                    for st in res.skeleton.stages] == kept
+            assert measure(res.skeleton, prefix) == old_measure(res.skeleton, prefix)
+            assert measure(res.sequence, prefix) == old_measure(res.sequence, prefix)
+            done += 1
+        assert done >= 60 and refused >= 5
+
+    def test_cli_script_builds_one_space_per_stage_and_query(self, monkeypatch, capsys):
+        built = []
+        init = PathSpace.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PathSpace, "__init__", counting)
+        corpus = pathlib.Path(__file__).parent.parent / "src" / "icrs" / "corpus"
+        for extra in ([], ["--json"]):
+            built.clear()
+            code = cli.main(["essential", str(corpus / "collapse_growth.crs"),
+                             "--script", str(corpus / "collapse_growth.script")]
+                            + extra)
+            assert code == 0
+            # three stages, swept once for the sets and once for the measure
+            assert len(built) <= 6
+        capsys.readouterr()

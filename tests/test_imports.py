@@ -1,0 +1,52 @@
+"""Engine modules import each other at module level and by public names
+only: no module reaches for a `_`-prefixed name of a sibling, and no engine
+import hides inside a function."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "icrs"
+
+
+def engine_imports(tree):
+    """(import node, enclosing function or None) for every import of an
+    icrs module: relative imports and absolute `icrs` ones."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = func
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child
+            if isinstance(child, ast.ImportFrom):
+                if child.level or (child.module or "").split(".")[0] == "icrs":
+                    out.append((child, inner))
+            elif isinstance(child, ast.Import):
+                if any(a.name.split(".")[0] == "icrs" for a in child.names):
+                    out.append((child, inner))
+            visit(child, inner)
+
+    visit(tree, None)
+    return out
+
+
+def offences(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node, func in engine_imports(tree):
+        where = f"{path.name}:{node.lineno}"
+        if func is not None:
+            found.append(f"{where}: engine import inside {func.name}")
+        # `from . import _randgen` names a module; `from .x import _y` a private name
+        if isinstance(node, ast.ImportFrom) and node.module:
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            if private:
+                found.append(f"{where}: private names {private} from {node.module}")
+    return found
+
+
+def test_no_private_or_function_local_engine_imports():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = [o for path in paths for o in offences(path)]
+    assert not found, "\n".join(found)

@@ -10,10 +10,10 @@ import random
 import pytest
 
 from icrs import (
-    ALL_REDEXES, dev_sequence_of_steps, essential_positions, has_finite_jumps,
-    needed_fair, needed_pilot, parse_system, parse_term, path_prefix_set,
+    dev_sequence_of_steps, epsilon_seq, has_finite_jumps, needed_fair,
+    needed_pilot, parse_system, parse_term,
 )
-from icrs.errors import EngineError, FiniteJumpsViolated
+from icrs.errors import EngineError
 from icrs.strategies import Pilot, Stratum, _max_lhs_depth
 
 import genrand
@@ -34,7 +34,7 @@ def per_stratum_positions(pilot):
         if not st.prefix:
             continue
         dev = dev_sequence_of_steps(initial, specs[: st.index], system)
-        out |= essential_positions(st.prefix, dev)
+        out |= epsilon_seq(st.prefix, dev)[0]
     return frozenset(out)
 
 
@@ -117,9 +117,3 @@ def test_realised_stages_have_finite_jumps():
             assert has_finite_jumps(st.source, st.redexes, system)
             stages += 1
     assert stages >= RANDOM_SEQUENCES
-
-
-def test_explicit_form_keeps_the_finite_jumps_check(collapse_system):
-    with pytest.raises(FiniteJumpsViolated):
-        path_prefix_set({()}, parse_term("rec F. f(F)"), ALL_REDEXES,
-                        collapse_system)

@@ -3,7 +3,7 @@ import pytest
 from icrs import (
     FAIR, OUTERMOST_FAIR, Trace, alpha_eq, detect_rational_nf, fairness_audit,
     find_redexes, is_normal_form, needed_fair, needed_pilot, normalize,
-    outermost_redexes, parse_system, parse_term, print_term, select, trace_of,
+    outermost_redexes, parse_system, parse_term, print_term, trace_of,
     truncate,
 )
 from icrs.errors import FuelExhausted, SystemCheckFailed
@@ -43,24 +43,24 @@ class TestOutermost:
         assert [u.position for u in got] == [(1,), (2,)]
 
 
+def first_selected(term, system, kind):
+    """The redex the strategy contracts first from the term."""
+    _, trace = normalize(term, system, kind, 4, fuel=1)
+    return trace.steps[0].redex
+
+
 class TestSelect:
     def test_serves_oldest_obligation(self, spine_system):
-        t = T("f(a, c)")
-        empty = Trace(spine_system, "fair", [t], [])
-        u = select(FAIR, empty)
+        u = first_selected(T("f(a, c)"), spine_system, FAIR)
         assert u.position == ()  # ties broken outermost-leftmost
 
     def test_outermost_fair_ignores_covered(self, spine_system):
-        t = T("f(a, c)")
-        empty = Trace(spine_system, "outermost-fair", [t], [])
-        u = select(OUTERMOST_FAIR, empty)
+        u = first_selected(T("f(a, c)"), spine_system, OUTERMOST_FAIR)
         assert u.position == ()
 
     def test_needed_fair_skips_loop(self, spine_system):
         kind = needed_fair(pilot_depth=4, pilot_fuel=200)
-        t = T("f(a, c)")
-        empty = Trace(spine_system, "needed-fair", [t], [])
-        u = select(kind, empty)
+        u = first_selected(T("f(a, c)"), spine_system, kind)
         assert u.rule.name != "loop"
 
 
