@@ -177,8 +177,8 @@ def cmd_essential(args, out):
         stages.append(dev)
         cur = dev.target
     dev_seq = DevSequence(term, tuple(stages))
-    seq = essential.epsilon_seq(prefix, dev_seq)
-    mu = essential.measure(dev_seq, prefix)
+    swept = essential.sweep(prefix, dev_seq)
+    seq, mu = swept.sets, swept.measure
     # redexes of the initial term, so each is classified by seq[0] alone
     redexes = find_redexes(term, system, max((len(p) for p in seq[0]), default=0) + 2)
     verdicts = ["essential" if u.position in seq[0] else "inessential"

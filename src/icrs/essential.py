@@ -94,10 +94,22 @@ def epsilon_step(prefix, stage):
     return _fed(path_prefix_set(prefix, stage))
 
 
-def _sweep(prefix, dev_seq):
-    """The backward pass: (P_0, ..., P_n) with P_n the given prefix set and
-    each earlier set the epsilon image through the next stage, and the path
-    prefix set of every stage (stage i from P_i+1), first stage first."""
+@dataclass(frozen=True)
+class Sweep:
+    """The backward pass through a development sequence for a prefix set of
+    its final term."""
+    sets: tuple       # (P_0, ..., P_n): P_n given, each earlier the epsilon image
+    path_sets: tuple  # the path prefix set of every stage, first stage first
+
+    @property
+    def measure(self):
+        """Per-stage path-prefix-set cardinalities, last stage first."""
+        return Measure(tuple(len(pps) for pps in reversed(self.path_sets)))
+
+
+def sweep(prefix, dev_seq):
+    """One backward pass: stage i's path prefix set is taken from P_i+1, and
+    P_i is the union of zeta over it."""
     sets = [_check_prefix_set(prefix, dev_seq.final)]
     path_sets = []
     for stage in reversed(dev_seq.stages):
@@ -106,13 +118,13 @@ def _sweep(prefix, dev_seq):
         sets.append(_fed(pps))
     sets.reverse()
     path_sets.reverse()
-    return tuple(sets), tuple(path_sets)
+    return Sweep(tuple(sets), tuple(path_sets))
 
 
 def epsilon_seq(prefix, dev_seq):
     """(P_0, ..., P_n) with P_n the given prefix set and each earlier set the
     epsilon image through the corresponding stage."""
-    return _sweep(prefix, dev_seq)[0]
+    return sweep(prefix, dev_seq).sets
 
 
 def classify_redex(redex, dev_seq, prefix):
@@ -142,11 +154,7 @@ class Measure:
 
 def measure(dev_seq, prefix):
     """Per-stage path-prefix-set cardinalities, last stage first."""
-    return _measure(_sweep(prefix, dev_seq)[1])
-
-
-def _measure(path_sets):
-    return Measure(tuple(len(pps) for pps in reversed(path_sets)))
+    return sweep(prefix, dev_seq).measure
 
 
 def measure_less(a, b):
@@ -183,21 +191,22 @@ def _mirrors_by(fits, e_seq, q_prefix, d_seq, p_prefix, missing, relation):
         return False, "lengths differ"
     if not fits(frozenset(map(tuple, q_prefix)), frozenset(map(tuple, p_prefix))):
         return False, "Q is not included in P"
-    pd, pps_d = _sweep(p_prefix, d_seq)
+    d = sweep(p_prefix, d_seq)
     try:
-        qe, pps_e = _sweep(q_prefix, e_seq)
+        e = sweep(q_prefix, e_seq)
     except NotAPrefixSet:
         return False, f"prefix set positions missing from the {missing} sequence"
     for i in range(len(d_seq) + 1):
-        if not fits(qe[i], pd[i]):
+        if not fits(e.sets[i], d.sets[i]):
             return False, f"essential sets {relation} at stage {i}"
         td = d_seq.stages[i - 1].target if i else d_seq.initial
         te = e_seq.stages[i - 1].target if i else e_seq.initial
-        ok, why = mirrors(te, td, qe[i])
+        ok, why = mirrors(te, td, e.sets[i])
         if not ok:
             return False, f"stage {i}: {why}"
     for i in range(len(d_seq)):
-        if not fits(frozenset(pps_e[i].paths), frozenset(pps_d[i].paths)):
+        if not fits(frozenset(e.path_sets[i].paths),
+                    frozenset(d.path_sets[i].paths)):
             return False, f"path prefix sets {relation} at stage {i + 1}"
     return True, ""
 
@@ -344,11 +353,11 @@ def emaciate_reduction(dev_seq, reduction, prefix, system=None):
     prev = measure(cur_seq, prefix)
     for _ in range(reduction.max_rounds):
         nxt_seq, nxt_term = apply_steps(cur_seq, cur_term, reduction.period)
-        seq, path_sets = _sweep(prefix, nxt_seq)
-        m = _measure(path_sets)
+        swept = sweep(prefix, nxt_seq)
+        m = swept.measure
         if m == prev:
-            skel = _skeleton(nxt_seq, seq, initial=reduction.limit)
-            return ProjectionResult(skel, seq, skel)
+            skel = _skeleton(nxt_seq, swept.sets, initial=reduction.limit)
+            return ProjectionResult(skel, swept.sets, skel)
         cur_seq, cur_term, prev = nxt_seq, nxt_term, m
     raise PreconditionViolated(
         "measure did not stabilise within the round budget")

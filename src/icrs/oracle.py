@@ -16,7 +16,8 @@ from .developments import AllRedexes, Path, PathSpace, has_finite_jumps
 from .rewriting import Redex, apply_valuation, match, find_redexes, redex_at
 from .systems import rule_meta
 from .terms import (
-    alpha_eq, graft, iter_tagged, resolve, set_tag_at, strip_tags, truncate,
+    alpha_eq, graft, iter_tagged, resolve, set_tag_at, strip_tags, subterm_at,
+    truncate,
 )
 
 
@@ -96,55 +97,70 @@ class DevelopmentOutcome:
     orders: int
 
 
+def _add_label(term, p, label):
+    """Add a label to the label set of the node at p."""
+    node = resolve(subterm_at(term, p))
+    return set_tag_at(term, p, (getattr(node, "tag", None) or frozenset()) | {label})
+
+
+def _labelled(found, kind):
+    """Positions whose label set holds a label of the kind."""
+    return frozenset(q for q, labels in found
+                     if any(label[0] == kind for label in labels))
+
+
 def all_development_orders(term, redexes, system, cap=4000,
                            probe_positions=(), probe_redexes=()):
     """Contract the redex set to completion in every order, tracking probes
     by labelled replay.  Expected: a single final term (modulo alpha), a
-    single descendant set and a single residual set."""
-    probe_positions = [tuple(p) for p in probe_positions]
+    single descendant set and a single residual set.
+
+    A development state is one labelled term: a node's tag is a frozenset
+    of labels, ("o", i) for probe position i, ("r", j) for probe redex j and
+    ("u", k) for a pending residual of a redex with rule k.  One replay of a
+    pending residual gives the next state together with its pending
+    residuals.  States are explored generation by generation (orders of
+    equal length side by side), and orders reaching equal labelled terms
+    share one state, since equal states have equal futures; each state
+    counts the orders reaching it, so `orders` stays the number of
+    contraction orders while `cap` bounds the distinct states."""
+    rules = list(dict.fromkeys(u.rule for u in redexes))
     start = term
     for i, p in enumerate(probe_positions):
-        start = set_tag_at(start, p, ("o", i))
+        start = _add_label(start, tuple(p), ("o", i))
     for j, u in enumerate(probe_redexes):
-        start = set_tag_at(start, u.position, ("r", j))
+        start = _add_label(start, u.position, ("r", j))
+    for u in redexes:
+        start = _add_label(start, u.position, ("u", rules.index(u.rule)))
 
     finals = []
     desc_sets = set()
     res_sets = set()
     orders = 0
     explored = 0
-    stack = [(start, tuple((u.position, u.rule) for u in redexes))]
-    while stack:
-        cur, pending = stack.pop()
-        explored += 1
+    generation = {start: 1}
+    while generation:
+        explored += len(generation)
         if explored > cap:
             raise DevelopmentExplosion(f"more than {cap} development states")
-        if not pending:
-            orders += 1
-            clean = strip_tags(cur)
-            if not any(alpha_eq(clean, f) for f in finals):
-                finals.append(clean)
+        following = {}
+        for cur, count in generation.items():
             found, complete = iter_tagged(cur)
             if not complete:
                 raise DevelopmentExplosion("a label landed inside a cycle")
-            desc_sets.add(frozenset(q for q, t in found if t[0] == "o"))
-            res = frozenset(q for q, t in found if t[0] == "r")
-            res_sets.add(res)
-            continue
-        for k, (pos, rule) in enumerate(pending):
-            nxt = _replay_step(cur, pos, rule)
-            rest = pending[:k] + pending[k + 1:]
-            new_pending = []
-            for (p2, r2) in rest:
-                tagged = set_tag_at(cur, p2, ("tmp",))
-                moved = _replay_step(tagged, pos, rule)
-                found, complete = iter_tagged(moved)
-                if not complete:
-                    raise DevelopmentExplosion("a residual landed inside a cycle")
-                for q, t in found:
-                    if t == ("tmp",):
-                        new_pending.append((q, r2))
-            stack.append((nxt, tuple(sorted(new_pending, key=lambda x: x[0]))))
+            pending = [(q, rules[label[1]]) for q, labels in found
+                       for label in labels if label[0] == "u"]
+            for q, rule in pending:
+                nxt = _replay_step(cur, q, rule)
+                following[nxt] = following.get(nxt, 0) + count
+            if not pending:
+                orders += count
+                clean = strip_tags(cur)
+                if not any(alpha_eq(clean, f) for f in finals):
+                    finals.append(clean)
+                desc_sets.add(_labelled(found, "o"))
+                res_sets.add(_labelled(found, "r"))
+        generation = following
     return DevelopmentOutcome(tuple(finals), tuple(desc_sets),
                               tuple(res_sets), orders)
 

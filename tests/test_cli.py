@@ -6,6 +6,7 @@ import pytest
 
 from icrs import alpha_eq, parse_term
 from icrs.cli import main
+from icrs.developments import PathSpace
 
 CORPUS = pathlib.Path(__file__).parent.parent / "src" / "icrs" / "corpus"
 
@@ -201,6 +202,24 @@ class TestEssential:
                 for r in payload["redexes"]] == [
             ("ren", "@", "essential"), ("dup", "1", "essential"),
             ("ren", "1.1.0", "essential"), ("ren", "1.1.0.1", "inessential")]
+
+
+    def test_one_sweep(self, monkeypatch):
+        # one PathSpace per stage of the three-stage script
+        built = []
+        init = PathSpace.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PathSpace, "__init__", counting)
+        for extra in ((), ("--json",)):
+            built.clear()
+            code, _ = run("essential", corpus("collapse_growth.crs"),
+                          "--script", corpus("collapse_growth.script"), *extra)
+            assert code == 0
+            assert len(built) == 3
 
 
 class TestSuite:

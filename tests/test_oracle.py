@@ -11,7 +11,10 @@ from icrs.oracle import (
     all_development_orders, brute_descendants, brute_needed,
     develops_by_exhaustion, fjp_witness_suite, phi_injectivity_check,
 )
-from icrs.rewriting import redex_at
+from icrs.rewriting import apply_valuation, match, redex_at
+from icrs.terms import (
+    graft, iter_tagged, positions_to_depth, set_tag_at, strip_tags,
+)
 
 import genrand
 
@@ -51,6 +54,151 @@ class TestAllOrders:
         with pytest.raises(DevelopmentExplosion):
             all_development_orders(t, find_redexes(t, spine_system, 2),
                                    spine_system, cap=2)
+
+
+def template_system(*names):
+    """The named rules of the randomized generator's templates."""
+    rules = dict(genrand.RULE_TEMPLATES)
+    return parse_system(genrand.CONSTRUCTORS + "\n"
+                        + "\n".join(rules[n] for n in names))
+
+
+def old_replay(term, position, rule):
+    v = match(rule, term, position)
+    if v is None:
+        raise DevelopmentExplosion(f"oracle step does not match at {position}")
+    return graft(term, position, apply_valuation(v, rule.rhs))
+
+
+def old_all_development_orders(term, redexes, cap=4000,
+                               probe_positions=(), probe_redexes=()):
+    """The per-residual route: every order is its own path, and each edge
+    replays the step once more per pending redex to find its residuals.
+    One tag per node, so a probe redex label overwrites a probe position
+    label on the same node; run probes and probe redexes apart."""
+    start = term
+    for i, p in enumerate(probe_positions):
+        start = set_tag_at(start, tuple(p), ("o", i))
+    for j, u in enumerate(probe_redexes):
+        start = set_tag_at(start, u.position, ("r", j))
+    finals, desc_sets, res_sets = [], set(), set()
+    orders = explored = 0
+    stack = [(start, tuple((u.position, u.rule) for u in redexes))]
+    while stack:
+        cur, pending = stack.pop()
+        explored += 1
+        if explored > cap:
+            raise DevelopmentExplosion(f"more than {cap} development states")
+        if not pending:
+            orders += 1
+            clean = strip_tags(cur)
+            if not any(alpha_eq(clean, f) for f in finals):
+                finals.append(clean)
+            found, complete = iter_tagged(cur)
+            if not complete:
+                raise DevelopmentExplosion("a label landed inside a cycle")
+            desc_sets.add(frozenset(q for q, t in found if t[0] == "o"))
+            res_sets.add(frozenset(q for q, t in found if t[0] == "r"))
+            continue
+        for k, (pos, rule) in enumerate(pending):
+            nxt = old_replay(cur, pos, rule)
+            new_pending = []
+            for p2, r2 in pending[:k] + pending[k + 1:]:
+                moved = old_replay(set_tag_at(cur, p2, ("tmp",)), pos, rule)
+                found, complete = iter_tagged(moved)
+                if not complete:
+                    raise DevelopmentExplosion("a residual landed inside a cycle")
+                new_pending.extend((q, r2) for q, t in found if t == ("tmp",))
+            stack.append((nxt, tuple(sorted(new_pending, key=lambda x: x[0]))))
+    return finals, desc_sets, res_sets, orders
+
+
+class TestMergedStates:
+    def test_probe_redex_keeps_probe_position(self):
+        # the probe redex uno@1 sits on probe position 1
+        system = template_system("dup", "uno")
+        t = T("dup(uno(k))")
+        u = redex_at(t, system, ())
+        probes = [(), (1,), (1, 1)]
+        out = all_development_orders(t, [u], system, probe_positions=probes,
+                                     probe_redexes=[redex_at(t, system, (1,))])
+        expected = {(1,), (1, 1), (2,), (2, 1)}
+        assert brute_descendants(probes, [(u.position, u.rule)], source=t) == expected
+        assert [set(d) for d in out.descendant_sets] == [expected]
+        assert [set(r) for r in out.residual_sets] == [{(1,), (2,)}]
+
+    def test_duplicating_set_within_cap(self):
+        system = template_system("col", "dup", "nest")
+        t = T("nest([x1] dup(col(x1)))")
+        us = [redex_at(t, system, p) for p in [(), (1, 0), (1, 0, 1)]]
+        out = all_development_orders(t, us, system)
+        assert out.orders == 8077
+        assert len(out.finals) == 1
+        assert alpha_eq(out.finals[0], complete_development(t, us, system).target)
+        assert develops_by_exhaustion(t, us, system)
+        assert has_finite_jumps(t, us, system)
+
+    def test_equal_states_merge(self):
+        system = template_system("uno")
+        t = T("c2(c2(uno(k), uno(k)), uno(k))")
+        us = find_redexes(t, system, 4)
+        assert len(us) == 3
+        # 1 + 3 + 3 + 1 distinct states; the per-order route visits 16
+        assert all_development_orders(t, us, system, cap=8).orders == 6
+        with pytest.raises(DevelopmentExplosion):
+            all_development_orders(t, us, system, cap=7)
+        with pytest.raises(DevelopmentExplosion):
+            old_all_development_orders(t, us, cap=15)
+        assert old_all_development_orders(t, us, cap=16)[3] == 6
+
+    @staticmethod
+    def seeded_instances(count):
+        """(term, redex set, system, probe redexes): the duplicating set the
+        per-residual route cannot finish under its cap, then seeded ones."""
+        system = template_system("col", "dup", "nest")
+        t = T("nest([x1] dup(col(x1)))")
+        yield (t, [redex_at(t, system, p) for p in [(), (1, 0), (1, 0, 1)]],
+               system, [redex_at(t, system, (1, 0, 1))])
+        rng = random.Random(4711)
+        done = 0
+        while done < count:
+            system = genrand.random_system(rng)
+            t = genrand.random_term(rng, system, 3 + done % 2)
+            us = genrand.random_redex_set(rng, t, system, max_size=3)
+            if us:
+                done += 1
+                yield (t, us, system,
+                       rng.sample(find_redexes(t, system, 5), min(2, len(us))))
+
+    def test_agrees_with_per_residual_route(self):
+        cyclic = exploded = 0
+        for t, us, system, probe_redexes in self.seeded_instances(150):
+            probes = sorted(positions_to_depth(t, 2))
+            cyclic += "rec" in print_term(t)
+            try:
+                old_finals, old_desc, _, old_orders = old_all_development_orders(
+                    t, us, probe_positions=probes)
+                _, _, old_res, _ = old_all_development_orders(
+                    t, us, probe_redexes=probe_redexes)
+            except DevelopmentExplosion:
+                exploded += 1
+                try:
+                    out = all_development_orders(
+                        t, us, system, probe_positions=probes,
+                        probe_redexes=probe_redexes)
+                except DevelopmentExplosion:
+                    continue
+                assert has_finite_jumps(t, us, system)
+                assert len(out.finals) == 1
+                continue
+            out = all_development_orders(t, us, system, probe_positions=probes,
+                                         probe_redexes=probe_redexes)
+            assert out.orders == old_orders
+            assert len(out.finals) == len(old_finals)
+            assert all(any(alpha_eq(f, g) for g in old_finals) for f in out.finals)
+            assert set(out.descendant_sets) == old_desc
+            assert set(out.residual_sets) == old_res
+        assert cyclic >= 20 and exploded >= 1
 
 
 class TestBruteDescendants:
