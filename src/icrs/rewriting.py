@@ -130,16 +130,27 @@ def apply_substitute(sub, args):
 def apply_valuation(valuation, metaterm):
     """Instantiate a meta-term top-down.  Structural on the rational
     representation, so the result is always rational; producing an unguarded
-    cycle (the image of an infinite chain of meta-variables) raises."""
-    avoid = set()
-    for sub in valuation.assignment.values():
-        avoid |= free_vars(sub.body) - set(sub.params)
+    cycle (the image of an infinite chain of meta-variables) raises.
+
+    The work follows the meta-term's shape.  The names to rename binders
+    away from are gathered only when an abstraction is reached.  The result
+    is checked for unguarded cycles only when the meta-term has a rec
+    binder: substitute bodies bound by `match` are subterms of resolved
+    nodes, so they are guarded and have no free rec variables, and an
+    instance built round them with no cycle of its own has no new one."""
+    avoid = None
+    has_rec = False
 
     def go(t):
+        nonlocal avoid, has_rec
         match t:
             case Var(_, _) | RecVar(_):
                 return t
             case Abs(x, body, tag):
+                if avoid is None:
+                    avoid = set()
+                    for sub in valuation.assignment.values():
+                        avoid |= free_vars(sub.body) - set(sub.params)
                 if x in avoid:
                     x2 = fresh_name(x, avoid | free_vars(body))
                     body = _subst(body, {x: Var(x2)})
@@ -150,14 +161,16 @@ def apply_valuation(valuation, metaterm):
             case MetaApp(z, args):
                 return apply_substitute(valuation[z], tuple(go(a) for a in args))
             case Rec(v, body):
+                has_rec = True
                 return Rec(v, go(body))
         raise TypeError(f"not a meta-term: {t!r}")
 
     out = go(metaterm)
-    try:
-        check_guarded(out)
-    except TermError as e:
-        raise FiniteChainsViolated(str(e)) from e
+    if has_rec:
+        try:
+            check_guarded(out)
+        except TermError as e:
+            raise FiniteChainsViolated(str(e)) from e
     return out
 
 
@@ -190,8 +203,8 @@ def match(rule, term, position=()):
                     if a.name not in pairs:
                         return False
                     names.append(pairs[a.name])
-                escaped = (free_vars(tm) & set(scope)) - set(names)
-                if escaped:
+                # only a pattern binder's variable can escape
+                if scope and (free_vars(tm) & set(scope)) - set(names):
                     return False
                 sub = Substitute(tuple(names), tm)
                 if z in assignment:

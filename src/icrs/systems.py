@@ -426,22 +426,33 @@ class _Unifier:
 
 
 def check_orthogonal(system):
+    """The first overlap in (outer rule, inner rule, position) order, or a
+    pass.  Each rule's metavariables are renamed and its non-meta positions
+    found once.  A position whose symbol or arity differs from the inner
+    lhs root symbol is skipped without unifying, as unification would fail
+    on that first comparison."""
     ll = check_left_linear(system)
     if not ll.ok:
         raise PreconditionViolated("orthogonality check requires a left-linear system")
+    inners = [Rule(r.name, _rename_metavars(r.lhs, "#2"), _rename_metavars(r.rhs, "#2"))
+              for r in system.rules]
     for i, r1 in enumerate(system.rules):
-        for j, r2 in enumerate(system.rules):
-            inner = Rule(r2.name, _rename_metavars(r2.lhs, "#2"),
-                         _rename_metavars(r2.rhs, "#2"))
-            for p in _nonmeta_positions(r1.lhs):
+        sites = [(p, subterm_at(r1.lhs, p)) for p in _nonmeta_positions(r1.lhs)]
+        for j, inner in enumerate(inners):
+            root = inner.lhs
+            for p, node in sites:
                 if i == j and p == ():
                     continue  # a rule trivially overlaps its own copy at the root
+                if isinstance(root, Sym) and not (
+                        isinstance(node, Sym) and node.fun == root.fun
+                        and len(node.args) == len(root.args)):
+                    continue
                 uni = _Unifier()
-                if uni.unify(subterm_at(r1.lhs, p), inner.lhs, ()):
+                if uni.unify(node, root, ()):
                     witness = _overlap_instance(r1, inner, p, uni)
                     return Verdict(
                         "orthogonal", False,
-                        f"rules {r1.name} and {r2.name} overlap at {'.'.join(map(str, p)) or '@'}",
+                        f"rules {r1.name} and {inner.name} overlap at {'.'.join(map(str, p)) or '@'}",
                         witness=witness)
     return Verdict("orthogonal", True)
 

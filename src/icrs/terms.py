@@ -18,7 +18,6 @@ results are stripped of tags.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -38,9 +37,12 @@ class Term:
     value in the `_hash` slot: the hash of the tuple of its fields, which a
     plain frozen dataclass would recompute over the whole subtree on every
     call.  Children are hashed before their parent, so building a node costs
-    one hash of its own fields.
+    one hash of its own fields.  Likewise the `_tagged` slot records, from
+    the node's own tag and its children's slots, whether a tag occurs at or
+    below the node (a `Rec` has its body's, a `RecVar` none), so tag walks
+    skip untagged subterms without looking inside them.
     """
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_tagged")
 
     def __hash__(self):
         return self._hash
@@ -60,6 +62,13 @@ def _node(cls):
 _set = object.__setattr__
 
 
+def _any_tagged(args):
+    for a in args:
+        if a._tagged:
+            return True
+    return False
+
+
 @_node
 class Var(Term):
     name: str
@@ -67,6 +76,7 @@ class Var(Term):
 
     def __post_init__(self):
         _set(self, "_hash", hash((self.name, self.tag)))
+        _set(self, "_tagged", self.tag is not None)
 
 
 @_node
@@ -77,6 +87,7 @@ class Abs(Term):
 
     def __post_init__(self):
         _set(self, "_hash", hash((self.var, self.body, self.tag)))
+        _set(self, "_tagged", self.tag is not None or self.body._tagged)
 
 
 @_node
@@ -87,6 +98,7 @@ class Sym(Term):
 
     def __post_init__(self):
         _set(self, "_hash", hash((self.fun, self.args, self.tag)))
+        _set(self, "_tagged", self.tag is not None or _any_tagged(self.args))
 
 
 @_node
@@ -96,6 +108,7 @@ class MetaApp(Term):
 
     def __post_init__(self):
         _set(self, "_hash", hash((self.mv, self.args)))
+        _set(self, "_tagged", _any_tagged(self.args))
 
 
 @_node
@@ -105,6 +118,7 @@ class Rec(Term):
 
     def __post_init__(self):
         _set(self, "_hash", hash((self.var, self.body)))
+        _set(self, "_tagged", self.body._tagged)
 
 
 @_node
@@ -113,6 +127,7 @@ class RecVar(Term):
 
     def __post_init__(self):
         _set(self, "_hash", hash((self.name,)))
+        _set(self, "_tagged", False)
 
 
 def hole():
@@ -542,25 +557,19 @@ def prefix_closure(positions):
 def strip_tags(t):
     """The term without tags; a node with no tag at or below it comes back
     as the very same object, so untagged subterms are shared, not copied."""
+    if not t._tagged:
+        return t
     match t:
-        case Var(x, tag):
-            return Var(x) if tag is not None else t
-        case Abs(x, body, tag):
-            new = strip_tags(body)
-            return t if tag is None and new is body else Abs(x, new)
-        case Sym(f, args, tag):
-            new = tuple(map(strip_tags, args))
-            if tag is None and all(map(operator.is_, new, args)):
-                return t
-            return Sym(f, new)
+        case Var(x, _):
+            return Var(x)
+        case Abs(x, body, _):
+            return Abs(x, strip_tags(body))
+        case Sym(f, args, _):
+            return Sym(f, tuple(map(strip_tags, args)))
         case MetaApp(z, args):
-            new = tuple(map(strip_tags, args))
-            return t if all(map(operator.is_, new, args)) else MetaApp(z, new)
+            return MetaApp(z, tuple(map(strip_tags, args)))
         case Rec(v, body):
-            new = strip_tags(body)
-            return t if new is body else Rec(v, new)
-        case _:
-            return t
+            return Rec(v, strip_tags(body))
 
 
 def set_tag_at(t, p, tag):
@@ -578,32 +587,16 @@ def iter_tagged(t):
     one representative occurrence per path into the cycle.  A path goes
     round a cycle when it meets again a rec binder it already passed:
     unrolling a cycle re-inserts the very same Rec object, so identity tells
-    it.
+    it.  A subterm whose `_tagged` slot is false is not entered.
     """
     out = []
     complete = True
     on_path = set()  # ids of the Rec nodes on the current path
-    tagged = {}  # id(node) -> (node, is a tag inside); holding the node keeps its id
-
-    def has_tags(u):
-        hit = tagged.get(id(u))
-        if hit is None:
-            match u:
-                case Var(_, tag) | Abs(_, _, tag) | Sym(_, _, tag) if tag is not None:
-                    found = True
-                case Abs(_, body, _) | Rec(_, body):
-                    found = has_tags(body)
-                case Sym(_, args, _) | MetaApp(_, args):
-                    found = any(has_tags(a) for a in args)
-                case _:
-                    found = False
-            hit = tagged[id(u)] = (u, found)
-        return hit[1]
 
     def walk(u, p):
         nonlocal complete
         r = resolve(u)
-        if not has_tags(r):
+        if not r._tagged:
             return
         if isinstance(u, Rec):
             if id(u) in on_path:

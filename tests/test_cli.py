@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -63,6 +66,17 @@ class TestCheck:
         assert payload["ok"] is True
         assert {c["check"] for c in payload["checks"]} == {
             "rule", "left-linear", "fully-extended", "orthogonal"}
+
+    def test_module_entry_point(self):
+        # `python -m icrs` from a checkout, with nothing installed
+        root = CORPUS.parent.parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "icrs", "check", "src/icrs/corpus/spine_growth.crs"],
+            cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, timeout=60)
+        code, out = run("check", corpus("spine_growth.crs"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+        assert code == 0
 
 
 class TestDevelop:

@@ -50,3 +50,16 @@ def test_no_private_or_function_local_engine_imports():
     assert len(paths) >= 10
     found = [o for path in paths for o in offences(path)]
     assert not found, "\n".join(found)
+
+
+def test_node_slots_are_read_in_terms_only():
+    """The per-node hash and tag summary are the term layer's own: other
+    modules go through public helpers."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "terms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_hash", "_tagged"):
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert not found, "\n".join(found)

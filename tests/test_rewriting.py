@@ -11,9 +11,10 @@ from icrs.errors import (
     ArityMismatch, FiniteChainsViolated, InfiniteResultError, StaleRedex,
 )
 from icrs.oracle import brute_descendant_map, brute_descendants
+from icrs import rewriting
 from icrs.rewriting import redex_at
 from icrs.syntax import parse_metaterm
-from icrs.terms import free_vars
+from icrs.terms import Rec, check_guarded, free_vars
 
 import genrand
 
@@ -106,6 +107,73 @@ class TestApplyValuation:
         v = Valuation({"Z": Substitute(("x",), Var("x"))})
         with pytest.raises(FiniteChainsViolated):
             apply_valuation(v, parse_metaterm("rec W. Z(W)"))
+
+
+def contains_rec(t):
+    match t:
+        case Rec(_, _):
+            return True
+        case Abs(_, body, _):
+            return contains_rec(body)
+        case Sym(_, args, _):
+            return any(map(contains_rec, args))
+        case _:
+            return False
+
+
+def template_system(*names):
+    return parse_system(genrand.CONSTRUCTORS + "\n" + "\n".join(
+        src for name, src in genrand.RULE_TEMPLATES if name in names))
+
+
+class TestShapedInstantiation:
+    """apply_valuation checks for unguarded cycles only when the rhs has a
+    rec binder, and gathers binder names only when it has an abstraction;
+    match looks for escaping variables only under pattern binders."""
+
+    def test_rec_free_rhs_instances_are_guarded(self):
+        rng = random.Random(41)
+        cyclic_bodies = checked = 0
+        for _ in range(150):
+            system = genrand.random_system(rng)
+            assert not any(contains_rec(r.rhs) for r in system.rules)
+            t = genrand.random_term(rng, system, 4)
+            for u in find_redexes(t, system, 5):
+                cyclic_bodies += any(contains_rec(sub.body)
+                                     for sub in u.valuation.assignment.values())
+                check_guarded(apply_valuation(u.valuation, u.rule.rhs))
+                check_guarded(contract(t, u).target)
+                checked += 1
+        assert checked >= 300 and cyclic_bodies >= 30
+
+    def test_binder_free_steps_make_no_free_vars_calls(self, monkeypatch):
+        calls = []
+        counted = rewriting.free_vars
+
+        def counting(t):
+            calls.append(t)
+            return counted(t)
+
+        monkeypatch.setattr(rewriting, "free_vars", counting)
+        rng = random.Random(43)
+
+        def steps_and_calls(system):
+            steps = []
+            for _ in range(60):
+                t = genrand.random_term(rng, system, 4)
+                steps += [(t, u) for u in find_redexes(t, system, 4)]
+            calls.clear()
+            for t, u in steps:
+                v = match(u.rule, t, u.position)
+                apply_valuation(v, u.rule.rhs)
+                contract(t, u)
+            return len(steps), len(calls)
+
+        steps, n = steps_and_calls(template_system("dup", "swap", "uno", "col", "drop"))
+        assert steps >= 100 and n == 0
+        # the counter sees the calls a rule with binders needs
+        steps, n = steps_and_calls(template_system("hob", "lam", "nest"))
+        assert steps >= 20 and n > 0
 
 
 class TestMatch:

@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -8,11 +9,18 @@ from icrs import (
     check_orthogonal, check_pattern, check_rule, check_system, match,
     parse_system, parse_term,
 )
+from icrs import systems
 from icrs.errors import PreconditionViolated
 from icrs.syntax import parse_metaterm
-from icrs.systems import Rule, rule_meta
+from icrs.systems import (
+    Rule, Verdict, _nonmeta_positions, _overlap_instance, _rename_metavars,
+    _Unifier, rule_meta,
+)
+from icrs.terms import subterm_at
 
 import genrand
+
+CORPUS = pathlib.Path(__file__).parent.parent / "src" / "icrs" / "corpus"
 
 
 class TestPattern:
@@ -146,6 +154,89 @@ class TestOrthogonal:
         inner = system.rule(inner_name)
         assert match(outer, w.instance, ()) is not None
         assert match(inner, w.instance, w.position) is not None
+
+
+def triple_loop_orthogonal(system):
+    """The former check_orthogonal: renames the inner rule per pair and
+    unifies at every non-meta position."""
+    for i, r1 in enumerate(system.rules):
+        for j, r2 in enumerate(system.rules):
+            inner = Rule(r2.name, _rename_metavars(r2.lhs, "#2"),
+                         _rename_metavars(r2.rhs, "#2"))
+            for p in _nonmeta_positions(r1.lhs):
+                if i == j and p == ():
+                    continue
+                uni = systems._Unifier()
+                if uni.unify(subterm_at(r1.lhs, p), inner.lhs, ()):
+                    witness = _overlap_instance(r1, inner, p, uni)
+                    return Verdict(
+                        "orthogonal", False,
+                        f"rules {r1.name} and {r2.name} overlap at {'.'.join(map(str, p)) or '@'}",
+                        witness=witness)
+    return Verdict("orthogonal", True)
+
+
+OVERLAPPING = [
+    "rule r1: f(g(Z)) -> a ; rule r2: g(b) -> c ;",
+    "rule r: f(f(Z)) -> Z ;",
+    "rule r1: f(a) -> a ; rule r2: f(Z) -> b ;",
+    "rule r1: f([x] Z(x)) -> Z(k) ; rule r2: f([x] g(Z(x))) -> k ;",
+    "rule r1: f(g(Z)) -> a ; rule r2: g(b) -> c ; rule r3: h(Z) -> Z ;",
+    "rule r1: f(Z) -> a ; rule r2: g(b) -> c ; rule r3: h(Z) -> Z ;",
+    # overlaps several template rules below its root
+    "rule ov: c2(dup(Z), swap(W, V)) -> k ; rule ow: c1(col([x] Z(x))) -> k ;",
+]
+
+
+def orthogonality_systems():
+    """Every non-empty subset of the rule templates, alone and beside
+    overlapping rules; the corpus systems; the overlapping systems above in
+    every rule order; and rules whose lhs root is no symbol."""
+    out = []
+    extra = parse_system(OVERLAPPING[-1])
+    for k in range(1, len(genrand.RULE_TEMPLATES) + 1):
+        for subset in itertools.combinations(genrand.RULE_TEMPLATES, k):
+            base = parse_system(genrand.CONSTRUCTORS + "\n" + "\n".join(
+                src for _, src in subset))
+            out.append(base)
+            out.append(RewriteSystem(base.rules + extra.rules, base.signature))
+            out.append(RewriteSystem(extra.rules[:1] + base.rules, base.signature))
+    for f in sorted(CORPUS.glob("*.crs")):
+        out.append(parse_system(f.read_text()))
+    for text in OVERLAPPING:
+        base = parse_system(text)
+        out += [RewriteSystem(perm, base.signature)
+                for perm in itertools.permutations(base.rules)]
+    odd = (Rule("m", parse_metaterm("[x] f(Z(x))"), parse_metaterm("k")),
+           Rule("z", parse_metaterm("Z"), parse_metaterm("Z")))
+    for rules in ((odd[0],), (odd[1],), odd):
+        out.append(RewriteSystem(rules + parse_system(OVERLAPPING[0]).rules, ()))
+    return out
+
+
+class TestOrthogonalAgreement:
+    def test_agrees_with_the_triple_loop(self, monkeypatch):
+        built = [0]
+
+        class Counted(_Unifier):
+            def __init__(self):
+                built[0] += 1
+                super().__init__()
+
+        monkeypatch.setattr(systems, "_Unifier", Counted)
+        found = unifiers_new = unifiers_old = 0
+        for system in orthogonality_systems():
+            built[0] = 0
+            new = check_orthogonal(system)
+            unifiers_new += built[0]
+            built[0] = 0
+            old = triple_loop_orthogonal(system)
+            unifiers_old += built[0]
+            assert (new.ok, new.detail, new.witness) == (old.ok, old.detail, old.witness)
+            found += not old.ok
+        assert found >= 400
+        # the symbol prefilter leaves most pairs without a unifier
+        assert unifiers_new * 10 < unifiers_old
 
 
 class TestCheckSystem:

@@ -243,15 +243,21 @@ def node_sample():
     roots = corpus_terms()
     for _ in range(120):
         roots.append(genrand.random_term(rng, genrand.random_system(rng), 4))
-    out, stack = [], list(roots)
+    return [u for t in reversed(roots) for u in structural_nodes(t)]
+
+
+def structural_nodes(t):
+    """Every node of the rational representation, depth first, and after
+    each rec binder its resolved unrolling."""
+    out, stack = [], [t]
     while stack:
-        t = stack.pop()
-        out.append(t)
-        if isinstance(t, Rec):
-            out.append(resolve(t))
-            stack.append(t.body)
+        u = stack.pop()
+        out.append(u)
+        if isinstance(u, Rec):
+            out.append(resolve(u))
+            stack.append(u.body)
         else:
-            stack.extend(c for _, c in children(t))
+            stack.extend(c for _, c in children(u))
     return out
 
 
@@ -368,6 +374,150 @@ class TestStripTags:
         stripped = strip_tags(t)
         assert stripped == T("f(a, g(a, [x] h(x)))")
         assert stripped.args[1] is untagged
+
+
+def tagged_by_definition(t):
+    """Does a tag occur at or below the node, read off its structure."""
+    match t:
+        case Var(_, tag):
+            return tag is not None
+        case Abs(_, body, tag):
+            return tag is not None or tagged_by_definition(body)
+        case Sym(_, args, tag):
+            return tag is not None or any(map(tagged_by_definition, args))
+        case MetaApp(_, args):
+            return any(map(tagged_by_definition, args))
+        case Rec(_, body):
+            return tagged_by_definition(body)
+        case _:
+            return False
+
+
+def memo_iter_tagged(t):
+    """The former iter_tagged: prunes on a per-call id(node) -> has-tags
+    memo instead of the node's summary slot."""
+    out = []
+    complete = True
+    on_path = set()
+    tagged = {}
+
+    def has_tags(u):
+        hit = tagged.get(id(u))
+        if hit is None:
+            match u:
+                case Var(_, tag) | Abs(_, _, tag) | Sym(_, _, tag) if tag is not None:
+                    found = True
+                case Abs(_, body, _) | Rec(_, body):
+                    found = has_tags(body)
+                case Sym(_, args, _) | MetaApp(_, args):
+                    found = any(has_tags(a) for a in args)
+                case _:
+                    found = False
+            hit = tagged[id(u)] = (u, found)
+        return hit[1]
+
+    def walk(u, p):
+        nonlocal complete
+        r = resolve(u)
+        if not has_tags(r):
+            return
+        if isinstance(u, Rec):
+            if id(u) in on_path:
+                complete = False
+                return
+            on_path.add(id(u))
+        tag = getattr(r, "tag", None)
+        if tag is not None:
+            out.append((p, tag))
+        for i, c in children(r):
+            walk(c, p + (i,))
+        if isinstance(u, Rec):
+            on_path.remove(id(u))
+
+    walk(t, ())
+    return out, complete
+
+
+def tag_structurally(t, rng, share):
+    """Tag about `share` of the Var/Abs/Sym nodes of the rational
+    representation, rec bodies included, so that tags land inside cycles."""
+    def go(u):
+        tag = ("s", rng.randrange(1000)) if rng.random() < share else None
+        match u:
+            case Var(x, old):
+                return Var(x, tag or old)
+            case Abs(x, body, old):
+                return Abs(x, go(body), tag or old)
+            case Sym(f, args, old):
+                return Sym(f, tuple(map(go, args)), tag or old)
+            case MetaApp(z, args):
+                return MetaApp(z, tuple(map(go, args)))
+            case Rec(v, body):
+                return Rec(v, go(body))
+            case _:
+                return u
+
+    return go(t)
+
+
+class TestTagSummary:
+    @pytest.fixture(scope="class")
+    def samples(self):
+        """Seeded random terms (cyclic ones included) and corpus rule sides,
+        untagged, tagged by set_tag_at, tagged inside their cycles, and
+        both."""
+        rng = random.Random(23)
+        out = []
+        roots = corpus_terms() + [
+            genrand.random_term(rng, genrand.random_system(rng), 4)
+            for _ in range(150)]
+        for t in roots:
+            out.append(t)
+            by_position = t
+            for i, p in enumerate(sorted(positions_to_depth(t, 4))):
+                if rng.random() < 0.2:
+                    try:
+                        by_position = set_tag_at(by_position, p, ("p", i))
+                    except TermError:  # a meta-variable node
+                        pass
+            out += [by_position, tag_structurally(t, rng, 0.15),
+                    tag_structurally(by_position, rng, 0.1)]
+        return out
+
+    def test_samples_cover_the_cases(self, samples):
+        incomplete = sum(not memo_iter_tagged(t)[1] for t in samples)
+        tagged = sum(tagged_by_definition(t) for t in samples)
+        assert incomplete >= 25
+        assert 100 <= tagged <= len(samples) - 100
+
+    def test_slot_is_the_recursive_definition(self, samples):
+        for t in samples:
+            for u in structural_nodes(t):
+                assert u._tagged == tagged_by_definition(u), u
+
+    def test_iter_tagged_agrees_with_the_memo_walk(self, samples):
+        for t in samples:
+            assert iter_tagged(t) == memo_iter_tagged(t), print_term(strip_tags(t))
+
+    def test_replace_and_pickle_recompute_the_slot(self, samples):
+        for t in samples[:200]:
+            for u in structural_nodes(t):
+                twin = pickle.loads(pickle.dumps(u))
+                assert twin._tagged == tagged_by_definition(twin) == u._tagged
+                if isinstance(u, (Var, Abs, Sym)):
+                    assert replace(u, tag=("r", 0))._tagged
+                    cleared = replace(u, tag=None)
+                    assert cleared._tagged == tagged_by_definition(cleared)
+                elif isinstance(u, Rec):
+                    assert not replace(u, body=strip_tags(u.body))._tagged
+
+    def test_strip_tags_returns_untagged_input_itself(self, samples):
+        for t in samples:
+            stripped = strip_tags(t)
+            assert stripped == rebuilt(t) and not stripped._tagged
+            for u in structural_nodes(t):
+                if not tagged_by_definition(u):
+                    assert strip_tags(u) is u
 
 
 @settings(max_examples=60)
