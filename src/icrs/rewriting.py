@@ -184,9 +184,12 @@ def match(rule, term, position=()):
     subterm, or None (also when the position is not in the term).  A
     candidate binding whose free variables would escape through the
     meta-variable's argument list does not match.  Callers that already hold
-    the node pass it with the empty position.  A binder of the subterm is
-    renamed by its pattern depth (`_b0`, `_b1`, ...), so matching the same
-    redex twice gives equal valuations.
+    the node pass it with the empty position.  A binder of the subterm keeps
+    its own name, so the valuation depends on the node alone and matching
+    the same redex twice gives equal valuations.  A binder is renamed (to
+    `_b<pattern depth>`, skipping names free in the subterm) only when it
+    shadows an earlier binder of the same match, so that each pattern binder
+    stands for one name.
     """
     try:
         target = subterm_at(term, position)
@@ -217,9 +220,11 @@ def match(rule, term, position=()):
             case Abs(x, pbody, _):
                 if not isinstance(tm, Abs):
                     return False
-                # skip names free in the subterm (bound by its context)
-                z = fresh_name(f"_b{len(scope)}", free_vars(tm) | set(scope))
-                tbody = substitute(tm.body, (tm.var,), (Var(z),))
+                z, tbody = tm.var, tm.body
+                if z in scope:
+                    # skip names free in the subterm (bound by its context)
+                    z = fresh_name(f"_b{len(scope)}", free_vars(tm) | set(scope))
+                    tbody = substitute(tbody, (tm.var,), (Var(z),))
                 return go(pbody, tbody, {**pairs, x: z}, scope + (z,))
             case Sym(f, pargs, _):
                 return (isinstance(tm, Sym) and tm.fun == f

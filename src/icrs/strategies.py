@@ -17,7 +17,7 @@ reach normal forms.  Exhaustive neededness lives in the oracle module.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import FuelExhausted, NoEligibleRedex, PreconditionViolated
@@ -165,26 +165,32 @@ class _Predicate:
     Needed-fair classifies a redex by whether its position is essential for
     an outermost-fair pilot run from the term.  One live pilot serves every
     term on its trace: a term met again is looked up among the pilot's
-    terms, and a fresh pilot starts only for a term that is not there.  A
-    suffix of an outermost-fair reduction is itself outermost-fair (a redex
-    outermost in the suffix is outermost in the whole run at the same index,
-    so the run contracts it or its residuals stop being outermost), and it
-    tends to the same limit.  Its strata stratify that limit: a stratum of
-    depth d whose index falls before the suffix's start collapses to the
-    start, because every step of the suffix is at depth d or more already.
-    A fresh pilot from the same term ages its obligations afresh and may
-    take other steps, but by the neededness correspondence the essential
-    positions of every outermost-fair reduction to the limit are the needed
-    ones (Huet & Levy, "Computations in orthogonal rewriting systems", 1991;
-    Middeldorp, "Call by need computations to root-stable form", 1997), so
-    the suffix's essential set is the fresh pilot's."""
+    terms.  A suffix of an outermost-fair reduction is itself outermost-fair
+    (a redex outermost in the suffix is outermost in the whole run at the
+    same index, so the run contracts it or its residuals stop being
+    outermost), and it tends to the same limit.  Its strata stratify that
+    limit: a stratum of depth d whose index falls before the suffix's start
+    collapses to the start, because every step of the suffix is at depth d
+    or more already.
+
+    A term off the trace runs outermost-fair only until it joins the trace,
+    and the pilot's steps from the join on are spliced after the new ones.
+    A finite prefix followed by an outermost-fair suffix is outermost-fair
+    with the same limit, so the spliced run is a pilot from the term.  A
+    fresh pilot starts only when that run stabilises or spends the pilot
+    fuel before it joins.  A fresh pilot ages its obligations afresh and
+    may take other steps than the suffix or the splice, but by the
+    neededness correspondence the essential positions of every
+    outermost-fair reduction to the limit are the needed ones (Huet & Levy,
+    "Computations in orthogonal rewriting systems", 1991; Middeldorp, "Call
+    by need computations to root-stable form", 1997), so all of them serve
+    the same set."""
 
     def __init__(self, kind, system):
         self.kind = kind
         self.system = system
         self._scan = (None, frozenset(), 0)  # (term, its redex positions, bound)
         self._pilot = None
-        self._on_pilot = {}  # term -> first index on the live pilot's trace
         self._held = (None, None)  # (term in hand, its needed positions)
 
     def scanned(self, term, redexes, bound):
@@ -212,14 +218,13 @@ class _Predicate:
 
     def _needed_positions(self, term):
         if self._held[0] is not term:
-            start = self._on_pilot.get(term)
+            pilot = self._pilot
+            start = pilot.index.get(term) if pilot else None
             if start is None:
-                self._pilot = needed_pilot(term, self.system,
-                                           self.kind.pilot_depth,
-                                           self.kind.pilot_fuel)
-                self._on_pilot = {}
-                for i, t in enumerate(self._pilot.trace.terms):
-                    self._on_pilot.setdefault(t, i)
+                kind = self.kind
+                pilot = pilot and pilot.spliced(term, kind.pilot_fuel)
+                self._pilot = pilot or needed_pilot(
+                    term, self.system, kind.pilot_depth, kind.pilot_fuel)
                 start = 0
             self._held = (term, self._pilot.essential_start_positions(start))
         return self._held[1]
@@ -351,23 +356,12 @@ def _default_bound(trace):
 # ---------------------------------------------------------------------------
 # normalisation
 
-def normalize(term, system, kind, depth_goal, fuel):
-    """Drive the term with the chosen fair strategy until nothing above the
-    goal depth can change any more, or fuel runs out.
-
-    Once no redex occurs at depth < depth_goal + max-lhs-depth, contractions
-    can never recreate one there (a step only changes the term at and below
-    its redex, and a pattern spans at most the lhs depth), so the prefix
-    above the goal is final and certified.
-    """
-    require_valid(system)
-    maxl = _max_lhs_depth(system)
-    stable_bound = depth_goal + maxl
+def _reduce(term, system, kind, stable_bound, fuel, until=None):
+    """The loop of `normalize`: reduce with the kind's strategy until no
+    redex lies above stable_bound (status 'stable'), until a term passes
+    the test `until` (status 'joined'), or for fuel steps (status None).
+    Returns the trace and the status."""
     scan_bound = stable_bound + 2
-    if kind.kind == "needed-fair" and kind.pilot_depth <= stable_bound:
-        # the pilot must stratify past every depth the run still rewrites at,
-        # or pending redexes near the bound would classify as inessential
-        kind = StrategyKind(kind.kind, stable_bound + 1, kind.pilot_fuel)
     tracker = FairnessTracker(kind, system, scan_bound)
     terms = [term]
     steps = []
@@ -375,6 +369,9 @@ def normalize(term, system, kind, depth_goal, fuel):
     status = None
     redexes = find_redexes(cur, system, scan_bound)
     for _ in range(fuel):
+        if until is not None and until(cur):
+            status = "joined"
+            break
         tracker.observe_term(len(steps), cur, redexes)
         if not any(u.depth < stable_bound for u in redexes):
             status = "stable"
@@ -386,13 +383,33 @@ def normalize(term, system, kind, depth_goal, fuel):
         redexes = rec.target_redexes(redexes, system, scan_bound)
         cur = rec.target
         terms.append(cur)
-    trace = Trace(system, kind.kind, terms, steps, ledger=tracker.obligations)
+    return Trace(system, kind.kind, terms, steps,
+                 ledger=tracker.obligations), status
+
+
+def normalize(term, system, kind, depth_goal, fuel):
+    """Drive the term with the chosen fair strategy until nothing above the
+    goal depth can change any more, or fuel runs out.
+
+    Once no redex occurs at depth < depth_goal + max-lhs-depth, contractions
+    can never recreate one there (a step only changes the term at and below
+    its redex, and a pattern spans at most the lhs depth), so the prefix
+    above the goal is final and certified.
+    """
+    require_valid(system)
+    stable_bound = depth_goal + _max_lhs_depth(system)
+    if kind.kind == "needed-fair" and kind.pilot_depth <= stable_bound:
+        # the pilot must stratify past every depth the run still rewrites at,
+        # or pending redexes near the bound would classify as inessential
+        kind = StrategyKind(kind.kind, stable_bound + 1, kind.pilot_fuel)
+    trace, status = _reduce(term, system, kind, stable_bound, fuel)
+    cur = trace.final
     floor = trace.depth_floor()
     if status != "stable":
         stuck = bool(floor) and floor[0] == floor[-1] and floor[0] < depth_goal
         status = "divergence-suspected" if stuck else "fuel-exhausted"
         approx = Approximant(truncate(cur, depth_goal), 0,
-                             len(steps), status)
+                             len(trace), status)
         return approx, trace
     certificate = bisect_left(floor, depth_goal)
     if is_normal_form(cur, system):
@@ -556,7 +573,17 @@ class Stratum:
 @dataclass(frozen=True)
 class Pilot:
     trace: object
-    strata: tuple
+    strata: tuple  # one per depth 1, 2, ... up to the pilot's depth goal
+    # the sweep's sets at the last indices, taken over by a spliced pilot
+    tail: tuple = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def index(self):
+        """term -> its first index on the trace."""
+        out = {}
+        for i, t in enumerate(self.trace.terms):
+            out.setdefault(t, i)
+        return out
 
     @cached_property
     def _swept(self):
@@ -564,15 +591,17 @@ class Pilot:
         stratum's.  Epsilon distributes over unions of prefix sets (a path's
         edge word lies in P | Q iff it lies in P or in Q), so one sweep over
         the pilot's own steps, adding each stratum's prefix at its index,
-        gives at each index the union of the per-stratum essential sets."""
+        gives at each index the union of the per-stratum essential sets.
+        The sets of `tail` stand for the last indices, so only the steps
+        before them are swept."""
         at_index = {}
         for st in self.strata:
             if st.prefix:
                 at_index.setdefault(st.index, set()).update(st.prefix)
         system = self.trace.system
         last = max(at_index, default=0)
-        swept = [frozenset(at_index.get(last, ()))]
-        for i in reversed(range(last)):
+        swept = list(reversed(self.tail)) or [frozenset(at_index.get(last, ()))]
+        for i in reversed(range(last + 1 - len(swept))):
             step = self.trace.steps[i]
             stage = DevRecord(step.source, step.target, (step.redex,), (step,),
                               system)
@@ -597,19 +626,49 @@ class Pilot:
             out = out | frozenset(above)
         return out
 
+    def spliced(self, term, fuel):
+        """The pilot from a term off the trace: outermost-fair from the term
+        until it reaches a term of the trace, at index j say, then this
+        pilot's steps from j on.  The strata are those of the spliced depth
+        floor.  Past the join they are this pilot's strata past j, shifted,
+        so the sweep there is this pilot's sweep past j and only the new
+        steps are swept.  None when the run stabilises or spends the fuel
+        before it joins, or when the spliced run would be longer than the
+        fuel."""
+        trace = self.trace
+        system = trace.system
+        depth_goal = len(self.strata)
+        run, status = _reduce(term, system, OUTERMOST_FAIR,
+                              depth_goal + _max_lhs_depth(system), fuel,
+                              self.index.__contains__)
+        if status != "joined":
+            return None
+        j = self.index[run.final]
+        if len(run) + len(trace) - j > fuel:
+            return None
+        joined = Trace(system, trace.label, run.terms[:-1] + trace.terms[j:],
+                       run.steps + trace.steps[j:])
+        return _stratified(joined, depth_goal, self._swept[j + 1:])
 
-def needed_pilot(term, system, depth_goal, fuel):
-    """An outermost-fair run re-indexed into depth strata: for every depth d
-    up to the goal, an index after which all contractions are below d, the
+
+def _stratified(trace, depth_goal, tail=()):
+    """The pilot over a stabilised outermost-fair trace: for every depth d
+    up to the goal, the index after which all contractions are below d, the
     term there, and its positions above d."""
-    approx, trace = normalize(term, system, OUTERMOST_FAIR, depth_goal, fuel)
-    if approx.status in ("divergence-suspected", "fuel-exhausted"):
-        raise FuelExhausted("pilot run did not stabilise", approx, trace)
     floor = trace.depth_floor()
     strata = []
     for d in range(1, depth_goal + 1):
         n_d = bisect_left(floor, d)
         s_d = trace.terms[n_d]
-        prefix = frozenset(p for p in positions_to_depth(s_d, d - 1))
+        prefix = frozenset(positions_to_depth(s_d, d - 1))
         strata.append(Stratum(d, n_d, s_d, prefix))
-    return Pilot(trace, tuple(strata))
+    return Pilot(trace, tuple(strata), tail)
+
+
+def needed_pilot(term, system, depth_goal, fuel):
+    """A fresh pilot: an outermost-fair run from the term to the goal depth,
+    re-indexed into depth strata."""
+    approx, trace = normalize(term, system, OUTERMOST_FAIR, depth_goal, fuel)
+    if approx.status in ("divergence-suspected", "fuel-exhausted"):
+        raise FuelExhausted("pilot run did not stabilise", approx, trace)
+    return _stratified(trace, depth_goal)

@@ -87,41 +87,71 @@ class _Tokens:
 
 
 def _parse_term(ts, bound, recs, allow_meta):
-    kind, chunk, line, col = ts.peek()
-    if chunk == "[":
-        ts.next()
-        _, name, l2, c2 = ts.next()
-        if not name or not name[0].islower():
-            raise ParseError("abstraction binder must be lowercase", l2, c2)
-        ts.expect("]")
-        body = _parse_term(ts, bound | {name}, recs, allow_meta)
-        return Abs(name, body)
-    if chunk == "rec":
-        ts.next()
-        _, name, l2, c2 = ts.next()
-        if not name or not name[0].isupper():
-            raise ParseError("rec binder must be uppercase", l2, c2)
-        ts.expect(".")
-        body = _parse_term(ts, bound, recs | {name}, allow_meta)
-        return Rec(name, body)
-    if kind == "hole":
-        ts.next()
-        return Sym(HOLE, ())
-    if kind != "name":
-        ts.error("expected a term")
-    ts.next()
-    name = chunk
-    args = None
-    if ts.peek()[1] == "(":
-        ts.next()
-        args = []
-        if ts.peek()[1] != ")":
-            args.append(_parse_term(ts, bound, recs, allow_meta))
-            while ts.peek()[1] == ",":
+    """Recursive descent run on an explicit stack, so that a deep term
+    parses.  A frame is a node still waiting for a child: an abstraction or
+    rec binder for its body, or a symbol for its next argument, with the
+    binders in scope there: a (class, binder) pair or a [name, line,
+    column, arguments so far, bound, recs] list."""
+    frames = []
+    while True:
+        kind, chunk, line, col = ts.peek()
+        if chunk == "[":
+            ts.next()
+            _, name, l2, c2 = ts.next()
+            if not name or not name[0].islower():
+                raise ParseError("abstraction binder must be lowercase", l2, c2)
+            ts.expect("]")
+            bound = bound | {name}
+            frames.append((Abs, name))
+            continue
+        if chunk == "rec":
+            ts.next()
+            _, name, l2, c2 = ts.next()
+            if not name or not name[0].isupper():
+                raise ParseError("rec binder must be uppercase", l2, c2)
+            ts.expect(".")
+            recs = recs | {name}
+            frames.append((Rec, name))
+            continue
+        if kind == "hole":
+            ts.next()
+            t = Sym(HOLE, ())
+        else:
+            if kind != "name":
+                ts.error("expected a term")
+            ts.next()
+            if ts.peek()[1] == "(":
                 ts.next()
-                args.append(_parse_term(ts, bound, recs, allow_meta))
-        ts.expect(")")
-        args = tuple(args)
+                if ts.peek()[1] != ")":
+                    frames.append([chunk, line, col, [], bound, recs])
+                    continue
+                ts.expect(")")
+                t = _named(chunk, (), line, col, bound, recs, allow_meta)
+            else:
+                t = _named(chunk, None, line, col, bound, recs, allow_meta)
+        while frames:
+            frame = frames[-1]
+            if frame.__class__ is tuple:
+                frames.pop()
+                t = frame[0](frame[1], t)
+                continue
+            frame[3].append(t)
+            if ts.peek()[1] == ",":
+                ts.next()
+                bound, recs = frame[4], frame[5]
+                break
+            ts.expect(")")
+            frames.pop()
+            name, line, col, args, in_bound, in_recs = frame
+            t = _named(name, tuple(args), line, col, in_bound, in_recs,
+                       allow_meta)
+        else:
+            return t
+
+
+def _named(name, args, line, col, bound, recs, allow_meta):
+    """The node a name stands for, with its arguments (None when it has no
+    argument list)."""
     upper = name[0].isupper()
     if args is None:
         if upper:
@@ -265,31 +295,38 @@ def _script_positions(ts):
 
 def print_term(t, max_depth=None):
     """Render a term.  Rational structure prints with its rec binders; pass
-    max_depth to force a truncated rendering of the unfolding instead."""
+    max_depth to force a truncated rendering of the unfolding instead.  The
+    walk keeps its pending nodes and separators on a stack, so a deep term
+    prints."""
     if max_depth is not None:
         t = truncate(t, max_depth)
-
-    def go(u):
+    out = []
+    todo = [t]
+    while todo:
+        u = todo.pop()
         match u:
-            case Var(x, _):
-                return x
+            case str():
+                out.append(u)
+            case Var(x, _) | RecVar(x):
+                out.append(x)
             case Abs(x, body, _):
-                return f"[{x}] {go(body)}"
-            case Sym(f, args, _):
-                if not args:
-                    return f
-                return f"{f}({', '.join(go(a) for a in args)})"
-            case MetaApp(z, args):
-                if not args:
-                    return z
-                return f"{z}({', '.join(go(a) for a in args)})"
+                out.append(f"[{x}] ")
+                todo.append(body)
+            case Sym(f, args, _) | MetaApp(f, args):
+                out.append(f)
+                if args:
+                    out.append("(")
+                    todo.append(")")
+                    todo.append(args[-1])
+                    for a in reversed(args[:-1]):
+                        todo.append(", ")
+                        todo.append(a)
             case Rec(v, body):
-                return f"rec {v}. {go(body)}"
-            case RecVar(n):
-                return n
-        raise TypeError(f"not a term: {u!r}")
-
-    return go(t)
+                out.append(f"rec {v}. ")
+                todo.append(body)
+            case _:
+                raise TypeError(f"not a term: {u!r}")
+    return "".join(out)
 
 
 def print_rule(rule):

@@ -222,20 +222,16 @@ def check_guarded(t):
                 case _:
                     return
 
-    def walk(u):
-        match u:
+    todo = [t]  # a stack, so deep terms are checked; leftmost first
+    while todo:
+        match todo.pop():
             case Rec(v, body):
                 spine(body, v)
-                walk(body)
+                todo.append(body)
             case Abs(_, body):
-                walk(body)
+                todo.append(body)
             case Sym(_, args) | MetaApp(_, args):
-                for a in args:
-                    walk(a)
-            case _:
-                pass
-
-    walk(t)
+                todo.extend(reversed(args))
     return t
 
 

@@ -150,12 +150,23 @@ class TestNormalize:
         assert "Traceback" not in out + err
 
     def test_too_deep_term_exits_budget(self, capsys):
-        deep = "g(" * 3000 + "b" + ")" * 3000
-        code, out = run("normalize", corpus("spine_growth.crs"), "--term", deep)
+        # the chain parses and scans; truncating it 2000 deep still recurses
+        deep = "g(" * 3000 + "a" + ")" * 3000
+        code, out = run("normalize", corpus("spine_growth.crs"), "--term", deep,
+                        "--depth", "2000")
         err = capsys.readouterr().err
         assert code == 4
         assert err.startswith("budget exceeded: term too deep")
         assert "Traceback" not in out + err
+
+    def test_deep_chain_normalizes(self):
+        deep = "g(" * 3000 + "b" + ")" * 3000
+        code, out = run("normalize", corpus("spine_growth.crs"), "--term", deep,
+                        "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "normal-form"
+        assert payload["rational_normal_form"] == deep
 
     def test_json_roundtrip(self):
         code, out = run("normalize", corpus("spine_growth.crs"),

@@ -180,6 +180,21 @@ class TestMirrors:
         ok, why = mirrors(T("g(g(g(g(g(a)))))"), T("g(h(h(h(h(a)))))"), {(), (1,)})
         assert not ok and "1" in why
 
+    def test_path_prefix_sets_decide(self, spine_system):
+        # contracting c -> c keeps every essential set and every symbol, so
+        # only the path through the rule tells the sequences apart
+        t = T("g(b, c)")
+        looped = DevSequence(t, (complete_development(
+            t, redexes_from_positions(t, spine_system, [(2,)]), spine_system),))
+        idle = DevSequence(t, (complete_development(t, [], spine_system),))
+        P = {(), (1,), (2,)}
+        assert epsilon_seq(P, looped) == epsilon_seq(P, idle)
+        assert sequence_mirrors(idle, looped, P) == (
+            False, "path prefix sets differ at stage 1")
+        assert sub_mirrors(looped, P, idle, P) == (
+            False, "path prefix sets not included at stage 1")
+        assert sub_mirrors(idle, P, looped, P) == (True, "")
+
 
 class TestSkeleton:
     def test_growth_skeleton(self, growth_seq):

@@ -1,15 +1,20 @@
-"""`match` names the binders of the subterm by their pattern depth, so two
-matches of one redex give equal valuations, and two scans of one term give
-equal redexes."""
+"""`match` keeps the binder names of the subterm, so two matches of one
+redex give equal valuations, and two scans of one term give equal redexes.
+A binder that shadows an earlier binder of the same match is renamed; the
+route that renamed every binder by its pattern depth is written out below
+as the reference the kept names must agree with."""
 
 import pathlib
 import random
 
 from icrs import (
-    Abs, Sym, Var, contract, find_redexes, match, parse_system, parse_term,
-    print_term,
+    Abs, Sym, Var, alpha_eq, contract, find_redexes, match, parse_system,
+    parse_term, print_term,
 )
-from icrs.rewriting import redex_at
+from icrs import rewriting
+from icrs.errors import PositionError, TermError
+from icrs.rewriting import Substitute, Valuation, redex_at, substitute
+from icrs.terms import MetaApp, free_vars, fresh_name, resolve, subterm_at
 
 import genrand
 
@@ -63,3 +68,144 @@ def test_binder_name_free_in_the_redex_is_not_captured():
     term = Sym("lm", (Abs("_b0", redex),))
     u = redex_at(term, system, (1, 0))
     assert print_term(contract(term, u).target) == "lm([_b0] c2(k, _b0))"
+
+
+def renaming_match(rule, term, position=()):
+    """The old route: every binder of the subterm is renamed by its pattern
+    depth (`_b0`, `_b1`, ...), copying the abstraction's body."""
+    try:
+        target = subterm_at(term, position)
+    except (PositionError, TermError):
+        return None
+    assignment = {}
+
+    def go(pat, tm, pairs, scope):
+        tm = resolve(tm)
+        match pat:
+            case MetaApp(z, pargs):
+                names = []
+                for a in pargs:
+                    if a.name not in pairs:
+                        return False
+                    names.append(pairs[a.name])
+                if scope and (free_vars(tm) & set(scope)) - set(names):
+                    return False
+                sub = Substitute(tuple(names), tm)
+                if z in assignment:
+                    old = assignment[z]
+                    return old.params == sub.params and alpha_eq(old.body, sub.body)
+                assignment[z] = sub
+                return True
+            case Var(x, _):
+                return isinstance(tm, Var) and pairs.get(x) == tm.name
+            case Abs(x, pbody, _):
+                if not isinstance(tm, Abs):
+                    return False
+                z = fresh_name(f"_b{len(scope)}", free_vars(tm) | set(scope))
+                tbody = substitute(tm.body, (tm.var,), (Var(z),))
+                return go(pbody, tbody, {**pairs, x: z}, scope + (z,))
+            case Sym(f, pargs, _):
+                return (isinstance(tm, Sym) and tm.fun == f
+                        and len(tm.args) == len(pargs)
+                        and all(go(pa, ta, pairs, scope)
+                                for pa, ta in zip(pargs, tm.args)))
+        return False
+
+    if go(rule.lhs, target, {}, ()):
+        return Valuation(assignment)
+    return None
+
+
+def scan_and_contract(term, system, bound):
+    """The redexes of the term, as (position, rule) pairs, and the printed
+    contractum of each."""
+    redexes = find_redexes(term, system, bound)
+    targets = [contract(term, u).target for u in redexes]
+    return [(u.position, u.rule.name) for u in redexes], targets
+
+
+def assert_agrees_with_renaming_route(monkeypatch, term, system, bound):
+    kept = scan_and_contract(term, system, bound)
+    with monkeypatch.context() as m:
+        m.setattr(rewriting, "match", renaming_match)
+        renamed = scan_and_contract(term, system, bound)
+    assert kept[0] == renamed[0]
+    for a, b in zip(kept[1], renamed[1]):
+        assert alpha_eq(a, b)
+        assert print_term(a) == print_term(b)
+    return kept
+
+
+def test_nested_same_name_binders(monkeypatch):
+    system = parse_system(
+        "sym h/1 ; sym a/0 ; sym b/0 ;\n"
+        "rule two: f([x] g([y] Z(x, y))) -> Z(a, b) ;\n"
+        "rule same: p([x] q([x] W(x))) -> W(a) ;")
+    # the inner binder shadows the outer one: it alone is renamed
+    term = parse_term("f([x] g([x] h(x)))")
+    v = match(system.rule("two"), term)
+    assert v["Z"].params == ("x", "_b1")
+    assert print_term(v["Z"].body) == "h(_b1)"
+    assert print_term(contract(term, redex_at(term, system, ())).target) == "h(b)"
+    outer = parse_term("f([x] g([y] h(x)))")
+    assert print_term(contract(outer, redex_at(outer, system, ())).target) == "h(a)"
+    # the pattern's own binders shadow one another the same way
+    term = parse_term("p([x] q([x] h(x)))")
+    v = match(system.rule("same"), term)
+    assert v["W"].params == ("_b1",)
+    assert print_term(contract(term, redex_at(term, system, ())).target) == "h(a)"
+    assert match(system.rule("same"), parse_term("p([y] q([x] h(y)))")) is None
+    # the context binds `_b1`, the name the shadowing binder would get
+    inner = Abs("x", Sym("g", (Abs("x", Sym("h", (Var("_b1"),))),)))
+    terms = [parse_term(text) for text in (
+        "f([x] g([x] h(x)))", "f([x] g([y] h(x)))",
+        "c(f([x] g([x] f([x] g([x] x)))), p([x] q([x] h(x))))")]
+    for term in terms + [Abs("_b1", Sym("f", (inner,)))]:
+        found, _ = assert_agrees_with_renaming_route(
+            monkeypatch, term, system, 6)
+        assert found
+
+
+def test_context_bound_variable_with_a_binder_name(monkeypatch):
+    # the context's `z` is free in the redex, beside a subterm binder `z`
+    system = parse_system("sym g/2 ;\nrule r: f([y] Z(y), W) -> Z(W) ;")
+    term = parse_term("[z] f([y] [z] g(y, z), z)")
+    u = redex_at(term, system, (0,))
+    assert u.valuation["Z"].params == ("y",)
+    target = contract(term, u).target
+    assert print_term(target) == "[z] [z1] g(z, z1)"
+    assert_agrees_with_renaming_route(monkeypatch, term, system, 4)
+    # the same name bound inside the redex and free beside it
+    term = parse_term("[y] f([y] g(y, y), y)")
+    u = redex_at(term, system, (0,))
+    assert u.valuation["Z"].params == ("y",)
+    assert print_term(contract(term, u).target) == "[y] g(y, y)"
+
+
+def test_kept_names_agree_with_renaming_route(monkeypatch):
+    """Along seeded reductions of binding systems (whose contracta nest
+    copies of one body, so binders come to shadow binders of the same
+    name) and of the fixpoint term, the scans find the same redexes and
+    every contractum is alpha-equal to, and prints as, the old route's."""
+    rng = random.Random(77)
+    checked = redexes = 0
+    while checked < INSTANCES:
+        system = genrand.random_system(rng)
+        if not BINDING_RULES & {r.name for r in system.rules}:
+            continue
+        term = genrand.random_term(rng, system, rng.randint(2, 4))
+        for _ in range(4):
+            found, targets = assert_agrees_with_renaming_route(
+                monkeypatch, term, system, 6)
+            redexes += len(found)
+            if not found:
+                break
+            term = targets[rng.randrange(len(targets))]
+        checked += 1
+    assert redexes >= 2 * INSTANCES
+    beta = parse_system((CORPUS / "lambda_beta.crs").read_text())
+    term = fixpoint_term()
+    for _ in range(6):
+        found, targets = assert_agrees_with_renaming_route(
+            monkeypatch, term, beta, 8)
+        term = targets[0]

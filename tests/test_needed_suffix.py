@@ -1,11 +1,14 @@
-"""Needed-fair serves the essential set of every term on a pilot's trace
-from that one pilot's suffix.  The route it replaced, a fresh pilot for
-every term the run meets, is the reference here: for every term a
-needed-fair run consults, the suffix set must equal the fresh pilot's.
+"""Needed-fair serves the essential set of every term from the live pilot.
+A term on the pilot's trace reads the pilot's suffix from there; a term off
+it runs outermost-fair until it joins the trace and splices the new steps
+onto the pilot's steps from the join.  The route both replaced, a fresh
+pilot for every term the run meets, is the reference here: for every term a
+needed-fair run consults, the served set must equal the fresh pilot's.
 
 No difference is known.  A fresh pilot ages its obligations afresh and
-could take other steps than the suffix; by the neededness correspondence
-both report the needed positions, and on these inputs they agree exactly."""
+could take other steps than the suffix or the splice; by the neededness
+correspondence all of them report the needed positions, and on these inputs
+they agree exactly."""
 
 import pathlib
 import random
@@ -15,6 +18,7 @@ import pytest
 from icrs import needed_fair, normalize, parse_system, parse_term
 from icrs import strategies
 from icrs.errors import EngineError
+from icrs.strategies import Pilot
 from icrs.strategies import needed_pilot  # the reference, never counted
 
 import genrand
@@ -28,7 +32,7 @@ NEEDED_INPUTS = [
     ("spine_growth.crs", "f(a, c)", (3, 4, 5, 6)),
     ("outermost_pair.crs", "f(a)", (3, 4, 6, 8)),
     ("map_streams.crs", "map([z] s(z), rec L. cons(zero, L))", (3, 4, 6)),
-    ("lambda_beta.crs", None, (1,)),
+    ("lambda_beta.crs", None, (1, 8)),
 ]
 
 
@@ -48,11 +52,12 @@ def outcome(fn):
 @pytest.fixture
 def consulted(monkeypatch):
     """Every (predicate, term, answer) of the needed-fair runs in the test,
-    and the number of pilots they started."""
+    and the number of fresh pilots and of splices they made."""
     seen = []
-    pilots = [0]
+    counts = {"pilots": 0, "splices": 0}
     answer = strategies._Predicate._needed_positions
     pilot = strategies.needed_pilot
+    splice = strategies.Pilot.spliced
 
     def recording(self, term):
         out = answer(self, term)
@@ -60,12 +65,18 @@ def consulted(monkeypatch):
         return out
 
     def counting(*args):
-        pilots[0] += 1
+        counts["pilots"] += 1
         return pilot(*args)
+
+    def splicing(self, *args):
+        out = splice(self, *args)
+        counts["splices"] += out is not None
+        return out
 
     monkeypatch.setattr(strategies._Predicate, "_needed_positions", recording)
     monkeypatch.setattr(strategies, "needed_pilot", counting)
-    return seen, pilots
+    monkeypatch.setattr(strategies.Pilot, "spliced", splicing)
+    return seen, counts
 
 
 def differences(seen):
@@ -100,7 +111,7 @@ def test_suffix_sets_match_fresh_pilots_on_needed_inputs(
 
 
 def test_suffix_sets_match_fresh_pilots_on_random_systems(consulted):
-    seen, _ = consulted
+    seen, counts = consulted
     rng = random.Random(6)
     runs = 0
     for _ in range(RANDOM_SYSTEMS):
@@ -114,12 +125,58 @@ def test_suffix_sets_match_fresh_pilots_on_random_systems(consulted):
     assert diffs == []
     assert runs >= 120
     assert compared >= 300
+    assert counts["splices"] >= 30
 
 
 def test_one_pilot_serves_the_spine_run(consulted, spine_system):
-    seen, pilots = consulted
+    seen, counts = consulted
     approx, trace = normalize(parse_term("f(a, c)"), spine_system,
                               needed_fair(), 6, 4000)
     assert approx.status == "approximant"
     assert len({id(t) for _, t, _ in seen}) >= len(trace.steps)
-    assert pilots[0] <= 2
+    assert counts["pilots"] + counts["splices"] <= 2
+
+
+def test_splices_serve_the_fixpoint_run(consulted):
+    # the fresh-pilot route started 12 pilots here
+    _, counts = consulted
+    system = parse_system((CORPUS / "lambda_beta.crs").read_text())
+    approx, _ = normalize(parse_term(fixpoint_term()), system,
+                          needed_fair(), 8, 4000)
+    assert approx.status == "approximant"
+    assert counts == {"pilots": 1, "splices": 11}
+
+
+def test_splice_is_a_run_and_sweeps_as_a_fresh_pass(monkeypatch):
+    """A spliced pilot's trace is a reduction from the term it was made
+    for, and its sweep, which takes the old pilot's past the join, equals
+    a pass over all of its steps."""
+    splices = []
+    splice = strategies.Pilot.spliced
+
+    def keeping(self, term, fuel):
+        out = splice(self, term, fuel)
+        if out is not None:
+            splices.append((term, out))
+        return out
+
+    monkeypatch.setattr(strategies.Pilot, "spliced", keeping)
+    system = parse_system((CORPUS / "lambda_beta.crs").read_text())
+    normalize(parse_term(fixpoint_term()), system, needed_fair(), 4, 4000)
+    rng = random.Random(8)
+    for _ in range(120):
+        system = genrand.random_system(rng)
+        term = genrand.random_term(rng, system, rng.randint(3, 5))
+        outcome(lambda: normalize(term, system, needed_fair(5, 200), 3, 60))
+    assert len(splices) >= 80
+    assert sum(bool(p.tail) for _, p in splices) >= 60
+    for term, pilot in splices:
+        trace = pilot.trace
+        assert trace.initial == term
+        for i, step in enumerate(trace.steps):
+            assert step.source == trace.terms[i]
+            assert step.target == trace.terms[i + 1]
+        swept = Pilot(trace, pilot.strata)
+        for i in range(len(trace.terms)):
+            assert (pilot.essential_start_positions(i)
+                    == swept.essential_start_positions(i))

@@ -1,13 +1,16 @@
 import pathlib
+import random
 
 import pytest
 
 from icrs import (
-    alpha_eq, parse_position, parse_system, parse_term, position_str,
+    Abs, MetaApp, Rec, RecVar, Sym, Var, alpha_eq, parse_position, parse_system, parse_term, position_str,
     print_system, print_term,
 )
 from icrs.errors import ParseError
 from icrs.syntax import parse_metaterm
+
+import genrand
 
 CORPUS = pathlib.Path(__file__).parent.parent / "src" / "icrs" / "corpus"
 
@@ -80,3 +83,68 @@ def test_parse_error_position():
 def test_truncated_printing():
     t = parse_term("rec G. g(G)")
     assert print_term(t, max_depth=2) == "g(g(_|_))"
+
+
+def recursive_print(u):
+    """The recursive printer the iterative one replaced."""
+    match u:
+        case Var(x, _) | RecVar(x):
+            return x
+        case Abs(x, body, _):
+            return f"[{x}] {recursive_print(body)}"
+        case Sym(f, args, _) | MetaApp(f, args):
+            if not args:
+                return f
+            return f"{f}({', '.join(recursive_print(a) for a in args)})"
+        case Rec(v, body):
+            return f"rec {v}. {recursive_print(body)}"
+
+
+def test_deep_chain_parses_and_prints_back():
+    # deeper than the recursion limit
+    text = "g(" * 3000 + "a" + ")" * 3000
+    assert print_term(parse_term(text)) == text
+    text = "rec S. " + "[x] " * 3000 + "g(x, S)"
+    assert print_term(parse_term(text)) == text
+
+
+def test_printing_agrees_with_recursive_printer():
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(200):
+        system = genrand.random_system(rng)
+        term = genrand.random_term(rng, system, rng.randint(1, 6))
+        text = print_term(term)
+        assert text == recursive_print(term)
+        assert print_term(parse_term(text)) == text
+        checked += 1
+    for f in sorted(CORPUS.glob("*.crs")):
+        for rule in parse_system(f.read_text()).rules:
+            for side in (rule.lhs, rule.rhs):
+                assert print_term(side) == recursive_print(side)
+                checked += 1
+    assert checked >= 220
+
+
+@pytest.mark.parametrize("text,where", [
+    ("f(a, [X] b)", "1:7"),
+    ("rec x. a", "1:5"),
+    ("f(a, b", "1:7"),
+    ("f(a,, b)", "1:5"),
+    ("f(Z)", "1:3"),
+    ("rec L. L(a)", "1:8"),
+    ("g(a) h", "1:6"),
+])
+def test_parse_errors_keep_their_positions(text, where):
+    # each node is judged with the binders in scope at its own name
+    with pytest.raises(ParseError) as e:
+        parse_term(text)
+    assert str(e.value).startswith(where)
+
+
+def test_names_are_judged_in_their_own_scope():
+    # the inner rec binds X for its body only, not for the outer X(...)
+    assert print_term(parse_metaterm("X([x] x, rec X. f(X))")) == (
+        "X([x] x, rec X. f(X))")
+    assert print_term(parse_term("f([x] g(x), x)")) == "f([x] g(x), x)"
+    assert isinstance(parse_term("f([x] g(x), x)").args[1], Sym)
