@@ -145,6 +145,11 @@ def cmd_normalize(args, out):
         }
         out.write(json.dumps(payload, sort_keys=True) + "\n")
         return code
+    # the rational form first: when it exceeds a budget, nothing is written
+    rational = None
+    if args.emit in ("rational", "all") and approx.status != "divergence-suspected":
+        nf = strategies.detect_rational_nf(trace)
+        rational = print_term(nf) if nf is not None else "none detected"
     if args.emit in ("trace", "all"):
         for i, step in enumerate(trace.steps):
             out.write(f"step {i}: {step.redex.rule.name}@"
@@ -155,12 +160,8 @@ def cmd_normalize(args, out):
     if approx.status in ("normal-form", "approximant"):
         out.write(f"stable depth: {approx.stable_depth} "
                   f"(all later steps deeper; certificate index {approx.certificate})\n")
-    if args.emit in ("rational", "all") and approx.status != "divergence-suspected":
-        nf = strategies.detect_rational_nf(trace)
-        if nf is not None:
-            out.write(f"rational normal form: {print_term(nf)}\n")
-        else:
-            out.write("rational normal form: none detected\n")
+    if rational is not None:
+        out.write(f"rational normal form: {rational}\n")
     return code
 
 

@@ -10,27 +10,34 @@ development, and the developed term can be read off the labelled nodes.
 
 Two engines implement this:
 
-* PathWalker: literal positions, full path histories.  Enumeration and
+* PathSpace: literal positions, full path histories.  Enumeration and
   projections; budget-bounded since rational terms have infinite path spaces.
+  A path is a node of a trie (parent path, last edge, last node), so an
+  extension copies nothing; its node tuple and edge word are built only when
+  read.  Path nodes are built once per space, each from its parent's node,
+  and carry their subterm, redex, binding and label, so no walk goes back to
+  the root or keys a lookup by a position.
 * the class machine: states quotient positions by subterm value, with closure
   environments standing in for path history.  Decides the finite jumps
   property exactly on rational terms and builds the (rational) developed term
-  directly from the walk graph.
+  from the graph of labelled states that the same walk records.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
-    BudgetExceeded, FiniteJumpsViolated, InfiniteStageSet, PreconditionViolated,
+    BudgetExceeded, FiniteJumpsViolated, InfiniteStageSet, PositionError,
+    PreconditionViolated, TermError,
 )
 from .rewriting import Redex, contract, match, redex_at, residuals
 from .syntax import position_str, print_term
 from .systems import Rule, rule_meta, require_valid
 from .terms import (
     Abs, MetaApp, Rec, RecVar, Sym, Var,
-    alpha_eq, child_at, children, free_vars, fresh_name, has_vars, resolve,
+    alpha_eq, children, free_vars, fresh_name, has_vars, resolve,
     root_label, subterm_at,
 )
 
@@ -54,47 +61,182 @@ def redexes_from_positions(term, system, positions):
 
 
 # ---------------------------------------------------------------------------
-# path objects
+# path nodes and paths
 
-@dataclass(frozen=True)
-class TermNode:
-    position: tuple
+class _PathNode:
+    """What term and rule nodes share: the parent node (None at the top of
+    a chain), the child index from it, the resolved subterm, the projection
+    label, the child nodes once built, the extensions when they do not read
+    the path, and a hash taken once.  The position, the child indices from
+    the top of the chain, is built only when read."""
+    __slots__ = ("parent", "step", "sub", "label", "kids", "ext", "digest",
+                 "_position")
+
+    def __init__(self, parent, step, sub, top_digest):
+        self.parent = parent
+        self.step = step
+        self.sub = sub
+        self.kids = None
+        self.ext = None
+        self._position = None
+        self.digest = top_digest if parent is None else hash((parent.digest, step))
+
+    @property
+    def position(self):
+        if self._position is None:
+            steps = []
+            node = self
+            while node.parent is not None:
+                steps.append(node.step)
+                node = node.parent
+            self._position = tuple(reversed(steps))
+        return self._position
+
+    def __hash__(self):
+        return self.digest
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self)
+                                 and self.digest == other.digest
+                                 and self._same(other))
+
+    def _same(self, other):
+        """Equal child indices from the tops of the two chains."""
+        a, b = self, other
+        while a is not b:
+            if a is None or b is None or a.step != b.step:
+                return False
+            a, b = a.parent, b.parent
+        return True
+
+
+class TermNode(_PathNode):
+    """The term node at a position, as one PathSpace reaches it: built
+    once, from its parent's node, so a position has one node per space.
+    It holds the redex of the set rooted there and the binding of a
+    variable bound by a redex pattern ((the redex's node, lhs variable) or
+    None).  `marks` is the trie of the set's redex positions at and below
+    the node (None for the set of all redexes, which are matched instead).
+    Equality and hash are by position."""
+    __slots__ = ("marks", "redex", "bound")
+
+    def __init__(self, parent, step, sub, marks):
+        super().__init__(parent, step, sub, hash(()))
+        self.marks = marks
 
     def render(self):
         return f"(s,{position_str(self.position)})"
 
 
-@dataclass(frozen=True)
-class RuleNode:
-    rule: str
-    position: tuple
-    redex: tuple
+class RuleNode(_PathNode):
+    """A node of a rule's right-hand side in its activation at the redex
+    whose term node is `home`.  Built and kept like a TermNode.  Equality
+    and hash are by rule, rhs position and redex position."""
+    __slots__ = ("rule", "home")
+
+    def __init__(self, rule, parent, step, sub, home):
+        super().__init__(parent, step, sub, hash((rule.name, home.digest)))
+        self.rule = rule
+        self.home = home
+        self.label = None if isinstance(sub, MetaApp) else root_label(sub)
+
+    @property
+    def redex(self):
+        return self.home.redex
+
+    def _same(self, other):
+        return (self.rule.name == other.rule.name and self.home == other.home
+                and super()._same(other))
 
     def render(self):
-        return f"({self.rule},{position_str(self.position)},{position_str(self.redex)})"
+        return (f"({self.rule.name},{position_str(self.position)},"
+                f"{position_str(self.home.position)})")
 
 
-@dataclass(frozen=True)
 class Path:
-    nodes: tuple
-    edges: tuple  # len(nodes) - 1 entries; None is an unlabelled edge
+    """A path as a node of the trie of paths: the path one node shorter
+    (None for a one-node path), the edge into the last node (a child index,
+    or None for an unlabelled edge), the last node and the length in nodes.
+    Extending a path copies nothing.  The node and edge tuples and the edge
+    word are built when read; the hash is taken once.  Paths are equal when
+    their nodes and edges are."""
+    __slots__ = ("parent", "edge", "node", "length", "digest", "_word")
+
+    def __init__(self, parent, edge, node):
+        self.parent = parent
+        self.edge = edge
+        self.node = node
+        self._word = None
+        if parent is None:
+            self.length = 1
+            self.digest = hash((node.digest,))
+        else:
+            self.length = parent.length + 1
+            self.digest = hash((parent.digest, edge, node.digest))
 
     def __len__(self):
-        return len(self.nodes)
+        return self.length
+
+    def __hash__(self):
+        return self.digest
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if (not isinstance(other, Path) or self.digest != other.digest
+                or self.length != other.length):
+            return False
+        a, b = self, other
+        while a is not b:  # equal lengths: both run out together
+            if a.edge != b.edge or a.node != b.node:
+                return False
+            a, b = a.parent, b.parent
+        return True
+
+    def _chain(self):
+        """The prefixes of the path, shortest first."""
+        out = []
+        p = self
+        while p is not None:
+            out.append(p)
+            p = p.parent
+        out.reverse()
+        return out
+
+    @property
+    def nodes(self):
+        return tuple(p.node for p in self._chain())
+
+    @property
+    def edges(self):
+        """len(nodes) - 1 entries; None is an unlabelled edge."""
+        return tuple(p.edge for p in self._chain()[1:])
 
     @property
     def word(self):
-        """Concatenation of the numeric edge labels."""
-        return tuple(e for e in self.edges if e is not None)
+        """Concatenation of the numeric edge labels, kept once read."""
+        if self._word is None:
+            edges = []
+            p = self
+            while p is not None and p._word is None:
+                edges.append(p.edge)
+                p = p.parent
+            head = () if p is None else p._word
+            self._word = head + tuple(e for e in reversed(edges) if e is not None)
+        return self._word
 
     def prefix(self, n):
-        return Path(self.nodes[:n], self.edges[: n - 1])
+        p = self
+        for _ in range(self.length - n):
+            p = p.parent
+        return p
 
     def render(self):
-        bits = [self.nodes[0].render()]
-        for e, n in zip(self.edges, self.nodes[1:]):
-            bits.append(f"-{'e' if e is None else e}->")
-            bits.append(n.render())
+        chain = self._chain()
+        bits = [chain[0].node.render()]
+        for p in chain[1:]:
+            bits.append(f"-{'e' if p.edge is None else p.edge}->")
+            bits.append(p.node.render())
         return " ".join(bits)
 
 
@@ -126,140 +268,145 @@ class PathEnumeration:
 # exact walker
 
 class PathSpace:
-    """Paths of `term` with respect to a redex set, literal positions."""
+    """Paths of `term` with respect to a redex set, literal positions.
+
+    Path nodes are built on first reach, each from its parent's node, and
+    kept, so everything a walk reads at a node is read off the node."""
 
     def __init__(self, term, redexes, system):
-        self.term = term
         self.system = require_valid(system)
-        self.redexes = redexes
         self.all = isinstance(redexes, AllRedexes)
-        self._by_pos = None if self.all else {u.position: u for u in redexes}
-        self._sub_cache = {(): resolve(term)}
-        self._redex_cache = {}
-        self._label_cache = {}
-        self._bound_cache = {}
+        marks = None
+        if not self.all:
+            marks = [None, {}]  # [redex here, {child index: entry}]
+            for u in redexes:
+                entry = marks
+                for i in u.position:
+                    entry = entry[1].setdefault(i, [None, {}])
+                entry[0] = u
+        # a pattern abstraction lies at most this deep below its redex
+        self._reach = max((rule_meta(r).max_depth() for r in self.system.rules),
+                          default=0)
+        self.root = self._settle(TermNode(None, None, resolve(term), marks))
 
-    # -- term access -------------------------------------------------------
-    def subterm(self, p):
-        """The resolved node at p, reached by one step from each uncached
-        prefix, starting below the longest cached one (the root always is)."""
-        cache = self._sub_cache
-        node = cache.get(p)
-        if node is not None:
-            return node
-        k = len(p) - 1
-        while p[:k] not in cache:
-            k -= 1
-        node = cache[p[:k]]
-        for k in range(k, len(p)):
-            node = cache[p[:k + 1]] = resolve(child_at(node, p[k]))
+    # -- nodes -----------------------------------------------------------------
+    def _settle(self, node):
+        """Fill in a new term node's redex, binding and label."""
+        sub = node.sub
+        if self.all:
+            u = redex_at(sub, self.system, ())
+            node.redex = u and Redex(node.position, u.rule, u.valuation)
+        else:
+            node.redex = node.marks[0] if node.marks else None
+        node.bound = self._binding(node) if isinstance(sub, Var) else None
+        node.label = (None if node.redex is not None or node.bound is not None
+                      else root_label(sub))
         return node
 
-    def redex(self, p):
-        """The U-redex at p, if any."""
-        if not self.all:
-            return self._by_pos.get(p)
-        if p not in self._redex_cache:
-            self._redex_cache[p] = redex_at(self.term, self.system, p)
-        return self._redex_cache[p]
-
-    def _binder_position(self, p, name):
-        """Position of the abstraction binding `name` at p on the actual
-        branch (innermost binder wins), read off the cached prefixes."""
-        for i in range(len(p) - 1, -1, -1):
-            t = self.subterm(p[:i])
-            if isinstance(t, Abs) and t.var == name:
-                return p[:i]
+    def _binding(self, node):
+        """(redex node, lhs variable name) when the variable node is bound
+        by the pattern of a redex of the set: its binder, the nearest
+        abstraction above it with its name, is a pattern abstraction of a
+        redex at most the lhs depth above the binder."""
+        name = node.sub.name
+        a = node.parent
+        while a is not None and not (isinstance(a.sub, Abs) and a.sub.var == name):
+            a = a.parent
+        rel = ()
+        while a is not None and len(rel) <= self._reach:
+            if a.redex is not None:
+                lhs_var = rule_meta(a.redex.rule).abs_map.get(rel)
+                if lhs_var is not None:
+                    return a, lhs_var
+            rel = (a.step,) + rel
+            a = a.parent
         return None
+
+    def kids(self, node):
+        """(child index, node) pairs of the structural children of a term
+        or rule node, built on first call and kept."""
+        if node.kids is None:
+            if isinstance(node, RuleNode):
+                node.kids = tuple((i, RuleNode(node.rule, node, i, resolve(c), node.home))
+                                  for i, c in children(node.sub))
+            else:
+                marks = node.marks and node.marks[1]
+                node.kids = tuple(
+                    (i, self._settle(TermNode(node, i, resolve(c), marks and marks.get(i))))
+                    for i, c in children(node.sub))
+        return node.kids
+
+    def child(self, node, i):
+        """The node one step below a term or rule node."""
+        for j, kid in self.kids(node):
+            if j == i:
+                return kid
+        raise PositionError(f"no child {i} under {root_label(node.sub)}")
+
+    def node_at(self, p):
+        """The term node at position p."""
+        node = self.root
+        for i in p:
+            node = self.child(node, i)
+        return node
 
     def bound_by(self, p):
         """(redex, lhs variable name) when the variable at p is bound by the
         pattern of a redex in the set, else None."""
-        if p in self._bound_cache:
-            return self._bound_cache[p]
-        out = self._bound_by(p)
-        self._bound_cache[p] = out
-        return out
-
-    def _bound_by(self, p):
-        node = self.subterm(p)
-        if not isinstance(node, Var):
-            return None
-        q_abs = self._binder_position(p, node.name)
-        if q_abs is None:
-            return None
-        for k in range(len(q_abs) + 1):
-            a = q_abs[:k]
-            u = self.redex(a)
-            if u is None:
-                continue
-            rel = q_abs[k:]
-            meta = rule_meta(u.rule)
-            if rel in meta.abs_map:
-                return u, meta.abs_map[rel]
-        return None
-
-    def _rhs_sub(self, rule, p):
-        return resolve(subterm_at(rule.rhs, p))
+        bound = self.node_at(p).bound
+        return bound and (bound[0].redex, bound[1])
 
     # -- the six extension clauses ------------------------------------------
     def extensions(self, path):
-        last = path.nodes[-1]
-        if isinstance(last, TermNode):
-            p = last.position
-            u = self.redex(p)
-            if u is not None:
-                return [(None, RuleNode(u.rule.name, (), p))]
-            bb = self.bound_by(p)
-            if bb is not None:
-                u, lhs_var = bb
-                for n in reversed(path.nodes):
-                    if isinstance(n, RuleNode) and n.redex == u.position:
-                        meta = rule_meta(u.rule)
-                        z = self._rhs_sub(u.rule, n.position)
-                        if not isinstance(z, MetaApp):
-                            raise PreconditionViolated(
-                                "path history corrupt: return node is not a meta-variable")
-                        i = meta.metavar_args(z.mv).index(lhs_var) + 1
-                        return [(None, RuleNode(u.rule.name, n.position + (i,), u.position))]
-                raise PreconditionViolated("bound variable reached before its redex")
-            node = self.subterm(p)
-            return [(i, TermNode(p + (i,))) for i, _ in children(node)]
-        rule = self.system.rule(last.rule)
-        node = self._rhs_sub(rule, last.position)
-        if isinstance(node, MetaApp):
-            q = rule_meta(rule).metavar_position(node.mv)
-            return [(None, TermNode(last.redex + q))]
-        return [(i, RuleNode(last.rule, last.position + (i,), last.redex))
-                for i, _ in children(node)]
+        node = path.node
+        if node.ext is not None:
+            return node.ext
+        if isinstance(node, TermNode) and node.bound is not None:
+            return self._return(path, *node.bound)
+        node.ext = self._extensions(node)
+        return node.ext
 
-    def node_label(self, path_nodes, idx):
-        """Projection label of nodes[idx] (needs no history: membership and
+    def _extensions(self, node):
+        """The clauses that do not read the path: into the rule at a redex,
+        back into the term at a meta-variable, and down to the children."""
+        if isinstance(node, TermNode):
+            if node.redex is not None:
+                rule = node.redex.rule
+                return ((None, RuleNode(rule, None, None, resolve(rule.rhs), node)),)
+        elif isinstance(node.sub, MetaApp):
+            target = node.home
+            for i in rule_meta(node.rule).metavar_position(node.sub.mv):
+                target = self.child(target, i)
+            return ((None, target),)
+        return self.kids(node)
+
+    def _return(self, path, home, lhs_var):
+        """From a variable bound by the pattern of the redex at `home`, back
+        to the argument of the meta-variable by which the path last left
+        that redex's rule."""
+        while path is not None:
+            n = path.node
+            if isinstance(n, RuleNode) and n.home is home:
+                if not isinstance(n.sub, MetaApp):
+                    raise PreconditionViolated(
+                        "path history corrupt: return node is not a meta-variable")
+                i = rule_meta(n.rule).metavar_args(n.sub.mv).index(lhs_var) + 1
+                return ((None, self.child(n, i)),)
+            path = path.parent
+        raise PreconditionViolated("bound variable reached before its redex")
+
+    def node_label(self, node):
+        """Projection label of a path node (needs no history: membership and
         boundness are properties of the node itself)."""
-        n = path_nodes[idx]
-        if n in self._label_cache:
-            return self._label_cache[n]
-        if isinstance(n, TermNode):
-            if self.redex(n.position) is not None:
-                out = None
-            elif self.bound_by(n.position) is not None:
-                out = None
-            else:
-                out = root_label(self.subterm(n.position))
-        else:
-            rule = self.system.rule(n.rule)
-            node = self._rhs_sub(rule, n.position)
-            out = None if isinstance(node, MetaApp) else root_label(node)
-        self._label_cache[n] = out
-        return out
+        return node.label
 
     def project(self, path):
-        labels = tuple(self.node_label(path.nodes, i) for i in range(len(path.nodes)))
-        return PathProjection(labels, path.edges)
+        return PathProjection(tuple(self.node_label(n) for n in path.nodes),
+                              path.edges)
 
     # -- enumeration ---------------------------------------------------------
     def initial(self):
-        return Path((TermNode(()),), ())
+        return Path(None, None, self.root)
 
     def enumerate(self, budget=4000, word_filter=None, collect_all=False):
         """DFS path enumeration.
@@ -275,20 +422,19 @@ class PathSpace:
             path = stack.pop()
             if collect_all:
                 everything.append(path)
-            exts = []
-            for e, n in self.extensions(path):
-                if word_filter is not None and e is not None:
-                    if not word_filter(path.word + (e,)):
-                        continue
-                exts.append((e, n))
+            exts = self.extensions(path)
+            if word_filter is not None:
+                word = path.word
+                exts = [(e, n) for e, n in exts
+                        if e is None or word_filter(word + (e,))]
             if not exts:
                 maximal.append(path)
                 continue
-            if len(path.nodes) >= budget:
+            if path.length >= budget:
                 truncated.append(path)
                 continue
             for e, n in exts:
-                stack.append(Path(path.nodes + (n,), path.edges + (e,)))
+                stack.append(Path(path, e, n))
         if collect_all:
             return PathEnumeration(tuple(everything), tuple(truncated))
         return PathEnumeration(tuple(maximal), tuple(truncated))
@@ -300,7 +446,14 @@ class PathSpace:
         Walks that sit at a labelled term node q with q neither an ancestor
         of p nor able to jump back (no variables below) are pruned: their
         future positions all lie below q and can never equal p."""
-        p = tuple(p)
+        branch = [self.root]  # the nodes of the term from the root to p
+        for i in p:
+            try:
+                branch.append(self.child(branch[-1], i))
+            except (PositionError, TermError):
+                break
+        target = branch[-1] if len(branch) == len(p) + 1 else None
+        branch = set(branch)
         out = set()
         stack = [self.initial()]
         seen = 0
@@ -309,26 +462,43 @@ class PathSpace:
             seen += 1
             if seen > budget * 4:
                 raise BudgetExceeded("descendant walk exceeded its budget")
-            last = path.nodes[-1]
+            last = path.node
             if isinstance(last, TermNode):
-                q = last.position
-                if q == p:
-                    if self.node_label(path.nodes, len(path.nodes) - 1) is not None:
-                        out.add(path.word)
-                if p[: len(q)] != q and not has_vars(self.subterm(q)):
+                if last is target and last.label is not None:
+                    out.add(path.word)
+                if last not in branch and not has_vars(last.sub):
                     continue
-            if len(path.nodes) >= budget:
+            if path.length >= budget:
                 raise BudgetExceeded("descendant walk exceeded its budget")
             for e, n in self.extensions(path):
-                stack.append(Path(path.nodes + (n,), path.edges + (e,)))
+                stack.append(Path(path, e, n))
         return out
 
 
 # ---------------------------------------------------------------------------
 # class machine: finite jumps + target term on rational terms
 
-@dataclass(frozen=True)
-class _Closure:
+class _Hashed:
+    """Base of the machine's states: a frozen, slotted dataclass whose hash
+    is taken once, when it is built, over its fields."""
+    __slots__ = ("digest",)
+
+    def __post_init__(self):
+        object.__setattr__(self, "digest", hash(self._fields(self)))
+
+    def __hash__(self):
+        return self.digest
+
+
+def _hashed(cls):
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = _Hashed.__hash__
+    cls._fields = operator.attrgetter(*cls.__match_args__)
+    return cls
+
+
+@_hashed
+class _Closure(_Hashed):
     rule: Rule
     node: Term         # the meta-variable node of the rhs we return into
     redex_value: Term
@@ -339,8 +509,8 @@ class _Closure:
     lhs_var: str
 
 
-@dataclass(frozen=True)
-class _TState:
+@_hashed
+class _TState(_Hashed):
     value: Term
     rel: object
     env: tuple   # ((term var name, 'ord' | _Closure), ...) name-sorted
@@ -350,8 +520,8 @@ class _TState:
         return f"term node {print_term(self.value, max_depth=3)}"
 
 
-@dataclass(frozen=True)
-class _RState:
+@_hashed
+class _RState(_Hashed):
     rule: Rule
     value: Term
     redex_value: Term
@@ -393,6 +563,7 @@ class _Machine:
         self.avoid = frozenset(free_vars(term))
         self.state_budget = state_budget
         self._match_cache = {}
+        self._ends = {}  # state -> the labelled state its epsilon walk reaches
 
     # -- redex detection ----------------------------------------------------
     def _redex_rule(self, st):
@@ -454,8 +625,13 @@ class _Machine:
         return _TState(jump, _rel_descend_path(st.redex_rel, q), env, st.nenv)
 
     def eps_walk(self, st):
-        """Run to the next labelled state.  Returns (state, stretch) or
-        raises FiniteJumpsViolated on an unlabelled cycle."""
+        """The labelled state reached from st by epsilon moves.  Raises
+        FiniteJumpsViolated on an unlabelled cycle.  Every state of a walk
+        is remembered with its end, so each stretch is walked once."""
+        ends = self._ends
+        end = ends.get(st)
+        if end is not None:
+            return end
         stretch = []
         seen = set()
         while self.label(st) is None:
@@ -467,7 +643,14 @@ class _Machine:
             if len(stretch) > 10_000:
                 raise BudgetExceeded("unlabelled stretch exceeded its budget")
             st = self._eps_successor(st)
-        return st, stretch
+            end = ends.get(st)
+            if end is not None:
+                st = end
+                break
+        for s in stretch:
+            ends[s] = st
+        ends[st] = st
+        return st
 
     # -- structural successors of a labelled state ----------------------------
     def successors(self, st):
@@ -498,25 +681,32 @@ class _Machine:
         return out
 
     # -- decision + construction ----------------------------------------------
-    def check_finite_jumps(self):
-        """Raises FiniteJumpsViolated (with an unlabelled-cycle witness) when
-        some path has an infinite unlabelled stretch."""
-        first, _ = self.eps_walk(self.start)
-        seen = {first}
+    def walk(self):
+        """Reach every labelled state from the start.  Returns the first
+        labelled state and the successors of each labelled state, as
+        (child index, successor, the labelled state its epsilon walk
+        reaches).  Raises FiniteJumpsViolated (with an unlabelled-cycle
+        witness) when some path has an infinite unlabelled stretch."""
+        first = self.eps_walk(self.start)
+        graph = {first: None}  # None until the state's successors are walked
         frontier = [first]
         while frontier:
             st = frontier.pop()
-            if len(seen) > self.state_budget:
+            if len(graph) > self.state_budget:
                 raise BudgetExceeded("finite-jumps state budget exceeded")
-            for _, nxt in self.successors(st):
-                lab, _ = self.eps_walk(nxt)
-                if lab not in seen:
-                    seen.add(lab)
+            succ = []
+            for i, nxt in self.successors(st):
+                lab = self.eps_walk(nxt)
+                succ.append((i, nxt, lab))
+                if lab not in graph:
+                    graph[lab] = None
                     frontier.append(lab)
+            graph[st] = succ
+        return first, graph
 
     def finite_jumps(self):
         try:
-            self.check_finite_jumps()
+            self.walk()
             return True
         except FiniteJumpsViolated:
             return False
@@ -534,12 +724,14 @@ class _Machine:
         return _assoc_get(st.rnenv, v.var) if isinstance(v, Abs) else None
 
     def target(self):
+        """The developed term, read off the walk's graph of labelled states:
+        a state met again on the way down becomes a rec binder."""
+        first, graph = self.walk()
         memo = {}
         building = {}
         counter = [0]
 
-        def build(st):
-            lab, _ = self.eps_walk(st)
+        def build(lab):
             if lab in building:
                 building[lab][1] = True
                 return RecVar(building[lab][0])
@@ -549,28 +741,25 @@ class _Machine:
             recname = f"T{counter[0]}"
             building[lab] = [recname, False]
             v = lab.value
-            succ = dict(self.successors(lab))
+            succ = graph[lab]
             if isinstance(v, Var):
-                name = self.chosen_name(lab)
-                out = Var(name)
+                out = Var(self.chosen_name(lab))
             elif isinstance(v, Abs):
-                inner = succ[0]
+                _, inner, inner_lab = succ[0]
                 if isinstance(inner, _TState):
                     chosen = _assoc_get(inner.nenv, v.var)
                 else:
                     chosen = _assoc_get(inner.rnenv, v.var)
-                body = build(inner)
-                out = Abs(chosen or v.var, body)
+                out = Abs(chosen or v.var, build(inner_lab))
             else:  # Sym (meta nodes are unlabelled)
-                args = tuple(build(succ[i + 1]) for i in range(len(v.args)))
-                out = Sym(v.fun, args)
+                out = Sym(v.fun, tuple(build(arg) for _, _, arg in succ))
             name, used = building.pop(lab)
             if used:
                 out = Rec(name, out)
             memo[lab] = out
             return out
 
-        return build(self.start)
+        return build(first)
 
 
 def _rel_descend_path(rel, q):
@@ -586,10 +775,9 @@ def has_finite_jumps(term, redexes, system):
 
 
 def target_term(term, redexes, system):
-    """The unique term matching the maximal path projections."""
-    m = _Machine(term, redexes, system)
-    m.check_finite_jumps()
-    return m.target()
+    """The unique term matching the maximal path projections, built in the
+    walk that checks finite jumps."""
+    return _Machine(term, redexes, system).target()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ the essential positions and the mirrored part of the final term.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     NotAPrefixSet, PositionError, PreconditionViolated, ResidualHitsPrefix,
@@ -37,7 +37,6 @@ from .terms import is_prefix_set, root_key, subterm_at
 class PathPrefixSet:
     paths: tuple
     anchor: frozenset  # the prefix set of the development target it came from
-    space: PathSpace = field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.paths)
@@ -63,17 +62,17 @@ def path_prefix_set(prefix, stage):
     if enum.truncated:
         raise PreconditionViolated("path prefix set enumeration was cut short")
     kept = tuple(p for p in enum.maximal if p.word in prefix)
-    return PathPrefixSet(kept, prefix, space)
+    return PathPrefixSet(kept, prefix)
 
 
-def zeta(space, path):
+def zeta(path):
     """Positions of the source term contributed by a finite path: its final
     term position, widened to the whole redex pattern at redex endpoints;
     nothing for rule-side endpoints."""
-    last = path.nodes[-1]
+    last = path.node
     if isinstance(last, RuleNode):
         return frozenset()
-    u = space.redex(last.position)
+    u = last.redex
     if u is None:
         return frozenset([last.position])
     meta = rule_meta(u.rule)
@@ -84,7 +83,7 @@ def _fed(pps):
     """Union of zeta over a path prefix set."""
     out = set()
     for path in pps.paths:
-        out |= zeta(pps.space, path)
+        out |= zeta(path)
     return frozenset(out)
 
 

@@ -9,15 +9,15 @@ what the property suites assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import DevelopmentExplosion
+from .errors import DevelopmentExplosion, PositionError, TermError
 from .developments import AllRedexes, Path, PathSpace, has_finite_jumps
 from .rewriting import Redex, apply_valuation, match, find_redexes, redex_at
 from .systems import rule_meta
 from .terms import (
-    alpha_eq, graft, iter_tagged, resolve, set_tag_at, strip_tags, subterm_at,
-    truncate,
+    MetaApp, alpha_eq, iter_tagged, path_nodes, rebuild_path, set_tag_at,
+    strip_tags, truncate,
 )
 
 
@@ -44,12 +44,18 @@ class OracleReport:
 # stepwise replay (independent of StepRecord's composed maps)
 
 def _replay_step(term, position, rule):
-    """One contraction, preserving node tags: the oracle's own step."""
-    v = match(rule, term, position)
+    """One contraction, preserving node tags: the oracle's own step.  It
+    walks down to the position once, matches at the node in hand and
+    rebuilds the path above it."""
+    try:
+        nodes = path_nodes(term, position)
+    except (PositionError, TermError):
+        nodes = None
+    v = None if nodes is None else match(rule, nodes[-1])
     if v is None:
         raise DevelopmentExplosion(
             f"oracle step does not match at {position}")
-    return graft(term, position, apply_valuation(v, rule.rhs))
+    return rebuild_path(nodes, position, apply_valuation(v, rule.rhs))[0]
 
 
 def brute_descendant_map(positions, steps, source=None):
@@ -98,9 +104,13 @@ class DevelopmentOutcome:
 
 
 def _add_label(term, p, label):
-    """Add a label to the label set of the node at p."""
-    node = resolve(subterm_at(term, p))
-    return set_tag_at(term, p, (getattr(node, "tag", None) or frozenset()) | {label})
+    """Add a label to the label set of the node at p, walking down once."""
+    nodes = path_nodes(term, p)
+    node = nodes[-1]
+    if isinstance(node, MetaApp):
+        raise TermError("cannot tag a meta-variable node")
+    tag = (node.tag or frozenset()) | {label}
+    return rebuild_path(nodes, p, replace(node, tag=tag))[0]
 
 
 def _labelled(found, kind):
@@ -224,27 +234,29 @@ def phi_injectivity_check(term, redexes, system, budget=2000):
     """Projections of distinct enumerated paths never collide.
 
     Walks the path space once, extending projections incrementally; every
-    visited path (maximal or prefix) is registered under its projection."""
+    visited path (maximal or prefix) is registered under its projection.
+    A projection is keyed by the number of the projection it extends, its
+    last edge and its last label, and numbered in the order first met, so
+    no key grows with the path."""
     space = PathSpace(term, redexes, system)
     init = space.initial()
-    init_proj = (space.node_label(init.nodes, 0),)
-    seen = {init_proj: init}
+    seen = {(None, None, space.node_label(init.node)): (0, init)}
     count = 0
-    stack = [(init, init_proj)]
+    stack = [(init, 0)]
     while stack:
         path, proj = stack.pop()
         count += 1
-        if len(path.nodes) >= budget:
+        if len(path) >= budget:
             continue
         for e, n in space.extensions(path):
-            p2 = Path(path.nodes + (n,), path.edges + (e,))
-            label = space.node_label(p2.nodes, len(p2.nodes) - 1)
-            proj2 = proj + (e, label)
-            other = seen.get(proj2)
-            if other is not None and other != p2:
-                return OracleReport("phi-injectivity", count, 0, (other, p2))
-            seen[proj2] = p2
-            stack.append((p2, proj2))
+            p2 = Path(path, e, n)
+            key = (proj, e, space.node_label(n))
+            hit = seen.get(key)
+            if hit is None:
+                hit = seen[key] = (len(seen), p2)
+            elif hit[1] != p2:
+                return OracleReport("phi-injectivity", count, 0, (hit[1], p2))
+            stack.append((p2, hit[0]))
     return OracleReport("phi-injectivity", count, count)
 
 

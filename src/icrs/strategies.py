@@ -177,8 +177,10 @@ class _Predicate:
     and the pilot's steps from the join on are spliced after the new ones.
     A finite prefix followed by an outermost-fair suffix is outermost-fair
     with the same limit, so the spliced run is a pilot from the term.  A
-    fresh pilot starts only when that run stabilises or spends the pilot
-    fuel before it joins.  A fresh pilot ages its obligations afresh and
+    run that stabilises or spends the pilot fuel before it joins is the run
+    a fresh pilot would make, and serves or fails as that pilot.  A fresh
+    pilot starts only when the spliced run would be longer than the pilot
+    fuel.  A fresh pilot ages its obligations afresh and
     may take other steps than the suffix or the splice, but by the
     neededness correspondence the essential positions of every
     outermost-fair reduction to the limit are the needed ones (Huet & Levy,
@@ -403,21 +405,22 @@ def normalize(term, system, kind, depth_goal, fuel):
         # or pending redexes near the bound would classify as inessential
         kind = StrategyKind(kind.kind, stable_bound + 1, kind.pilot_fuel)
     trace, status = _reduce(term, system, kind, stable_bound, fuel)
+    return _approximant(trace, status, depth_goal), trace
+
+
+def _approximant(trace, status, depth_goal):
+    """The approximant of a run of `_reduce` that ended with the status."""
     cur = trace.final
     floor = trace.depth_floor()
     if status != "stable":
         stuck = bool(floor) and floor[0] == floor[-1] and floor[0] < depth_goal
         status = "divergence-suspected" if stuck else "fuel-exhausted"
-        approx = Approximant(truncate(cur, depth_goal), 0,
-                             len(trace), status)
-        return approx, trace
+        return Approximant(truncate(cur, depth_goal), 0, len(trace), status)
     certificate = bisect_left(floor, depth_goal)
-    if is_normal_form(cur, system):
-        approx = Approximant(cur, depth_goal, certificate, "normal-form")
-    else:
-        approx = Approximant(truncate(cur, depth_goal), depth_goal,
-                             certificate, "approximant")
-    return approx, trace
+    if is_normal_form(cur, trace.system):
+        return Approximant(cur, depth_goal, certificate, "normal-form")
+    return Approximant(truncate(cur, depth_goal), depth_goal,
+                       certificate, "approximant")
 
 
 # ---------------------------------------------------------------------------
@@ -632,17 +635,21 @@ class Pilot:
         pilot's steps from j on.  The strata are those of the spliced depth
         floor.  Past the join they are this pilot's strata past j, shifted,
         so the sweep there is this pilot's sweep past j and only the new
-        steps are swept.  None when the run stabilises or spends the fuel
-        before it joins, or when the spliced run would be longer than the
-        fuel."""
+        steps are swept.  A run that stabilises before it joins is the run
+        of a fresh pilot from the term, and is stratified as one; a run
+        that spends the fuel before it joins raises as a fresh pilot would.
+        None when the spliced run would be longer than the fuel."""
         trace = self.trace
         system = trace.system
         depth_goal = len(self.strata)
         run, status = _reduce(term, system, OUTERMOST_FAIR,
                               depth_goal + _max_lhs_depth(system), fuel,
                               self.index.__contains__)
-        if status != "joined":
-            return None
+        if status == "stable":
+            return _stratified(run, depth_goal)
+        if status is None:
+            raise FuelExhausted("pilot run did not stabilise",
+                                _approximant(run, status, depth_goal), run)
         j = self.index[run.final]
         if len(run) + len(trace) - j > fuel:
             return None

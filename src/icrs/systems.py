@@ -434,8 +434,7 @@ def check_orthogonal(system):
     ll = check_left_linear(system)
     if not ll.ok:
         raise PreconditionViolated("orthogonality check requires a left-linear system")
-    inners = [Rule(r.name, _rename_metavars(r.lhs, "#2"), _rename_metavars(r.rhs, "#2"))
-              for r in system.rules]
+    inners = [Rule(r.name, _rename_metavars(r.lhs, "#2"), r.rhs) for r in system.rules]
     for i, r1 in enumerate(system.rules):
         sites = [(p, subterm_at(r1.lhs, p)) for p in _nonmeta_positions(r1.lhs)]
         for j, inner in enumerate(inners):
@@ -510,6 +509,7 @@ def require_valid(system):
 def rule_meta(rule):
     """Positions and binder layout of a rule's pattern."""
     metavar_pos = {}
+    arg_names = {}
     abs_positions = {}
     pattern = []
 
@@ -517,6 +517,7 @@ def rule_meta(rule):
         match t:
             case MetaApp(z, args):
                 metavar_pos[z] = p
+                arg_names[z] = tuple(a.name for a in args)
             case Abs(x, body, _):
                 pattern.append(p)
                 abs_positions[p] = x
@@ -531,7 +532,8 @@ def rule_meta(rule):
     walk(rule.lhs, (), ())
     return RuleMeta(rule, tuple(sorted(pattern)),
                     tuple(sorted(metavar_pos.items())),
-                    tuple(sorted(abs_positions.items())))
+                    tuple(sorted(abs_positions.items())),
+                    abs_positions, arg_names)
 
 
 @dataclass(frozen=True)
@@ -540,6 +542,8 @@ class RuleMeta:
     pattern_positions: tuple      # non-meta positions of the lhs, relative
     metavar_positions: tuple      # ((Z, position), ...)
     abs_positions: tuple          # ((position, binder name), ...)
+    abs_map: dict = field(compare=False)    # position -> binder name
+    arg_names: dict = field(compare=False)  # Z -> its argument variable names
 
     def metavar_position(self, z):
         for name, p in self.metavar_positions:
@@ -549,13 +553,7 @@ class RuleMeta:
 
     def metavar_args(self, z):
         """Argument variable names of Z's occurrence in the lhs, in order."""
-        q = self.metavar_position(z)
-        node = subterm_at(self.rule.lhs, q)
-        return tuple(a.name for a in node.args)
-
-    @property
-    def abs_map(self):
-        return dict(self.abs_positions)
+        return self.arg_names[z]
 
     def max_depth(self):
         return max((len(p) for p in self.pattern_positions), default=0)

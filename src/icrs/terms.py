@@ -240,13 +240,11 @@ def check_guarded(t):
 
 def children(t):
     """(step, child) pairs of a resolved node."""
-    match t:
-        case Abs(_, body):
-            return ((0, body),)
-        case Sym(_, args) | MetaApp(_, args):
-            return tuple((i + 1, a) for i, a in enumerate(args))
-        case _:
-            return ()
+    if isinstance(t, (Sym, MetaApp)):
+        return tuple(enumerate(t.args, 1))
+    if isinstance(t, Abs):
+        return ((0, t.body),)
+    return ()
 
 
 def child_at(t, i):
@@ -277,15 +275,14 @@ def path_nodes(t, p):
 def root_label(t):
     """Display name of the root: f, [x], x, Z."""
     t = resolve(t)
-    match t:
-        case Var(x):
-            return x
-        case Abs(x, _):
-            return f"[{x}]"
-        case Sym(f, _):
-            return f
-        case MetaApp(z, _):
-            return z
+    if isinstance(t, Sym):
+        return t.fun
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Abs):
+        return f"[{t.var}]"
+    if isinstance(t, MetaApp):
+        return t.mv
     raise TermError("unresolvable node")
 
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from icrs import alpha_eq, parse_term
+from icrs import alpha_eq, parse_term, strategies
 from icrs.cli import main
 from icrs.developments import PathSpace
 
@@ -158,6 +158,19 @@ class TestNormalize:
         assert code == 4
         assert err.startswith("budget exceeded: term too deep")
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("emit", ["rational", "all"])
+    def test_late_budget_exit_writes_nothing(self, monkeypatch, capsys, emit):
+        # the rational form is found before any line is written, as with --json
+        def too_deep(trace):
+            raise RecursionError
+
+        monkeypatch.setattr(strategies, "detect_rational_nf", too_deep)
+        code, out = run("normalize", corpus("spine_growth.crs"), "--term",
+                        "f(a, c)", "--strategy", "fair", "--emit", emit)
+        assert code == 4
+        assert out == ""
+        assert capsys.readouterr().err.startswith("budget exceeded: term too deep")
 
     def test_deep_chain_normalizes(self):
         deep = "g(" * 3000 + "b" + ")" * 3000

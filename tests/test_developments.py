@@ -12,6 +12,7 @@ from icrs.developments import TermNode
 from icrs.errors import FiniteJumpsViolated, InfiniteStageSet
 from icrs.oracle import all_development_orders, brute_descendants
 from icrs.rewriting import redex_at
+from icrs.systems import rule_meta
 from icrs.terms import Abs, Rec, Sym, Var, resolve, subterm_at
 
 import genrand
@@ -242,6 +243,22 @@ def root_walk_binder(term, p, name):
     return best
 
 
+def root_walk_binding(term, redexes, system, p):
+    """The former PathSpace._bound_by over root walks, as (redex position,
+    lhs variable) or None: the variable's binder found from the root, then
+    the first redex from the root whose pattern has that binder."""
+    q = root_walk_binder(term, p, resolve(subterm_at(term, p)).name)
+    if q is None:
+        return None
+    by_pos = None if redexes is ALL_REDEXES else {u.position: u for u in redexes}
+    for k in range(len(q) + 1):
+        u = (redex_at(term, system, q[:k]) if by_pos is None
+             else by_pos.get(q[:k]))
+        if u is not None and q[k:] in rule_meta(u.rule).abs_map:
+            return u.position, rule_meta(u.rule).abs_map[q[k:]]
+    return None
+
+
 def one_binder_name(t):
     """The term with every binder and variable called x, so that inner
     binders shadow outer ones."""
@@ -262,7 +279,7 @@ class TestPathSpaceWalks:
     @pytest.mark.parametrize("all_redexes", [False, True])
     def test_node_local_walks_agree_with_root_walks(self, all_redexes):
         rng = random.Random(23 + all_redexes)
-        cyclic = positions = 0
+        cyclic = positions = bound = 0
         for k in range(60):
             system = genrand.random_system(rng)
             t = genrand.random_term(rng, system, 4)
@@ -276,10 +293,15 @@ class TestPathSpaceWalks:
             reached = {n.position for path in paths for n in path.nodes
                        if isinstance(n, TermNode)}
             for p in sorted(reached):
-                node = space.subterm(p)
-                assert node == resolve(subterm_at(t, p))
-                for name in ("x", "x1", "x2", "x3", "x4"):
-                    assert space._binder_position(p, name) == root_walk_binder(t, p, name)
+                node = space.node_at(p)
+                assert node.position == p
+                assert node.sub == resolve(subterm_at(t, p))
+                if isinstance(node.sub, Var):
+                    got = space.bound_by(p)
+                    got = got and (got[0].position, got[1])
+                    assert got == root_walk_binding(t, us, system, p)
+                    bound += got is not None
             positions += len(reached)
         assert cyclic >= 10
         assert positions >= 1000
+        assert bound >= 5, bound

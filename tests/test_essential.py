@@ -68,27 +68,24 @@ class TestPathPrefixSet:
 
 
 class TestZeta:
-    def test_plain_endpoint(self, dup_system, dup_stage):
-        space = PathSpace(dup_stage.source, dup_stage.redexes, dup_system)
+    def test_plain_endpoint(self, dup_stage):
         pps = path_prefix_set({(), (1,), (1, 1)}, dup_stage)
         by_last = {p.nodes[-1].render(): p for p in pps.paths}
-        assert zeta(space, by_last["(s,1.0)"]) == {(1, 0)}
-        assert zeta(space, by_last["(s,1.0.1)"]) == {(1, 0, 1)}
+        assert zeta(by_last["(s,1.0)"]) == {(1, 0)}
+        assert zeta(by_last["(s,1.0.1)"]) == {(1, 0, 1)}
 
-    def test_redex_endpoint_gives_pattern(self, dup_system, dup_stage):
-        space = PathSpace(dup_stage.source, dup_stage.redexes, dup_system)
+    def test_redex_endpoint_gives_pattern(self, dup_stage):
         pps = path_prefix_set({(), (1,), (1, 1)}, dup_stage)
         root_path = min(pps.paths, key=len)
-        assert zeta(space, root_path) == {(), (1,)}
+        assert zeta(root_path) == {(), (1,)}
 
-    def test_rule_endpoint_empty(self, dup_system, dup_stage):
-        space = PathSpace(dup_stage.source, dup_stage.redexes, dup_system)
+    def test_rule_endpoint_empty(self, dup_stage):
         pps = path_prefix_set({(), (1,), (1, 1)}, dup_stage)
         rule_paths = [p for p in pps.paths
                       if type(p.nodes[-1]).__name__ == "RuleNode"]
         assert rule_paths
         for p in rule_paths:
-            assert zeta(space, p) == frozenset()
+            assert zeta(p) == frozenset()
 
 
 class TestEpsilon:

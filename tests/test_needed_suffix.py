@@ -52,12 +52,22 @@ def outcome(fn):
 @pytest.fixture
 def consulted(monkeypatch):
     """Every (predicate, term, answer) of the needed-fair runs in the test,
-    and the number of fresh pilots and of splices they made."""
+    the number of fresh pilots and of splices they made, and the number of
+    outermost-fair runs made so far and of those that tried to join a
+    pilot's trace."""
     seen = []
     counts = {"pilots": 0, "splices": 0}
+    runs = {"runs": 0, "joins": 0}
     answer = strategies._Predicate._needed_positions
     pilot = strategies.needed_pilot
     splice = strategies.Pilot.spliced
+    reduce = strategies._reduce
+
+    def reducing(term, system, kind, stable_bound, fuel, until=None):
+        if kind.kind == "outermost-fair":
+            runs["runs"] += 1
+            runs["joins"] += until is not None
+        return reduce(term, system, kind, stable_bound, fuel, until)
 
     def recording(self, term):
         out = answer(self, term)
@@ -76,7 +86,8 @@ def consulted(monkeypatch):
     monkeypatch.setattr(strategies._Predicate, "_needed_positions", recording)
     monkeypatch.setattr(strategies, "needed_pilot", counting)
     monkeypatch.setattr(strategies.Pilot, "spliced", splicing)
-    return seen, counts
+    monkeypatch.setattr(strategies, "_reduce", reducing)
+    return seen, counts, runs
 
 
 def differences(seen):
@@ -99,7 +110,7 @@ def differences(seen):
 @pytest.mark.parametrize("system_file,term,depths", NEEDED_INPUTS)
 def test_suffix_sets_match_fresh_pilots_on_needed_inputs(
         consulted, system_file, term, depths):
-    seen, _ = consulted
+    seen, _, _ = consulted
     system = parse_system((CORPUS / system_file).read_text())
     t = parse_term(term if term is not None else fixpoint_term())
     for depth in depths:
@@ -111,7 +122,7 @@ def test_suffix_sets_match_fresh_pilots_on_needed_inputs(
 
 
 def test_suffix_sets_match_fresh_pilots_on_random_systems(consulted):
-    seen, counts = consulted
+    seen, counts, reduced = consulted
     rng = random.Random(6)
     runs = 0
     for _ in range(RANDOM_SYSTEMS):
@@ -121,6 +132,9 @@ def test_suffix_sets_match_fresh_pilots_on_random_systems(consulted):
         before = len(seen)
         outcome(lambda: normalize(term, system, kind, rng.randint(1, 3), 60))
         runs += len(seen) > before
+    # 5 of the 42 join runs stabilise before they join and serve as fresh
+    # pilots; repeating them in fresh pilots took 194 outermost-fair runs
+    assert reduced == {"runs": 189, "joins": 42}
     diffs, compared = differences(seen)
     assert diffs == []
     assert runs >= 120
@@ -129,7 +143,7 @@ def test_suffix_sets_match_fresh_pilots_on_random_systems(consulted):
 
 
 def test_one_pilot_serves_the_spine_run(consulted, spine_system):
-    seen, counts = consulted
+    seen, counts, _ = consulted
     approx, trace = normalize(parse_term("f(a, c)"), spine_system,
                               needed_fair(), 6, 4000)
     assert approx.status == "approximant"
@@ -139,7 +153,7 @@ def test_one_pilot_serves_the_spine_run(consulted, spine_system):
 
 def test_splices_serve_the_fixpoint_run(consulted):
     # the fresh-pilot route started 12 pilots here
-    _, counts = consulted
+    _, counts, _ = consulted
     system = parse_system((CORPUS / "lambda_beta.crs").read_text())
     approx, _ = normalize(parse_term(fixpoint_term()), system,
                           needed_fair(), 8, 4000)

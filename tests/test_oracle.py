@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,12 +9,14 @@ from icrs import (
 )
 from icrs.errors import DevelopmentExplosion
 from icrs.oracle import (
-    all_development_orders, brute_descendants, brute_needed,
-    develops_by_exhaustion, fjp_witness_suite, phi_injectivity_check,
+    _add_label, _replay_step, all_development_orders, brute_descendants,
+    brute_needed, develops_by_exhaustion, fjp_witness_suite,
+    phi_injectivity_check,
 )
 from icrs.rewriting import apply_valuation, match, redex_at
 from icrs.terms import (
-    graft, iter_tagged, positions_to_depth, set_tag_at, strip_tags,
+    graft, iter_tagged, positions_to_depth, resolve, set_tag_at, strip_tags,
+    subterm_at,
 )
 
 import genrand
@@ -261,6 +264,52 @@ class TestPhiInjectivity:
             rep = phi_injectivity_check(t, us, system, budget=800)
             assert rep.ok
             done += 1
+
+    def test_nested_cycles_are_walked_in_time(self):
+        # visited paths grow with the square of the budget on nested cycles;
+        # each one costs the same however long it is
+        system = template_system("lam")
+        t = T("rec R3. c2(c2(ap(lm([x1] x1), k), rec R1. c2(k, R1)), R3)")
+        us = [redex_at(t, system, (1, 1))]
+        for budget, visited in ((100, 10_286), (200, 40_586)):
+            start = time.perf_counter()
+            rep = phi_injectivity_check(t, us, system, budget=budget)
+            assert time.perf_counter() - start < 1.0
+            assert rep.ok and rep.instances == visited
+
+
+class TestOneWalkReplay:
+    """The oracle's step and labelling walk down to the position once; the
+    two-walk routes (match from the root, then graft or set_tag_at) are
+    the references."""
+
+    def test_steps_and_labels_agree_with_two_walks(self):
+        rng = random.Random(41)
+        steps = labels = 0
+        for _ in range(60):
+            system = genrand.random_system(rng)
+            t = genrand.random_term(rng, system, 4)
+            positions = sorted(positions_to_depth(t, 3))
+            tagged = t
+            for k, p in enumerate(rng.sample(positions, min(3, len(positions)))):
+                old = resolve(subterm_at(tagged, p))
+                expected = set_tag_at(tagged, p, (old.tag or frozenset()) | {("o", k)})
+                tagged = _add_label(tagged, p, ("o", k))
+                assert tagged == expected
+                labels += 1
+            for u in find_redexes(t, system, 4):
+                assert (_replay_step(tagged, u.position, u.rule)
+                        == old_replay(tagged, u.position, u.rule))
+                steps += 1
+            rule = system.rules[0]
+            for p in positions:
+                if match(rule, tagged, p) is None:
+                    with pytest.raises(DevelopmentExplosion):
+                        _replay_step(tagged, p, rule)
+            with pytest.raises(DevelopmentExplosion):  # no such position
+                _replay_step(tagged, (9,), rule)
+        assert steps >= 100
+        assert labels >= 150
 
 
 class TestFjpSuite:
