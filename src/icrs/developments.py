@@ -562,7 +562,6 @@ class _Machine:
         self.start = _TState(resolve(term), rel, (), ())
         self.avoid = frozenset(free_vars(term))
         self.state_budget = state_budget
-        self._match_cache = {}
         self._ends = {}  # state -> the labelled state its epsilon walk reaches
 
     # -- redex detection ----------------------------------------------------
@@ -572,15 +571,10 @@ class _Machine:
                 if p == ():
                     return r
             return None
-        v = st.value
-        if v not in self._match_cache:
-            hit = None
-            for rule in self.system.rules_for(v):
-                if match(rule, v) is not None:
-                    hit = rule
-                    break
-            self._match_cache[v] = hit
-        return self._match_cache[v]
+        for rule in self.system.rules_for(st.value):
+            if match(rule, st.value) is not None:
+                return rule
+        return None
 
     # -- labels ---------------------------------------------------------------
     def label(self, st):
@@ -859,7 +853,7 @@ class DevSequence:
     def __post_init__(self):
         prev = self.initial
         for st in self.stages:
-            if st.source is not prev and not alpha_eq(st.source, prev):
+            if not alpha_eq(st.source, prev):
                 raise PreconditionViolated("development stages do not chain")
             prev = st.target
 

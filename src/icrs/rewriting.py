@@ -15,6 +15,7 @@ variables have no descendants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import (
     ArityMismatch, FiniteChainsViolated, InfiniteResultError, PositionError,
@@ -189,12 +190,18 @@ def match(rule, term, position=()):
     the same redex twice gives equal valuations.  A binder is renamed (to
     `_b<pattern depth>`, skipping names free in the subterm) only when it
     shadows an earlier binder of the same match, so that each pattern binder
-    stands for one name.
+    stands for one name.  The valuation is memoised per (rule, resolved
+    node): nodes are interned, so a node met again is the same key.
     """
     try:
         target = subterm_at(term, position)
     except (PositionError, TermError):
         return None
+    return _match_node(rule, resolve(target))
+
+
+@lru_cache(maxsize=None)
+def _match_node(rule, node):
     assignment = {}
 
     def go(pat, tm, pairs, scope):
@@ -233,7 +240,7 @@ def match(rule, term, position=()):
                                 for pa, ta in zip(pargs, tm.args)))
         return False
 
-    if go(rule.lhs, target, {}, ()):
+    if go(rule.lhs, node, {}, ()):
         return Valuation(assignment)
     return None
 

@@ -18,6 +18,7 @@ results are stripped of tags.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -32,34 +33,71 @@ HOLE = "_|_"
 class Term:
     """Base of the node classes.
 
-    Nodes are frozen, slotted dataclasses that compare structurally, tags
-    included.  Each node is hashed once, when it is built, and keeps the
-    value in the `_hash` slot: the hash of the tuple of its fields, which a
-    plain frozen dataclass would recompute over the whole subtree on every
-    call.  Children are hashed before their parent, so building a node costs
-    one hash of its own fields.  Likewise the `_tagged` slot records, from
-    the node's own tag and its children's slots, whether a tag occurs at or
-    below the node (a `Rec` has its body's, a `RecVar` none), so tag walks
-    skip untagged subterms without looking inside them.
+    Nodes are hash-consed (Filliatre & Conchon, "Type-safe modular
+    hash-consing", 2006): a constructor call returns the one live node with
+    those fields, so structurally equal nodes, tags included, are one
+    object, and equality is identity.  Children are interned before their
+    parent, so looking a node up compares its fields by identity and costs
+    one hash of its own fields, not a walk of the subtree.  Each node keeps
+    its hash in the `_hash` slot: the hash of the tuple of its fields, as a
+    plain frozen dataclass would compute it.  The `_tagged` slot records,
+    from the node's own tag and its children's slots, whether a tag occurs
+    at or below the node (a `Rec` has its body's, a `RecVar` none), so tag
+    walks skip untagged subterms without looking inside them.  The intern
+    table of each class holds its nodes weakly: a node that is no longer
+    used is dropped from it.
     """
-    __slots__ = ("_hash", "_tagged")
+    __slots__ = ("_hash", "_tagged", "__weakref__")
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
-        # rebuild through the constructor, so the hash is taken afresh
-        # (string hashes differ between processes)
+        # rebuild through the constructor, which interns the copy and takes
+        # the hash afresh (string hashes differ between processes)
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
+class _Entry(weakref.ref):
+    """An intern-table entry: a weak reference to a node, with the node's
+    fields, under which the entry is filed."""
+    __slots__ = ("key",)
+
+
 def _node(cls):
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = Term.__hash__
+    """Make cls a frozen, slotted node class with an intern table."""
+    cls = dataclass(frozen=True, slots=True, init=False, eq=False)(cls)
+    table = {}
+
+    def drop(entry):
+        # a node that died may have been replaced by a new one already
+        if table.get(entry.key) is entry:
+            del table[entry.key]
+
+    cls._table, cls._drop = table, drop
     return cls
 
 
 _set = object.__setattr__
+
+
+def _intern(cls, key):
+    """The live node of class cls whose fields are `key`, built if there is
+    none."""
+    table = cls._table
+    entry = table.get(key)
+    if entry is not None:
+        node = entry()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, key):
+        _set(node, name, value)
+    _set(node, "_hash", hash(key))
+    _set(node, "_tagged", node._summary())
+    entry = table[key] = _Entry(node, cls._drop)
+    entry.key = key
+    return node
 
 
 def _any_tagged(args):
@@ -74,9 +112,11 @@ class Var(Term):
     name: str
     tag: object = None
 
-    def __post_init__(self):
-        _set(self, "_hash", hash((self.name, self.tag)))
-        _set(self, "_tagged", self.tag is not None)
+    def __new__(cls, name, tag=None):
+        return _intern(cls, (name, tag))
+
+    def _summary(self):
+        return self.tag is not None
 
 
 @_node
@@ -85,9 +125,11 @@ class Abs(Term):
     body: Term
     tag: object = None
 
-    def __post_init__(self):
-        _set(self, "_hash", hash((self.var, self.body, self.tag)))
-        _set(self, "_tagged", self.tag is not None or self.body._tagged)
+    def __new__(cls, var, body, tag=None):
+        return _intern(cls, (var, body, tag))
+
+    def _summary(self):
+        return self.tag is not None or self.body._tagged
 
 
 @_node
@@ -96,9 +138,11 @@ class Sym(Term):
     args: tuple = ()
     tag: object = None
 
-    def __post_init__(self):
-        _set(self, "_hash", hash((self.fun, self.args, self.tag)))
-        _set(self, "_tagged", self.tag is not None or _any_tagged(self.args))
+    def __new__(cls, fun, args=(), tag=None):
+        return _intern(cls, (fun, args, tag))
+
+    def _summary(self):
+        return self.tag is not None or _any_tagged(self.args)
 
 
 @_node
@@ -106,9 +150,11 @@ class MetaApp(Term):
     mv: str
     args: tuple = ()
 
-    def __post_init__(self):
-        _set(self, "_hash", hash((self.mv, self.args)))
-        _set(self, "_tagged", _any_tagged(self.args))
+    def __new__(cls, mv, args=()):
+        return _intern(cls, (mv, args))
+
+    def _summary(self):
+        return _any_tagged(self.args)
 
 
 @_node
@@ -116,18 +162,22 @@ class Rec(Term):
     var: str
     body: Term
 
-    def __post_init__(self):
-        _set(self, "_hash", hash((self.var, self.body)))
-        _set(self, "_tagged", self.body._tagged)
+    def __new__(cls, var, body):
+        return _intern(cls, (var, body))
+
+    def _summary(self):
+        return self.body._tagged
 
 
 @_node
 class RecVar(Term):
     name: str
 
-    def __post_init__(self):
-        _set(self, "_hash", hash((self.name,)))
-        _set(self, "_tagged", False)
+    def __new__(cls, name):
+        return _intern(cls, (name,))
+
+    def _summary(self):
+        return False
 
 
 def hole():
@@ -454,6 +504,8 @@ def env_lookup(env, x, y):
 
 def alpha_eq(t, u):
     """Bisimilarity of the unfoldings under consistent binder renaming."""
+    if t is u:
+        return True
     assumed = set()
 
     def go(a, b, env):
@@ -578,9 +630,12 @@ def iter_tagged(t):
     Returns (pairs, complete).  complete is False when a tagged node sits
     inside a cycle, i.e. the true position set is infinite; pairs then lists
     one representative occurrence per path into the cycle.  A path goes
-    round a cycle when it meets again a rec binder it already passed:
-    unrolling a cycle re-inserts the very same Rec object, so identity tells
-    it.  A subterm whose `_tagged` slot is false is not entered.
+    round a cycle when it meets again a rec binder it already passed.
+    Rec nodes are interned, so the binder met again is the very same
+    object, whether unrolling re-inserted it or an equal one sits deeper on
+    the path; in both cases the subterm there recurs below itself, so its
+    tags have infinitely many positions.  A subterm whose `_tagged` slot is
+    false is not entered.
     """
     out = []
     complete = True

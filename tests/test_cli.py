@@ -206,6 +206,18 @@ class TestNormalize:
         assert alpha_eq(parse_term(payload["rational_normal_form"]),
                         parse_term(nf))
 
+    def test_fair_spine_at_depth_300(self, capsys):
+        # equal nodes are one object, so no equality test walks the
+        # 300-deep approximant; structural equality overflowed here before
+        code, out = run("normalize", corpus("spine_growth.crs"), "--term",
+                        "f(a, c)", "--strategy", "fair", "--depth", "300",
+                        "--fuel", "4000", "--json")
+        assert code == 0, capsys.readouterr().err
+        payload = json.loads(out)
+        assert payload["status"] == "approximant"
+        assert alpha_eq(parse_term(payload["rational_normal_form"]),
+                        parse_term("rec S. g(b, S)"))
+
 
 class TestEssential:
     def test_scripted_narrative(self):

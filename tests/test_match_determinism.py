@@ -9,7 +9,7 @@ import random
 
 from icrs import (
     Abs, Sym, Var, alpha_eq, contract, find_redexes, match, parse_system,
-    parse_term, print_term,
+    parse_term, positions_to_depth, print_term,
 )
 from icrs import rewriting
 from icrs.errors import PositionError, TermError
@@ -209,3 +209,76 @@ def test_kept_names_agree_with_renaming_route(monkeypatch):
         found, targets = assert_agrees_with_renaming_route(
             monkeypatch, term, beta, 8)
         term = targets[0]
+
+
+def uncached_match(rule, term, position=()):
+    """`match` with its memo bypassed: the same matcher, run afresh."""
+    try:
+        target = subterm_at(term, position)
+    except (PositionError, TermError):
+        return None
+    return rewriting._match_node.__wrapped__(rule, resolve(target))
+
+
+def assert_memo_agrees(term, system, depth):
+    """Every rule at every position to the depth: the memoised match, by
+    position and at the node in hand, equals an uncached call.  Returns
+    the valuations found."""
+    found = []
+    for p in positions_to_depth(term, depth):
+        node = resolve(subterm_at(term, p))
+        for rule in system.rules:
+            expected = uncached_match(rule, term, p)
+            assert match(rule, term, p) == expected
+            assert match(rule, node) == expected
+            if expected is not None:
+                found.append(expected)
+    return found
+
+
+# (system file, input term) of the benchmark's normalize inputs
+CORPUS_INPUTS = [
+    ("spine_growth.crs", "f(a, c)"), ("outermost_pair.crs", "f(a)"),
+    ("map_streams.crs", "map([z] s(z), rec L. cons(zero, L))"),
+]
+
+
+def test_memo_agrees_with_uncached_match():
+    rewriting._match_node.cache_clear()
+    runs = [(parse_system((CORPUS / f).read_text()), parse_term(text))
+            for f, text in CORPUS_INPUTS]
+    runs.append((parse_system((CORPUS / "lambda_beta.crs").read_text()),
+                 fixpoint_term()))
+    rng = random.Random(91)
+    for _ in range(60):
+        system = genrand.random_system(rng)
+        runs.append((system, genrand.random_term(rng, system, rng.randint(2, 4))))
+    # the shadowing binders of test_nested_same_name_binders and of
+    # test_context_bound_variable_with_a_binder_name
+    nested = parse_system(
+        "sym h/1 ; sym a/0 ; sym b/0 ;\n"
+        "rule two: f([x] g([y] Z(x, y))) -> Z(a, b) ;\n"
+        "rule same: p([x] q([x] W(x))) -> W(a) ;")
+    inner = Abs("x", Sym("g", (Abs("x", Sym("h", (Var("_b1"),))),)))
+    for term in [parse_term(text) for text in (
+            "f([x] g([x] h(x)))", "f([x] g([y] h(x)))", "p([y] q([x] h(y)))",
+            "c(f([x] g([x] f([x] g([x] x)))), p([x] q([x] h(x))))")] + [
+            Abs("_b1", Sym("f", (inner,)))]:
+        runs.append((nested, term))
+    context = parse_system("sym g/2 ;\nrule r: f([y] Z(y), W) -> Z(W) ;")
+    for text in ("[z] f([y] [z] g(y, z), z)", "[y] f([y] g(y, y), y)"):
+        runs.append((context, parse_term(text)))
+    found = []
+    for system, term in runs:
+        # along a few steps, so contracta nest copies of matched bodies
+        for _ in range(3):
+            found += assert_memo_agrees(term, system, 5)
+            redexes = find_redexes(term, system, 5)
+            if not redexes:
+                break
+            term = contract(term, redexes[rng.randrange(len(redexes))]).target
+    assert len(found) >= 300
+    # shadowing binders renamed to `_b<depth>` are among them
+    assert sum(any(x.startswith("_b") for sub in v.assignment.values()
+                   for x in sub.params) for v in found) >= 5
+    assert rewriting._match_node.cache_info().hits >= len(found)

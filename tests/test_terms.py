@@ -1,6 +1,9 @@
+import ast
+import gc
 import pathlib
 import pickle
 import random
+import weakref
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -14,9 +17,11 @@ from icrs import (
 )
 from icrs.errors import NotCycleRoot, PositionError, TermError
 from icrs.syntax import parse_metaterm
+from icrs import rewriting, systems, terms
 from icrs.terms import (
-    MetaApp, check_guarded, children, free_vars, hole, iter_tagged,
-    prefix_closure, set_tag_at, strip_tags,
+    MetaApp, Term, _unroll, check_guarded, children, free_recvars, free_vars, hole,
+    iter_tagged, meta_vars, path_nodes, prefix_closure, rebuild_path,
+    set_tag_at, strip_tags, subst_recvar,
 )
 
 import genrand
@@ -310,9 +315,160 @@ class TestNodes:
                     pytest.fail(f"unmatched node {t!r}")
 
     def test_equality_is_structural_and_copies_rehash(self, nodes):
+        # nodes are interned: an unpickled copy is the original node
         for t in nodes[:200]:
             twin = pickle.loads(pickle.dumps(t))
-            assert twin == t and hash(twin) == hash(t) and twin is not t
+            assert twin == t and hash(twin) == hash(t) and twin is t
+
+
+def structurally_equal(a, b):
+    """Equal node classes and fields, tags included, compared field by
+    field down both trees (an explicit stack), never by identity."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is not type(b):
+            return False
+        for f in fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, Term):
+                todo.append((x, y))
+            elif f.name == "args":
+                if len(x) != len(y):
+                    return False
+                todo.extend(zip(x, y))
+            elif type(x) is not type(y) or x != y:
+                return False
+    return True
+
+
+def rebuilt_nodes(t, rng):
+    """Nodes of t built again by other routes: printed and parsed, pickled,
+    tag replaced and restored, rec binders unrolled by substitution, and
+    paths rebuilt over the subterm already there or another term's."""
+    out = [pickle.loads(pickle.dumps(t))]
+    if free_recvars(t):  # a rec body: no positions below a dangling RecVar
+        return out
+    if not (t._tagged or meta_vars(t)):
+        out.append(parse_term(print_term(t)))
+    if isinstance(t, (Var, Abs, Sym)):
+        out += [replace(t, tag=("i", 1)), replace(replace(t, tag=("i", 1)), tag=t.tag)]
+    if isinstance(t, Rec):
+        out += [_unroll(t), subst_recvar(t.body, t.var, t)]
+    positions = sorted(positions_to_depth(t, 3))
+    for p in rng.sample(positions, min(3, len(positions))):
+        nodes = path_nodes(t, p)
+        out += rebuild_path(nodes, p, nodes[-1])
+        out.append(graft(t, p, Sym("a")))
+    return out
+
+
+class TestInterning:
+    @pytest.fixture(scope="class")
+    def pool(self):
+        rng = random.Random(5)
+        out = node_sample()
+        for t in list(out):
+            out += rebuilt_nodes(t, rng)
+        return out
+
+    def test_identity_is_structural_equality(self, pool):
+        # equal nodes hash alike, so only nodes of one hash can be equal
+        buckets = {}
+        for t in pool:
+            buckets.setdefault(hash(t), {})[id(t)] = t
+        for group in buckets.values():
+            distinct = list(group.values())
+            for i, a in enumerate(distinct):
+                for b in distinct[i + 1:]:
+                    assert not structurally_equal(a, b), (a, b)
+        # the routes rebuilt most nodes as the very objects they had
+        assert len(pool) - sum(map(len, buckets.values())) >= len(pool) // 2
+        rng = random.Random(6)
+        for _ in range(2000):
+            a, b = rng.choice(pool), rng.choice(pool)
+            assert (a is b) == structurally_equal(a, b)
+
+    def test_rebuilt_routes_give_the_node_itself(self, pool):
+        rng = random.Random(7)
+        for t in pool[:3000]:
+            assert pickle.loads(pickle.dumps(t)) is t
+            if isinstance(t, (Var, Abs, Sym)):
+                assert replace(replace(t, tag=("i", 2)), tag=t.tag) is t
+            if isinstance(t, Rec):
+                assert _unroll(t) is subst_recvar(t.body, t.var, t) is resolve(t)
+            if not isinstance(t, Rec) and not free_recvars(t):
+                for p in sorted(positions_to_depth(t, 2)):
+                    nodes = path_nodes(t, p)
+                    if all(not isinstance(subterm_at(t, p[:k]), Rec)
+                           for k in range(len(p) + 1)):
+                        assert rebuild_path(nodes, p, nodes[-1])[0] is t
+        assert all(parse_term(print_term(u)) is u
+                   for u in map(T, ("f([x] g(x), a)", "rec L. cons(a, L)",
+                                    "[x] [y] p(x, rec S. g(y, S))")))
+
+    def test_parse_shares_equal_subterms(self):
+        t = T("p(f([x] g(x)), f([x] g(x)))")
+        assert t.args[0] is t.args[1]
+        assert T("f([x] g(x))") is t.args[0]
+
+
+def intern_table_size():
+    return sum(len(cls._table) for cls in (Var, Abs, Sym, MetaApp, Rec, RecVar))
+
+
+class TestBoundedMemory:
+    def test_dropped_terms_leave_the_intern_table(self):
+        gc.collect()
+        before = intern_table_size()
+        deep = Var("fresh-leaf")
+        for i in range(5000):
+            deep = Abs(f"y{i}", Sym("deep", (deep,), tag=i))
+        wide = Sym("wide", tuple(Sym("w", (Var(f"v{i}"),)) for i in range(2500)))
+        assert intern_table_size() >= before + 10_000
+        assert Abs("y4999", Sym("deep", deep.body.args, tag=4999)) is deep
+        del deep, wide
+        gc.collect()
+        assert intern_table_size() == before
+
+    def test_table_entries_are_weak(self):
+        for cls in (Var, Abs, Sym, MetaApp, Rec, RecVar):
+            for key, entry in list(cls._table.items()):
+                assert isinstance(entry, weakref.ref) and entry.key == key
+
+    def test_node_slots_cache_nothing(self):
+        assert Term.__slots__ == ("_hash", "_tagged", "__weakref__")
+        for cls in (Var, Abs, Sym, MetaApp, Rec, RecVar):
+            assert cls.__slots__ == tuple(f.name for f in fields(cls))
+
+    def test_term_caches_are_module_level_lru_caches(self):
+        """Every cache of the term, system and rewriting layers is a
+        module-level lru_cache, which clearing the module's caches empties;
+        the one other, a system's index of its own rules, lives on the
+        system."""
+        found, other = set(), set()
+        for module in (terms, systems, rewriting):
+            tree = ast.parse(pathlib.Path(module.__file__).read_text())
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                for d in node.decorator_list:
+                    name = ast.unparse(d)
+                    if "cache" not in name:
+                        continue
+                    if node in tree.body and name.startswith("lru_cache("):
+                        found.add((module, node.name))
+                    else:
+                        other.add(node.name)
+        assert other == {"_rules_by_root"}
+        assert {(m.__name__, n) for m, n in found} >= {
+            ("icrs.rewriting", "_match_node"), ("icrs.terms", "_unroll")}
+        for module, name in found:
+            assert hasattr(getattr(module, name), "cache_clear")
+        for module in (terms, systems, rewriting):
+            for name, value in vars(module).items():
+                if not name.startswith("__"):
+                    assert not isinstance(value, (dict, set, list)), name
 
 
 class TestRecDiscipline:
@@ -518,6 +674,85 @@ class TestTagSummary:
             for u in structural_nodes(t):
                 if not tagged_by_definition(u):
                     assert strip_tags(u) is u
+
+
+def tagged_positions(t, depth, cap=20_000):
+    """(position, tag) of every tagged node at most `depth` deep, by walking
+    the unfolding (None past `cap` visited nodes)."""
+    out, todo, seen = set(), [((), t)], 0
+    while todo:
+        p, u = todo.pop()
+        seen += 1
+        if seen > cap:
+            return None
+        u = resolve(u)
+        if getattr(u, "tag", None) is not None:
+            out.add((p, u.tag))
+        if len(p) < depth:
+            todo.extend((p + (i,), c) for i, c in children(u))
+    return out
+
+
+def assert_iter_tagged_bounded(t):
+    """iter_tagged against the tagged positions of the unfolding.  D bounds
+    the depth of a shortest occurrence of each tag; past it, tags occur at
+    every depth window of D if and only if there are infinitely many.
+    Returns whether the check ran within the visit cap."""
+    d = 2 * len(structural_nodes(t)) + 2
+    within, twice = tagged_positions(t, d), tagged_positions(t, 2 * d)
+    if twice is None:
+        return False
+    pairs, complete = iter_tagged(t)
+    assert len(set(pairs)) == len(pairs)
+    assert complete == (within == twice)
+    if complete:
+        assert set(pairs) == twice
+    else:
+        assert set(pairs) <= twice
+        assert {tag for _, tag in pairs} == {tag for _, tag in twice}
+    return True
+
+
+class TestIterTaggedUnderInterning:
+    a1 = Sym("a", (), tag=1)
+    cycle = Rec("X", Sym("f", (a1, RecVar("X"))))
+
+    def test_equal_cycles_in_sibling_positions(self):
+        t = Sym("p", (self.cycle, Rec("X", Sym("f", (self.a1, RecVar("X"))))))
+        assert t.args[0] is t.args[1]
+        assert iter_tagged(t) == ([((1, 1), 1), ((2, 1), 1)], False)
+        assert assert_iter_tagged_bounded(t)
+        beside = Sym("p", (self.cycle, resolve(self.cycle)))
+        assert iter_tagged(beside) == ([((1, 1), 1), ((2, 1), 1), ((2, 2, 1), 1)],
+                                       False)
+        assert assert_iter_tagged_bounded(beside)
+
+    def test_equal_cycle_nested_below_itself(self):
+        # the outer binder's unrolling is the inner cycle's, the same object
+        outer = Rec("X", resolve(self.cycle))
+        assert resolve(outer) is resolve(self.cycle)
+        assert iter_tagged(outer) == ([((1,), 1), ((2, 1), 1)], False)
+        # a cycle whose unrolling is the term it sits in
+        loop = Rec("Y", Sym("g", (self.cycle, RecVar("Y"))))
+        t = Sym("g", (self.cycle, loop))
+        assert resolve(loop) is t
+        assert iter_tagged(t) == ([((1, 1), 1), ((2, 1, 1), 1)], False)
+        for u in (outer, loop, t):
+            assert assert_iter_tagged_bounded(u)
+
+    def test_agrees_with_bounded_enumeration(self):
+        rng = random.Random(29)
+        checked = incomplete = 0
+        roots = corpus_terms() + [
+            genrand.random_term(rng, genrand.random_system(rng), 4)
+            for _ in range(150)]
+        for t in roots:
+            for u in (tag_structurally(t, rng, 0.15),
+                      tag_structurally(strip_tags(t), rng, 0.05)):
+                if assert_iter_tagged_bounded(u):
+                    checked += 1
+                    incomplete += not iter_tagged(u)[1]
+        assert checked >= 300 and incomplete >= 40
 
 
 @settings(max_examples=60)
