@@ -34,7 +34,7 @@ from .errors import (
 )
 from .rewriting import Redex, contract, match, redex_at, residuals
 from .syntax import position_str, print_term
-from .systems import Rule, rule_meta, require_valid
+from .systems import Rule, max_lhs_depth, pattern_meta, require_valid
 from .terms import (
     Abs, MetaApp, Rec, RecVar, Sym, Var,
     alpha_eq, children, free_vars, fresh_name, has_vars, resolve,
@@ -51,6 +51,7 @@ ALL_REDEXES = AllRedexes()
 
 
 def redexes_from_positions(term, system, positions):
+    require_valid(system)  # matching reads the patterns the checks vouch for
     out = []
     for p in positions:
         u = redex_at(term, system, tuple(p))
@@ -285,8 +286,7 @@ class PathSpace:
                     entry = entry[1].setdefault(i, [None, {}])
                 entry[0] = u
         # a pattern abstraction lies at most this deep below its redex
-        self._reach = max((rule_meta(r).max_depth() for r in self.system.rules),
-                          default=0)
+        self._reach = max_lhs_depth(self.system)
         self.root = self._settle(TermNode(None, None, resolve(term), marks))
 
     # -- nodes -----------------------------------------------------------------
@@ -315,7 +315,7 @@ class PathSpace:
         rel = ()
         while a is not None and len(rel) <= self._reach:
             if a.redex is not None:
-                lhs_var = rule_meta(a.redex.rule).abs_map.get(rel)
+                lhs_var = pattern_meta(a.redex.rule.lhs).abs_map.get(rel)
                 if lhs_var is not None:
                     return a, lhs_var
             rel = (a.step,) + rel
@@ -375,7 +375,7 @@ class PathSpace:
                 return ((None, RuleNode(rule, None, None, resolve(rule.rhs), node)),)
         elif isinstance(node.sub, MetaApp):
             target = node.home
-            for i in rule_meta(node.rule).metavar_position(node.sub.mv):
+            for i in pattern_meta(node.rule.lhs).metavar(node.sub.mv).position:
                 target = self.child(target, i)
             return ((None, target),)
         return self.kids(node)
@@ -390,7 +390,7 @@ class PathSpace:
                 if not isinstance(n.sub, MetaApp):
                     raise PreconditionViolated(
                         "path history corrupt: return node is not a meta-variable")
-                i = rule_meta(n.rule).metavar_args(n.sub.mv).index(lhs_var) + 1
+                i = pattern_meta(n.rule.lhs).metavar(n.sub.mv).args.index(lhs_var) + 1
                 return ((None, self.child(n, i)),)
             path = path.parent
         raise PreconditionViolated("bound variable reached before its redex")
@@ -598,23 +598,21 @@ class _Machine:
                 return _RState(rule, resolve(rule.rhs), st.value, st.rel,
                                st.env, st.nenv, ())
             cl = _assoc_get(st.env, st.value.name)
-            meta = rule_meta(cl.rule)
             z = cl.node
-            i = meta.metavar_args(z.mv).index(cl.lhs_var) + 1
+            i = pattern_meta(cl.rule.lhs).metavar(z.mv).args.index(cl.lhs_var) + 1
             return _RState(cl.rule, resolve(z.args[i - 1]), cl.redex_value,
                            cl.redex_rel, cl.env, cl.nenv, cl.rnenv)
         z = st.value
-        meta = rule_meta(st.rule)
-        q = meta.metavar_position(z.mv)
+        occ = pattern_meta(st.rule.lhs).metavar(z.mv)
+        q = occ.position
         jump = resolve(subterm_at(st.redex_value, q))
         overrides = []
-        for rho, lhs_var in sorted(meta.abs_positions, key=lambda kv: len(kv[0])):
-            if rho == q[: len(rho)] and len(rho) < len(q):
-                term_abs = resolve(subterm_at(st.redex_value, rho))
-                overrides.append(
-                    (term_abs.var,
-                     _Closure(st.rule, z, st.redex_value, st.redex_rel,
-                              st.env, st.nenv, st.rnenv, lhs_var)))
+        for rho, lhs_var in occ.scope:  # the binders above q, outermost first
+            term_abs = resolve(subterm_at(st.redex_value, rho))
+            overrides.append(
+                (term_abs.var,
+                 _Closure(st.rule, z, st.redex_value, st.redex_rel,
+                          st.env, st.nenv, st.rnenv, lhs_var)))
         env = _assoc_extend(st.env, overrides)
         return _TState(jump, _rel_descend_path(st.redex_rel, q), env, st.nenv)
 

@@ -29,7 +29,7 @@ from .developments import (
 )
 from .rewriting import Redex, match, residuals
 from .syntax import position_str
-from .systems import rule_meta
+from .systems import pattern_meta
 from .terms import is_prefix_set, root_key, subterm_at
 
 
@@ -75,8 +75,7 @@ def zeta(path):
     u = last.redex
     if u is None:
         return frozenset([last.position])
-    meta = rule_meta(u.rule)
-    return frozenset(u.position + rel for rel in meta.pattern_positions)
+    return frozenset(u.position + rel for rel in pattern_meta(u.rule.lhs).positions)
 
 
 def _fed(pps):

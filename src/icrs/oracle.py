@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from .errors import DevelopmentExplosion, PositionError, TermError
 from .developments import AllRedexes, Path, PathSpace, has_finite_jumps
 from .rewriting import Redex, apply_valuation, match, find_redexes, redex_at
-from .systems import rule_meta
+from .systems import pattern_meta
 from .terms import (
     MetaApp, alpha_eq, iter_tagged, path_nodes, rebuild_path, set_tag_at,
     strip_tags, truncate,
@@ -189,7 +189,7 @@ def brute_needed(redex, term, system, bound=10, nf_depth=2, scan_bound=None):
     shallow residual positions are identified; at oracle scale (shallow
     patterns, small terms) deeper structure cannot influence the shallow
     normal form."""
-    maxl = max((rule_meta(r).max_depth() for r in system.rules), default=0)
+    maxl = max((pattern_meta(r.lhs).max_depth() for r in system.rules), default=0)
     scan = scan_bound if scan_bound is not None else nf_depth + maxl + 3
     horizon = nf_depth + 2 * maxl + 3
     start = set_tag_at(term, redex.position, ("u",))

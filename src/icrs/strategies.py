@@ -25,10 +25,10 @@ from .developments import DevRecord
 from .essential import epsilon_step
 from .rewriting import Redex, contract, find_redexes, match
 from .syntax import position_str
-from .systems import require_valid, rule_meta
+from .systems import max_lhs_depth, require_valid
 from .terms import (
-    Abs, Rec, RecVar, Sym, Term, Var, alpha_eq, children, env_lookup, is_hole,
-    path_nodes, positions_to_depth, resolve, root_key, truncate,
+    Abs, Rec, RecVar, Sym, Term, Var, alpha_eq, children, is_hole, path_nodes,
+    positions_to_depth, resolve, truncate,
 )
 
 
@@ -346,13 +346,9 @@ def _replay_tracker(kind, trace, spawn_bound=None):
     return tracker
 
 
-def _max_lhs_depth(system):
-    return max((rule_meta(r).max_depth() for r in system.rules), default=0)
-
-
 def _default_bound(trace):
     deepest = max((len(s.redex.position) for s in trace.steps), default=0)
-    return deepest + _max_lhs_depth(trace.system) + 2
+    return deepest + max_lhs_depth(trace.system) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +395,7 @@ def normalize(term, system, kind, depth_goal, fuel):
     above the goal is final and certified.
     """
     require_valid(system)
-    stable_bound = depth_goal + _max_lhs_depth(system)
+    stable_bound = depth_goal + max_lhs_depth(system)
     if kind.kind == "needed-fair" and kind.pilot_depth <= stable_bound:
         # the pilot must stratify past every depth the run still rewrites at,
         # or pending redexes near the bound would classify as inessential
@@ -425,22 +421,6 @@ def _approximant(trace, status, depth_goal):
 
 # ---------------------------------------------------------------------------
 # rational normal forms from stable prefixes
-
-def _wildcard_eq(a, b, pairs=()):
-    a, b = resolve(a), resolve(b)
-    if is_hole(a) or is_hole(b):
-        return True
-    ka, kb = root_key(a), root_key(b)
-    if ka[0] != kb[0]:
-        return False
-    if ka[0] == "var":
-        return env_lookup(pairs, a.name, b.name)
-    if ka[0] == "abs":
-        return _wildcard_eq(a.body, b.body, pairs + ((a.var, b.var),))
-    if ka != kb:
-        return False
-    return all(_wildcard_eq(x, y, pairs) for x, y in zip(a.args, b.args))
-
 
 def _known_depth(t):
     """Depth of the shallowest hole; None when the subtree is hole-free."""
@@ -468,7 +448,7 @@ def _fold_rational(snapshot):
         if is_hole(t):
             return None
         for anc, anc_depth, var, used in ancestors:
-            if _wildcard_eq(t, anc):
+            if alpha_eq(t, anc, holes=True):
                 period = depth - anc_depth
                 known = _known_depth(t)
                 if known is None or known >= max(period + 1, 2):
@@ -643,7 +623,7 @@ class Pilot:
         system = trace.system
         depth_goal = len(self.strata)
         run, status = _reduce(term, system, OUTERMOST_FAIR,
-                              depth_goal + _max_lhs_depth(system), fuel,
+                              depth_goal + max_lhs_depth(system), fuel,
                               self.index.__contains__)
         if status == "stable":
             return _stratified(run, depth_goal)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import (
     EngineError, ParseError, PreconditionViolated, SystemCheckFailed, TermError,
@@ -139,53 +140,88 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
+# the shape of a left-hand side
+
+class MetaOccurrence(NamedTuple):
+    name: str
+    position: tuple
+    args: tuple   # argument variable names; None for an argument that is not one
+    scope: tuple  # ((binder position, name), ...) above it, outermost first
+
+
+@dataclass(frozen=True, eq=False)
+class PatternMeta:
+    positions: tuple  # non-meta positions, pre-order (which is sorted order)
+    abs_map: dict     # position -> binder name
+    metavars: tuple   # every MetaOccurrence, pre-order
+    finite: bool      # no rec node, meta-variable arguments included
+
+    def metavar(self, z):
+        """The first occurrence of Z (the only one in a left-linear lhs)."""
+        for occ in self.metavars:
+            if occ.name == z:
+                return occ
+        raise KeyError(z)
+
+    def max_depth(self):
+        return max(map(len, self.positions), default=0)
+
+
+@lru_cache(maxsize=None)
+def pattern_meta(lhs):
+    """The shape of a left-hand side, read in one walk that assumes nothing
+    of it: a malformed pattern is recorded as it stands, for the checks to
+    judge.  Meta-variable arguments (position None) are looked into for rec
+    nodes only."""
+    positions, abs_map, metavars = [], {}, []
+    finite = True
+    stack = [(lhs, (), ())]
+    while stack:
+        t, p, scope = stack.pop()
+        if isinstance(t, (Rec, RecVar)):
+            finite = False
+        elif p is None:
+            stack.extend((c, None, scope) for _, c in children(t))
+        elif isinstance(t, MetaApp):
+            metavars.append(MetaOccurrence(
+                t.mv, p, tuple(a.name if isinstance(a, Var) else None for a in t.args),
+                scope))
+            stack.extend((a, None, scope) for a in t.args)
+        else:
+            positions.append(p)
+            if isinstance(t, Abs):
+                abs_map[p] = t.var
+                scope += ((p, t.var),)
+            stack.extend((c, p + (i,), scope) for i, c in reversed(children(t)))
+    return PatternMeta(tuple(positions), abs_map, tuple(metavars), finite)
+
+
+def max_lhs_depth(system):
+    """The depth of the deepest non-meta position of any lhs."""
+    return max((pattern_meta(r.lhs).max_depth() for r in system.rules), default=0)
+
+
+# ---------------------------------------------------------------------------
 # individual checks
-
-def _is_finite(t):
-    match t:
-        case Rec(_, _) | RecVar(_):
-            return False
-        case Abs(_, body, _):
-            return _is_finite(body)
-        case Sym(_, args, _) | MetaApp(_, args):
-            return all(_is_finite(a) for a in args)
-        case _:
-            return True
-
 
 def check_pattern(l):
     """Every meta-variable occurrence applied to pairwise-distinct bound
     variables; the meta-term itself finite."""
-    if not _is_finite(l):
+    meta = pattern_meta(l)
+    if not meta.finite:
         return Verdict("pattern", False, "left-hand side must be finite")
-
-    def walk(t, scope):
-        match t:
-            case MetaApp(z, args):
-                names = []
-                for a in args:
-                    if not isinstance(a, Var):
-                        return f"{z} applied to non-variable argument"
-                    if a.name not in scope:
-                        return f"{z} applied to unbound variable {a.name}"
-                    names.append(a.name)
-                if len(set(names)) != len(names):
-                    return f"{z} applied to non-distinct variables"
-                return None
-            case Abs(x, body, _):
-                return walk(body, scope | {x})
-            case Sym(_, args, _):
-                for a in args:
-                    bad = walk(a, scope)
-                    if bad:
-                        return bad
-                return None
-            case _:
-                return None
-
-    bad = walk(l, frozenset())
-    if bad:
-        return Verdict("pattern", False, bad, witness=l)
+    for z, _, args, scope in meta.metavars:
+        bound = {x for _, x in scope}
+        for x in args:
+            if x is None:
+                return Verdict("pattern", False,
+                               f"{z} applied to non-variable argument", witness=l)
+            if x not in bound:
+                return Verdict("pattern", False,
+                               f"{z} applied to unbound variable {x}", witness=l)
+        if len(set(args)) != len(args):
+            return Verdict("pattern", False,
+                           f"{z} applied to non-distinct variables", witness=l)
     return Verdict("pattern", True)
 
 
@@ -244,61 +280,27 @@ def check_rule(rule):
     return Verdict("rule", True)
 
 
-def _metavar_occurrences(l):
-    """meta-variable name -> (position, arg names) in a left-linear pattern."""
-    out = {}
-
-    def walk(t, p):
-        match t:
-            case MetaApp(z, args):
-                out.setdefault(z, []).append((p, tuple(a.name for a in args)))
-            case Abs(_, body, _):
-                walk(body, p + (0,))
-            case Sym(_, args, _):
-                for i, a in enumerate(args):
-                    walk(a, p + (i + 1,))
-            case _:
-                pass
-
-    walk(l, ())
-    return out
-
-
 def check_left_linear(system):
     for rule in system.rules:
-        occs = _metavar_occurrences(rule.lhs)
-        for z, places in occs.items():
-            if len(places) > 1:
+        places = {}
+        for occ in pattern_meta(rule.lhs).metavars:
+            places.setdefault(occ.name, []).append(occ.position)
+        for z, ps in places.items():
+            if len(ps) > 1:
                 return Verdict("left-linear", False,
-                               f"{rule.name}: {z} occurs {len(places)} times in lhs",
-                               witness=(rule.name, z, tuple(p for p, _ in places)))
+                               f"{rule.name}: {z} occurs {len(ps)} times in lhs",
+                               witness=(rule.name, z, tuple(ps)))
     return Verdict("left-linear", True)
 
 
 def check_fully_extended(system):
-    def walk(t, scope, rule):
-        match t:
-            case MetaApp(z, args):
-                names = {a.name for a in args}
-                missing = [x for x in scope if x not in names]
-                if missing:
-                    return f"{rule.name}: {z} omits in-scope variable {missing[0]}"
-                return None
-            case Abs(x, body, _):
-                return walk(body, scope + (x,) if x not in scope else scope, rule)
-            case Sym(_, args, _):
-                for a in args:
-                    bad = walk(a, scope, rule)
-                    if bad:
-                        return bad
-                return None
-            case _:
-                return None
-
     for rule in system.rules:
-        bad = walk(rule.lhs, (), rule)
-        if bad:
-            return Verdict("fully-extended", False, bad, witness=rule.name)
+        for z, _, args, scope in pattern_meta(rule.lhs).metavars:
+            missing = [x for _, x in scope if x not in args]
+            if missing:
+                return Verdict("fully-extended", False,
+                               f"{rule.name}: {z} omits in-scope variable {missing[0]}",
+                               witness=rule.name)
     return Verdict("fully-extended", True)
 
 
@@ -315,27 +317,6 @@ def _rename_metavars(t, suffix):
             return Sym(f, tuple(_rename_metavars(a, suffix) for a in args), tag)
         case _:
             return t
-
-
-def _nonmeta_positions(l):
-    out = []
-
-    def walk(t, p):
-        match t:
-            case MetaApp(_, _):
-                return
-            case Abs(_, body, _):
-                out.append(p)
-                walk(body, p + (0,))
-            case Sym(_, args, _):
-                out.append(p)
-                for i, a in enumerate(args):
-                    walk(a, p + (i + 1,))
-            case _:
-                out.append(p)
-
-    walk(l, ())
-    return out
 
 
 class _Unifier:
@@ -425,18 +406,24 @@ class _Unifier:
         raise TermError("pattern contains a rec node")
 
 
+def _non_pattern(system):
+    """The first rule whose lhs fails its pattern check, or None."""
+    return next((r for r in system.rules if not check_pattern(r.lhs).ok), None)
+
+
 def check_orthogonal(system):
     """The first overlap in (outer rule, inner rule, position) order, or a
-    pass.  Each rule's metavariables are renamed and its non-meta positions
-    found once.  A position whose symbol or arity differs from the inner
-    lhs root symbol is skipped without unifying, as unification would fail
-    on that first comparison."""
-    ll = check_left_linear(system)
-    if not ll.ok:
+    pass.  Each rule's metavariables are renamed once, and its non-meta
+    positions are read off its pattern record.  A position whose symbol or
+    arity differs from the inner lhs root symbol is skipped without
+    unifying, as unification would fail on that first comparison."""
+    if _non_pattern(system) is not None:
+        raise PreconditionViolated("orthogonality check requires pattern left-hand sides")
+    if not check_left_linear(system).ok:
         raise PreconditionViolated("orthogonality check requires a left-linear system")
     inners = [Rule(r.name, _rename_metavars(r.lhs, "#2"), r.rhs) for r in system.rules]
     for i, r1 in enumerate(system.rules):
-        sites = [(p, subterm_at(r1.lhs, p)) for p in _nonmeta_positions(r1.lhs)]
+        sites = [(p, subterm_at(r1.lhs, p)) for p in pattern_meta(r1.lhs).positions]
         for j, inner in enumerate(inners):
             root = inner.lhs
             for p, node in sites:
@@ -459,14 +446,10 @@ def check_orthogonal(system):
 def _overlap_instance(r1, inner, p, uni):
     """Build a replayable overlap witness term from the collected bindings."""
     sigma = dict(uni.sigma)
-    for z, places in _metavar_occurrences(r1.lhs).items():
-        if z not in sigma:
-            _, argnames = places[0]
-            sigma[z] = Substitute(argnames, uni._const())
-    for z, places in _metavar_occurrences(inner.lhs).items():
-        if z not in sigma:
-            _, argnames = places[0]
-            sigma[z] = Substitute(argnames, uni._const())
+    for rule in (r1, inner):
+        for z, _, args, _ in pattern_meta(rule.lhs).metavars:
+            if z not in sigma:
+                sigma[z] = Substitute(args, uni._const())
     try:
         instance = apply_valuation(Valuation(sigma), r1.lhs)
     except EngineError:  # a witness is best-effort; the position is authoritative
@@ -482,7 +465,11 @@ def check_system(system):
     ll = check_left_linear(system)
     verdicts.append(ll)
     verdicts.append(check_fully_extended(system))
-    if ll.ok:
+    non_pattern = _non_pattern(system)
+    if non_pattern is not None:
+        verdicts.append(Verdict(
+            "orthogonal", False, f"skipped: lhs of {non_pattern.name} is not a pattern"))
+    elif ll.ok:
         verdicts.append(check_orthogonal(system))
     else:
         verdicts.append(Verdict("orthogonal", False, "skipped: not left-linear"))
@@ -500,60 +487,3 @@ def require_valid(system):
     if not report.ok:
         raise SystemCheckFailed(report)
     return system
-
-
-# ---------------------------------------------------------------------------
-# rule metadata used by matching and the path machinery
-
-@lru_cache(maxsize=None)
-def rule_meta(rule):
-    """Positions and binder layout of a rule's pattern."""
-    metavar_pos = {}
-    arg_names = {}
-    abs_positions = {}
-    pattern = []
-
-    def walk(t, p, scope):
-        match t:
-            case MetaApp(z, args):
-                metavar_pos[z] = p
-                arg_names[z] = tuple(a.name for a in args)
-            case Abs(x, body, _):
-                pattern.append(p)
-                abs_positions[p] = x
-                walk(body, p + (0,), scope + (x,))
-            case Sym(_, args, _):
-                pattern.append(p)
-                for i, a in enumerate(args):
-                    walk(a, p + (i + 1,), scope)
-            case Var(x, _):
-                pattern.append(p)
-
-    walk(rule.lhs, (), ())
-    return RuleMeta(rule, tuple(sorted(pattern)),
-                    tuple(sorted(metavar_pos.items())),
-                    tuple(sorted(abs_positions.items())),
-                    abs_positions, arg_names)
-
-
-@dataclass(frozen=True)
-class RuleMeta:
-    rule: Rule
-    pattern_positions: tuple      # non-meta positions of the lhs, relative
-    metavar_positions: tuple      # ((Z, position), ...)
-    abs_positions: tuple          # ((position, binder name), ...)
-    abs_map: dict = field(compare=False)    # position -> binder name
-    arg_names: dict = field(compare=False)  # Z -> its argument variable names
-
-    def metavar_position(self, z):
-        for name, p in self.metavar_positions:
-            if name == z:
-                return p
-        raise KeyError(z)
-
-    def metavar_args(self, z):
-        """Argument variable names of Z's occurrence in the lhs, in order."""
-        return self.arg_names[z]
-
-    def max_depth(self):
-        return max((len(p) for p in self.pattern_positions), default=0)

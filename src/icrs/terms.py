@@ -502,40 +502,48 @@ def env_lookup(env, x, y):
     return x == y
 
 
-def alpha_eq(t, u):
-    """Bisimilarity of the unfoldings under consistent binder renaming."""
-    if t is u:
-        return True
-    assumed = set()
+def mismatch_depth(t, u, holes=False):
+    """The least depth at which the unfoldings of t and u differ under
+    consistent binder renaming, or None when they are bisimilar.  With
+    holes, a hole on either side agrees with anything (a snapshot's unknown
+    part).  One breadth-first bisimulation over an explicit queue: each
+    (node, node, binder pairs) triple is compared once, at the least depth
+    it is met, so cycles end and deep terms do not recurse."""
+    seen = set()
+    level = [(t, u, ())]
+    depth = 0
+    while level:
+        below = []
+        for a, b, env in level:
+            a, b = resolve(a), resolve(b)
+            if holes and (is_hole(a) or is_hole(b)):
+                continue
+            env = _env_restrict(env, free_vars(a), free_vars(b))
+            key = (a, b, env)
+            if key in seen:
+                continue
+            seen.add(key)
+            match a, b:
+                case Var(x, _), Var(y, _):
+                    if not env_lookup(env, x, y):
+                        return depth
+                case Abs(x, s, _), Abs(y, v, _):
+                    below.append((s, v, env + ((x, y),)))
+                case (Sym(f, xs, _), Sym(g, ys, _)) | (MetaApp(f, xs), MetaApp(g, ys)):
+                    if f != g or len(xs) != len(ys):
+                        return depth
+                    below.extend((p, q, env) for p, q in zip(xs, ys))
+                case _:
+                    return depth
+        level = below
+        depth += 1
+    return None
 
-    def go(a, b, env):
-        a, b = resolve(a), resolve(b)
-        env = _env_restrict(env, free_vars(a), free_vars(b))
-        key = (a, b, env)
-        if key in assumed:
-            return True
-        assumed.add(key)
-        match a, b:
-            case Var(x, _), Var(y, _):
-                return env_lookup(env, x, y)
-            case Abs(x, s, _), Abs(y, v, _):
-                return go(s, v, env + ((x, y),))
-            case Sym(f, xs, _), Sym(g, ys, _):
-                return (
-                    f == g
-                    and len(xs) == len(ys)
-                    and all(go(p, q, env) for p, q in zip(xs, ys))
-                )
-            case MetaApp(z, xs), MetaApp(w, ys):
-                return (
-                    z == w
-                    and len(xs) == len(ys)
-                    and all(go(p, q, env) for p, q in zip(xs, ys))
-                )
-            case _:
-                return False
 
-    return go(t, u, ())
+def alpha_eq(t, u, holes=False):
+    """Bisimilarity of the unfoldings under consistent binder renaming;
+    with holes, a hole on either side agrees with anything."""
+    return t is u or mismatch_depth(t, u, holes) is None
 
 
 def truncate(t, d):
@@ -558,14 +566,8 @@ def truncate(t, d):
 def distance(t, u):
     """0 if alpha-equivalent, else 2^-k with k the least depth where the
     truncations differ modulo alpha."""
-    if alpha_eq(t, u):
-        return Fraction(0)
-    k = 0
-    while alpha_eq(truncate(t, k + 1), truncate(u, k + 1)):
-        k += 1
-        if k > 10_000:
-            raise TermError("distance: no finite difference found")
-    return Fraction(1, 2 ** k)
+    k = mismatch_depth(t, u)
+    return Fraction(0) if k is None else Fraction(1, 2 ** k)
 
 
 def is_prefix_set(positions, t):

@@ -21,7 +21,7 @@ from icrs.oracle import (
     develops_by_exhaustion, phi_injectivity_check,
 )
 from icrs.rewriting import redex_at
-from icrs.systems import rule_meta
+from icrs.systems import pattern_meta
 from icrs.terms import positions_to_depth, prefix_closure
 
 import genrand
@@ -230,7 +230,7 @@ def test_criterion_06_essentiality_matches_descendants(report):
         space = PathSpace(term, us, system)
         pattern_positions = set()
         for u in us:
-            for rel in rule_meta(u.rule).pattern_positions:
+            for rel in pattern_meta(u.rule.lhs).positions:
                 pattern_positions.add(u.position + rel)
         specs = [(s.redex.position, s.redex.rule) for s in dev.steps]
         for p in positions_to_depth(term, 3):

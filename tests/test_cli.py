@@ -79,6 +79,42 @@ class TestCheck:
         assert code == 0
 
 
+MALFORMED = {
+    "non-variable-argument": "rule r: f(Z(a)) -> a ;",
+    "unbound-name-argument": "rule r: f([x] Z(y)) -> a ;",
+    "rec-in-meta-arguments": "rule r: f(Z(rec X. g(X))) -> a ;",
+    "root-not-a-symbol": "rule r: Z -> a ;",
+    "not-left-linear": "rule r: f(Z, Z) -> a ;",
+    "one-of-two-not-a-pattern": "rule q: g(X) -> X ;\nrule r: f(Z(a)) -> a ;",
+}
+
+# every subcommand that reads a system; SCRIPT stands for an essential script
+SYSTEM_COMMANDS = {
+    "check": ["check"],
+    "check-json": ["check", "--json"],
+    "normalize": ["normalize", "--term", "f(a)"],
+    "develop-all": ["develop", "--term", "f(a)", "--all-redexes"],
+    "develop-at-root": ["develop", "--term", "f(a)", "--redexes", "@"],
+    "paths": ["paths", "--term", "f(a)"],
+    "essential": ["essential", "--script", "SCRIPT"],
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+@pytest.mark.parametrize("command", SYSTEM_COMMANDS.values(), ids=SYSTEM_COMMANDS.keys())
+def test_malformed_system_is_reported(command, text, tmp_path, capsys):
+    system = tmp_path / "bad.crs"
+    system.write_text(text)
+    script = tmp_path / "bad.script"
+    script.write_text("term f(a) ;\nprefix @ ;\nstage { redexes @ }\n")
+    args = [str(script) if a == "SCRIPT" else a for a in command[1:]]
+    code, out = run(command[0], str(system), *args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert "FAIL" in out + err or json.loads(out)["ok"] is False
+
+
 class TestDevelop:
     def test_duplicating_example(self):
         code, out = run("develop", corpus("nested_duplication.crs"),
@@ -207,10 +243,19 @@ class TestNormalize:
                         parse_term(nf))
 
     def test_fair_spine_at_depth_300(self, capsys):
-        # equal nodes are one object, so no equality test walks the
-        # 300-deep approximant; structural equality overflowed here before
+        # equal nodes are one object, so no equality test walks the deep
+        # approximant (structural equality overflowed at 300)
+        self.check_fair_spine(300, capsys)
+
+    def test_fair_spine_at_depth_384(self, capsys):
+        # the fold compares snapshots without recursion (it overflowed at
+        # 384); at 500 the recursive truncate and fold still exit 4
+        self.check_fair_spine(384, capsys)
+
+    @staticmethod
+    def check_fair_spine(depth, capsys):
         code, out = run("normalize", corpus("spine_growth.crs"), "--term",
-                        "f(a, c)", "--strategy", "fair", "--depth", "300",
+                        "f(a, c)", "--strategy", "fair", "--depth", str(depth),
                         "--fuel", "4000", "--json")
         assert code == 0, capsys.readouterr().err
         payload = json.loads(out)

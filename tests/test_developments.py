@@ -12,7 +12,7 @@ from icrs.developments import TermNode
 from icrs.errors import FiniteJumpsViolated, InfiniteStageSet
 from icrs.oracle import all_development_orders, brute_descendants
 from icrs.rewriting import redex_at
-from icrs.systems import rule_meta
+from icrs.systems import pattern_meta
 from icrs.terms import Abs, Rec, Sym, Var, resolve, subterm_at
 
 import genrand
@@ -254,8 +254,8 @@ def root_walk_binding(term, redexes, system, p):
     for k in range(len(q) + 1):
         u = (redex_at(term, system, q[:k]) if by_pos is None
              else by_pos.get(q[:k]))
-        if u is not None and q[k:] in rule_meta(u.rule).abs_map:
-            return u.position, rule_meta(u.rule).abs_map[q[k:]]
+        if u is not None and q[k:] in pattern_meta(u.rule.lhs).abs_map:
+            return u.position, pattern_meta(u.rule.lhs).abs_map[q[k:]]
     return None
 
 

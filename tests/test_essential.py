@@ -288,11 +288,11 @@ class TestPositionLevelEssentiality:
             return 0
         essential = epsilon_step(prefix, dev)
         space = PathSpace(term, us, system)
-        from icrs.systems import rule_meta
+        from icrs.systems import pattern_meta
 
         pattern_positions = set()
         for u in us:
-            for rel in rule_meta(u.rule).pattern_positions:
+            for rel in pattern_meta(u.rule.lhs).positions:
                 pattern_positions.add(u.position + rel)
         checked = 0
         for p in positions_to_depth(term, 3):

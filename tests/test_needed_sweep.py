@@ -14,7 +14,8 @@ from icrs import (
     needed_pilot, parse_system, parse_term,
 )
 from icrs.errors import EngineError
-from icrs.strategies import Pilot, Stratum, _max_lhs_depth
+from icrs.strategies import Pilot, Stratum
+from icrs.systems import max_lhs_depth
 
 import genrand
 
@@ -66,7 +67,7 @@ def test_sweep_matches_per_stratum_on_needed_inputs(system_file, term, depth):
     t = parse_term(term if term is not None else fixpoint_term())
     # the pilot depth normalize uses for needed-fair at this goal depth
     pilot_depth = max(needed_fair().pilot_depth,
-                      depth + _max_lhs_depth(system) + 1)
+                      depth + max_lhs_depth(system) + 1)
     # the input and the next terms of its outermost-fair run
     first = needed_pilot(t, system, pilot_depth, 600)
     checked = 0

@@ -17,7 +17,7 @@ from icrs.developments import Path, _assoc_get, _Machine, _TState
 from icrs.errors import BudgetExceeded, EngineError, FiniteJumpsViolated
 from icrs.oracle import OracleReport, phi_injectivity_check
 from icrs.rewriting import redex_at
-from icrs.systems import rule_meta
+from icrs.systems import pattern_meta
 from icrs.terms import (
     Abs, MetaApp, Rec, RecVar, Sym, Var, children, has_vars,
     positions_to_depth, resolve, root_label, subterm_at,
@@ -61,8 +61,8 @@ class TuplePaths:
             return None
         for k in range(len(q) + 1):
             u = self.redex(q[:k])
-            if u is not None and q[k:] in rule_meta(u.rule).abs_map:
-                return u, rule_meta(u.rule).abs_map[q[k:]]
+            if u is not None and q[k:] in pattern_meta(u.rule.lhs).abs_map:
+                return u, pattern_meta(u.rule.lhs).abs_map[q[k:]]
         return None
 
     def extensions(self, nodes):
@@ -78,7 +78,7 @@ class TuplePaths:
                 for n in reversed(nodes):
                     if n[0] != "s" and n[2] == u.position:
                         z = resolve(subterm_at(u.rule.rhs, n[1]))
-                        i = rule_meta(u.rule).metavar_args(z.mv).index(lhs_var) + 1
+                        i = pattern_meta(u.rule.lhs).metavar(z.mv).args.index(lhs_var) + 1
                         return [(None, (u.rule.name, n[1] + (i,), u.position))]
                 raise AssertionError("bound variable reached before its redex")
             return [(i, ("s", p + (i,))) for i, _ in children(self.subterm(p))]
@@ -86,7 +86,7 @@ class TuplePaths:
         rule = self.system.rule(name)
         node = resolve(subterm_at(rule.rhs, pos))
         if isinstance(node, MetaApp):
-            return [(None, ("s", redex + rule_meta(rule).metavar_position(node.mv)))]
+            return [(None, ("s", redex + pattern_meta(rule.lhs).metavar(node.mv).position))]
         return [(i, (name, pos + (i,), redex)) for i, _ in children(node)]
 
     def label(self, n):

@@ -13,10 +13,9 @@ from icrs import systems
 from icrs.errors import PreconditionViolated
 from icrs.syntax import parse_metaterm
 from icrs.systems import (
-    Rule, Verdict, _nonmeta_positions, _overlap_instance, _rename_metavars,
-    _Unifier, rule_meta,
+    Rule, Verdict, _overlap_instance, _rename_metavars, _Unifier, pattern_meta,
 )
-from icrs.terms import subterm_at
+from icrs.terms import Abs, MetaApp, Rec, RecVar, Sym, Var, subterm_at
 
 import genrand
 
@@ -126,6 +125,12 @@ class TestOrthogonal:
         with pytest.raises(PreconditionViolated):
             check_orthogonal(system)
 
+    @pytest.mark.parametrize("lhs", ["f(Z(a))", "f(Z(rec X. g(X)))"])
+    def test_requires_patterns(self, lhs):
+        system = parse_system(f"rule r: {lhs} -> a ; rule q: g(Z) -> Z ;")
+        with pytest.raises(PreconditionViolated):
+            check_orthogonal(system)
+
     def test_higher_order_projection_overlap(self):
         # the bound variable can be projected away, exposing the inner redex
         system = parse_system(
@@ -154,6 +159,28 @@ class TestOrthogonal:
         inner = system.rule(inner_name)
         assert match(outer, w.instance, ()) is not None
         assert match(inner, w.instance, w.position) is not None
+
+
+def _nonmeta_positions(l):
+    """The former non-meta position walk of check_orthogonal."""
+    out = []
+
+    def walk(t, p):
+        match t:
+            case MetaApp(_, _):
+                return
+            case Abs(_, body, _):
+                out.append(p)
+                walk(body, p + (0,))
+            case Sym(_, args, _):
+                out.append(p)
+                for i, a in enumerate(args):
+                    walk(a, p + (i + 1,))
+            case _:
+                out.append(p)
+
+    walk(l, ())
+    return out
 
 
 def triple_loop_orthogonal(system):
@@ -251,6 +278,12 @@ class TestCheckSystem:
         assert not report.ok
         assert any(v.check == "left-linear" and not v.ok for v in report.verdicts)
 
+    def test_non_pattern_skips_orthogonality(self):
+        report = check_system(parse_system("rule q: g(Z) -> Z ; rule r: f(Z(a)) -> a ;"))
+        assert report.verdicts[0].detail == "r: Z applied to non-variable argument"
+        assert report.verdicts[-1] == Verdict(
+            "orthogonal", False, "skipped: lhs of r is not a pattern")
+
     def test_random_template_systems_pass(self):
         rng = random.Random(7)
         for _ in range(15):
@@ -258,15 +291,228 @@ class TestCheckSystem:
 
 
 def test_rule_meta_pattern_positions(dup_system):
-    meta = rule_meta(dup_system.rule("r"))
+    meta = pattern_meta(dup_system.rule("r").lhs)
     # f([x]Z(x),Z'): metavariable subtrees are not in the pattern
-    assert set(meta.pattern_positions) == {(), (1,)}
-    assert meta.metavar_position("Z") == (1, 0)
-    assert meta.metavar_position("Z'") == (2,)
-    assert meta.metavar_args("Z") == ("x",)
+    assert meta.positions == ((), (1,))
+    assert meta.metavar("Z").position == (1, 0)
+    assert meta.metavar("Z'").position == (2,)
+    assert meta.metavar("Z").args == ("x",)
+    assert meta.metavar("Z").scope == (((1,), "x"),)
     assert meta.abs_map == {(1,): "x"}
+    assert meta.finite
 
 
 def test_hole_symbol_reserved_in_rules():
     with pytest.raises(Exception):
         parse_system("rule bad: f(Z) -> _|_ ;")
+
+
+# ---------------------------------------------------------------------------
+# the former walks of the checks, each reading the lhs shape on its own: the
+# reference route for pattern_meta
+
+def old_is_finite(t):
+    match t:
+        case Rec(_, _) | RecVar(_):
+            return False
+        case Abs(_, body, _):
+            return old_is_finite(body)
+        case Sym(_, args, _) | MetaApp(_, args):
+            return all(old_is_finite(a) for a in args)
+        case _:
+            return True
+
+
+def old_check_pattern(l):
+    if not old_is_finite(l):
+        return Verdict("pattern", False, "left-hand side must be finite")
+
+    def walk(t, scope):
+        match t:
+            case MetaApp(z, args):
+                names = []
+                for a in args:
+                    if not isinstance(a, Var):
+                        return f"{z} applied to non-variable argument"
+                    if a.name not in scope:
+                        return f"{z} applied to unbound variable {a.name}"
+                    names.append(a.name)
+                if len(set(names)) != len(names):
+                    return f"{z} applied to non-distinct variables"
+                return None
+            case Abs(x, body, _):
+                return walk(body, scope | {x})
+            case Sym(_, args, _):
+                for a in args:
+                    bad = walk(a, scope)
+                    if bad:
+                        return bad
+                return None
+            case _:
+                return None
+
+    bad = walk(l, frozenset())
+    if bad:
+        return Verdict("pattern", False, bad, witness=l)
+    return Verdict("pattern", True)
+
+
+def old_metavar_occurrences(l):
+    """meta-variable name -> [(position, arg names)] (raises on a
+    non-variable argument)."""
+    out = {}
+
+    def walk(t, p):
+        match t:
+            case MetaApp(z, args):
+                out.setdefault(z, []).append((p, tuple(a.name for a in args)))
+            case Abs(_, body, _):
+                walk(body, p + (0,))
+            case Sym(_, args, _):
+                for i, a in enumerate(args):
+                    walk(a, p + (i + 1,))
+            case _:
+                pass
+
+    walk(l, ())
+    return out
+
+
+def old_check_left_linear(system):
+    for rule in system.rules:
+        occs = old_metavar_occurrences(rule.lhs)
+        for z, places in occs.items():
+            if len(places) > 1:
+                return Verdict("left-linear", False,
+                               f"{rule.name}: {z} occurs {len(places)} times in lhs",
+                               witness=(rule.name, z, tuple(p for p, _ in places)))
+    return Verdict("left-linear", True)
+
+
+def old_check_fully_extended(system):
+    def walk(t, scope, rule):
+        match t:
+            case MetaApp(z, args):
+                names = {a.name for a in args}
+                missing = [x for x in scope if x not in names]
+                if missing:
+                    return f"{rule.name}: {z} omits in-scope variable {missing[0]}"
+                return None
+            case Abs(x, body, _):
+                return walk(body, scope + (x,) if x not in scope else scope, rule)
+            case Sym(_, args, _):
+                for a in args:
+                    bad = walk(a, scope, rule)
+                    if bad:
+                        return bad
+                return None
+            case _:
+                return None
+
+    for rule in system.rules:
+        bad = walk(rule.lhs, (), rule)
+        if bad:
+            return Verdict("fully-extended", False, bad, witness=rule.name)
+    return Verdict("fully-extended", True)
+
+
+def old_rule_meta(lhs):
+    """(sorted pattern positions, Z -> position, Z -> arg names, position
+    -> binder name) as the former rule metadata walk built them."""
+    metavar_pos, arg_names, abs_positions, pattern = {}, {}, {}, []
+
+    def walk(t, p):
+        match t:
+            case MetaApp(z, args):
+                metavar_pos[z] = p
+                arg_names[z] = tuple(a.name for a in args)
+            case Abs(x, body, _):
+                pattern.append(p)
+                abs_positions[p] = x
+                walk(body, p + (0,))
+            case Sym(_, args, _):
+                pattern.append(p)
+                for i, a in enumerate(args):
+                    walk(a, p + (i + 1,))
+            case Var(x, _):
+                pattern.append(p)
+
+    walk(lhs, ())
+    return tuple(sorted(pattern)), metavar_pos, arg_names, abs_positions
+
+
+MALFORMED_LHS = [
+    "f(Z(a))", "f([x] Z(y))", "f(Z(rec X. g(X)))", "rec R. f(Z, R)",
+    "f([x] [y] Z(x, x))", "f(Z, Z)", "Z", "[x] Z(x)", "g([x] f(Z(x), Z'))",
+    "f([x] [x] Z(x))", "f(Z(Y))", "f([x] Z(x, a), W)", "f([x] Z(y, x))",
+    "f([x] g(Z(x), [y] Z(y)))", "f(rec X. g(X), Z)",
+]
+
+
+def agreement_systems():
+    """The orthogonality systems, seeded random systems, and each malformed
+    lhs alone and beside a well-formed rule."""
+    out = orthogonality_systems()
+    rng = random.Random(11)
+    out += [genrand.random_system(rng) for _ in range(40)]
+    good = parse_system("rule q: g(Z) -> Z ;").rules
+    for text in MALFORMED_LHS:
+        rule = Rule("m", parse_metaterm(text), parse_metaterm("k"))
+        out += [RewriteSystem((rule,), ()), RewriteSystem(good + (rule,), ())]
+    return out
+
+
+def agrees(new_route, old_route, arg):
+    """The new route never raises; where the old one did not raise either,
+    verdict, detail and witness are equal."""
+    new = new_route(arg)
+    try:
+        old = old_route(arg)
+    except AttributeError:  # the old walk read .name off a non-variable
+        return False
+    assert (new.ok, new.detail, new.witness) == (old.ok, old.detail, old.witness), arg
+    return True
+
+
+class TestPatternMetaAgreement:
+    def test_checks_agree_with_the_former_walks(self):
+        compared = 0
+        for system in agreement_systems():
+            compared += agrees(check_left_linear, old_check_left_linear, system)
+            compared += agrees(check_fully_extended, old_check_fully_extended, system)
+            for rule in system.rules:
+                compared += agrees(check_pattern, old_check_pattern, rule.lhs)
+        assert compared > 4000
+
+    def test_record_agrees_with_the_former_walks(self):
+        raised = 0
+        for system in agreement_systems():
+            for rule in system.rules:
+                lhs = rule.lhs
+                meta = pattern_meta(lhs)
+                assert meta.finite == old_is_finite(lhs)
+                if meta.finite:  # the old orthogonality walk listed rec nodes
+                    assert list(meta.positions) == _nonmeta_positions(lhs)
+                try:
+                    occs = old_metavar_occurrences(lhs)
+                    positions, metavar_pos, arg_names, abs_map = old_rule_meta(lhs)
+                except AttributeError:
+                    raised += 1
+                    continue
+                assert meta.positions == positions
+                assert meta.abs_map == abs_map
+                grouped = {}
+                for occ in meta.metavars:
+                    grouped.setdefault(occ.name, []).append((occ.position, occ.args))
+                assert list(grouped.items()) == list(occs.items())
+                for occ in meta.metavars:
+                    # the binders above an occurrence, as the walk machine
+                    # used to pick them out of every pattern abstraction
+                    above = tuple(
+                        (rho, x) for rho, x in sorted(abs_map.items(), key=lambda kv: len(kv[0]))
+                        if rho == occ.position[:len(rho)] and len(rho) < len(occ.position))
+                    assert occ.scope == above
+                    if len(grouped[occ.name]) == 1:
+                        assert meta.metavar(occ.name).position == metavar_pos[occ.name]
+                        assert meta.metavar(occ.name).args == arg_names[occ.name]
+        assert raised >= 4

@@ -19,9 +19,9 @@ from icrs.errors import NotCycleRoot, PositionError, TermError
 from icrs.syntax import parse_metaterm
 from icrs import rewriting, systems, terms
 from icrs.terms import (
-    MetaApp, Term, _unroll, check_guarded, children, free_recvars, free_vars, hole,
-    iter_tagged, meta_vars, path_nodes, prefix_closure, rebuild_path,
-    set_tag_at, strip_tags, subst_recvar,
+    MetaApp, Term, _env_restrict, _unroll, check_guarded, children, env_lookup,
+    free_recvars, free_vars, hole, is_hole, iter_tagged, meta_vars, path_nodes,
+    prefix_closure, rebuild_path, root_key, set_tag_at, strip_tags, subst_recvar,
 )
 
 import genrand
@@ -767,3 +767,111 @@ class TestIterTaggedUnderInterning:
 def test_truncations_converge(t):
     # deep enough truncation reproduces any finite term
     assert alpha_eq(truncate(t, 50), t)
+
+
+# ---------------------------------------------------------------------------
+# the former comparisons, each its own recursion: the reference route for
+# the one breadth-first walk (terms.mismatch_depth)
+
+def old_alpha_eq(t, u):
+    if t is u:
+        return True
+    assumed = set()
+
+    def go(a, b, env):
+        a, b = resolve(a), resolve(b)
+        env = _env_restrict(env, free_vars(a), free_vars(b))
+        key = (a, b, env)
+        if key in assumed:
+            return True
+        assumed.add(key)
+        match a, b:
+            case Var(x, _), Var(y, _):
+                return env_lookup(env, x, y)
+            case Abs(x, s, _), Abs(y, v, _):
+                return go(s, v, env + ((x, y),))
+            case Sym(f, xs, _), Sym(g, ys, _):
+                return (
+                    f == g
+                    and len(xs) == len(ys)
+                    and all(go(p, q, env) for p, q in zip(xs, ys))
+                )
+            case MetaApp(z, xs), MetaApp(w, ys):
+                return (
+                    z == w
+                    and len(xs) == len(ys)
+                    and all(go(p, q, env) for p, q in zip(xs, ys))
+                )
+            case _:
+                return False
+
+    return go(t, u, ())
+
+
+def old_distance(t, u):
+    """The truncation loop: the first depth whose truncations differ."""
+    if old_alpha_eq(t, u):
+        return Fraction(0)
+    k = 0
+    while old_alpha_eq(truncate(t, k + 1), truncate(u, k + 1)):
+        k += 1
+    return Fraction(1, 2 ** k)
+
+
+def old_wildcard_eq(a, b, pairs=()):
+    """The fold's snapshot comparison: a hole matches anything."""
+    a, b = resolve(a), resolve(b)
+    if is_hole(a) or is_hole(b):
+        return True
+    ka, kb = root_key(a), root_key(b)
+    if ka[0] != kb[0]:
+        return False
+    if ka[0] == "var":
+        return env_lookup(pairs, a.name, b.name)
+    if ka[0] == "abs":
+        return old_wildcard_eq(a.body, b.body, pairs + ((a.var, b.var),))
+    if ka != kb:
+        return False
+    return all(old_wildcard_eq(x, y, pairs) for x, y in zip(a.args, b.args))
+
+
+@pytest.fixture(scope="module")
+def comparison_pairs():
+    """Sampled closed nodes, each beside itself, another node, itself with
+    a constant or a user hole grafted in, and a truncation of itself."""
+    rng = random.Random(23)
+    closed = [t for t in node_sample() if not free_recvars(t)]
+    pairs = []
+    for t in rng.sample(closed, 400):
+        p = rng.choice(sorted(positions_to_depth(t, 3)))
+        pairs += [(t, t), (t, rng.choice(closed)), (t, graft(t, p, Sym("a"))),
+                  (t, graft(t, p, hole())), (t, truncate(t, rng.randint(1, 4)))]
+    return pairs
+
+
+class TestOneComparisonWalk:
+    def test_alpha_eq_and_distance_agree_with_the_former_loops(self, comparison_pairs):
+        depths = set()
+        for t, u in comparison_pairs:
+            assert alpha_eq(t, u) == old_alpha_eq(t, u), (t, u)
+            d = distance(t, u)
+            assert d == old_distance(t, u), (t, u)
+            depths.add(d)
+        assert {Fraction(0), Fraction(1), Fraction(1, 8)} <= depths
+
+    def test_hole_wildcards_agree_with_the_former_walk(self, comparison_pairs):
+        rng = random.Random(29)
+        seen = set()
+        for t, u in comparison_pairs:
+            a, b = truncate(t, rng.randint(1, 5)), truncate(u, rng.randint(1, 5))
+            same = old_wildcard_eq(a, b)
+            assert alpha_eq(a, b, holes=True) == same, (a, b)
+            assert alpha_eq(b, a, holes=True) == same, (a, b)
+            seen.add(same)
+        assert seen == {True, False}
+
+    def test_holes_are_plain_symbols_by_default(self):
+        snapshot = T("f(a, _|_)")
+        assert alpha_eq(snapshot, T("f(a, b)"), holes=True)
+        assert not alpha_eq(snapshot, T("f(a, b)"))
+        assert distance(snapshot, T("f(a, b)")) == Fraction(1, 2)
