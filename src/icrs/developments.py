@@ -20,7 +20,12 @@ Two engines implement this:
 * the class machine: states quotient positions by subterm value, with closure
   environments standing in for path history.  Decides the finite jumps
   property exactly on rational terms and builds the (rational) developed term
-  from the graph of labelled states that the same walk records.
+  from the graph of labelled states that the same walk records.  A state
+  keeps only what its future reads (flat closures, as in Shao and Appel's
+  space-efficient closures and Sestoft's trimmed environments): a closure is
+  the rule state the walk returns into, a term state's environment holds the
+  free variables of its value, and each state has one naming table.  Equal
+  states have equal futures, so a cycle the machine finds is a real one.
 """
 
 from __future__ import annotations
@@ -498,23 +503,16 @@ def _hashed(cls):
 
 
 @_hashed
-class _Closure(_Hashed):
-    rule: Rule
-    node: Term         # the meta-variable node of the rhs we return into
-    redex_value: Term
-    redex_rel: object  # frozenset of (relative position, rule) or None
-    env: tuple
-    nenv: tuple        # term-side naming at redex entry
-    rnenv: tuple       # rule-side naming of this activation
-    lhs_var: str
-
-
-@_hashed
 class _TState(_Hashed):
     value: Term
     rel: object
-    env: tuple   # ((term var name, 'ord' | _Closure), ...) name-sorted
-    nenv: tuple  # ((orig binder name, chosen name), ...) name-sorted
+    # ((var name, (_RState, lhs var)), ...) name-sorted: the free variables
+    # of value that a redex pattern binds, each with the rule state at the
+    # meta-variable the walk returns into.  No other entry is kept: a
+    # variable that an ordinary binder rebinds was dropped at that binder,
+    # which does not have it free.
+    env: tuple
+    names: tuple  # ((orig binder name, chosen name), ...) name-sorted
 
     def render(self):
         return f"term node {print_term(self.value, max_depth=3)}"
@@ -526,9 +524,9 @@ class _RState(_Hashed):
     value: Term
     redex_value: Term
     redex_rel: object
-    env: tuple
-    nenv: tuple
-    rnenv: tuple
+    env: tuple    # the env of the redex's term state
+    nenv: tuple   # term-side names at redex entry
+    names: tuple  # rule-side names of this activation
 
     def render(self):
         return f"rule {self.rule.name} rhs node {print_term(self.value, max_depth=3)}"
@@ -546,6 +544,13 @@ def _assoc_get(table, k):
         if a == k:
             return b
     return None
+
+
+def _trimmed(env, value):
+    """The entries of env for the free variables of value: no other entry
+    is read again, so equal trimmed states have equal futures."""
+    fv = free_vars(value)
+    return tuple(e for e in env if e[0] in fv)
 
 
 def _rel_descend(rel, i):
@@ -581,8 +586,8 @@ class _Machine:
         if isinstance(st, _TState):
             if self._redex_rule(st) is not None:
                 return None
-            if isinstance(st.value, Var) and isinstance(
-                    _assoc_get(st.env, st.value.name), _Closure):
+            if (isinstance(st.value, Var)
+                    and _assoc_get(st.env, st.value.name) is not None):
                 return None
             return root_label(st.value)
         if isinstance(st.value, MetaApp):
@@ -596,25 +601,21 @@ class _Machine:
             rule = self._redex_rule(st)
             if rule is not None:
                 return _RState(rule, resolve(rule.rhs), st.value, st.rel,
-                               st.env, st.nenv, ())
-            cl = _assoc_get(st.env, st.value.name)
-            z = cl.node
-            i = pattern_meta(cl.rule.lhs).metavar(z.mv).args.index(cl.lhs_var) + 1
-            return _RState(cl.rule, resolve(z.args[i - 1]), cl.redex_value,
-                           cl.redex_rel, cl.env, cl.nenv, cl.rnenv)
-        z = st.value
-        occ = pattern_meta(st.rule.lhs).metavar(z.mv)
-        q = occ.position
-        jump = resolve(subterm_at(st.redex_value, q))
-        overrides = []
-        for rho, lhs_var in occ.scope:  # the binders above q, outermost first
-            term_abs = resolve(subterm_at(st.redex_value, rho))
-            overrides.append(
-                (term_abs.var,
-                 _Closure(st.rule, z, st.redex_value, st.redex_rel,
-                          st.env, st.nenv, st.rnenv, lhs_var)))
-        env = _assoc_extend(st.env, overrides)
-        return _TState(jump, _rel_descend_path(st.redex_rel, q), env, st.nenv)
+                               st.env, st.names, ())
+            # a pattern-bound variable: back to the argument of the
+            # meta-variable at which the walk left the rule
+            home, lhs_var = _assoc_get(st.env, st.value.name)
+            z = home.value
+            i = pattern_meta(home.rule.lhs).metavar(z.mv).args.index(lhs_var)
+            return _RState(home.rule, resolve(z.args[i]), home.redex_value,
+                           home.redex_rel, home.env, home.nenv, home.names)
+        occ = pattern_meta(st.rule.lhs).metavar(st.value.mv)
+        jump = resolve(subterm_at(st.redex_value, occ.position))
+        env = _assoc_extend(st.env, [  # the binders above, outermost first
+            (resolve(subterm_at(st.redex_value, rho)).var, (st, lhs_var))
+            for rho, lhs_var in occ.scope])
+        return _TState(jump, _rel_descend_path(st.redex_rel, occ.position),
+                       _trimmed(env, jump), st.nenv)
 
     def eps_walk(self, st):
         """The labelled state reached from st by epsilon moves.  Raises
@@ -645,31 +646,30 @@ class _Machine:
         return st
 
     # -- structural successors of a labelled state ----------------------------
+    def _named(self, st, var):
+        """st's names with one for the binder var: the one it has, else a
+        fresh one against the table, the term's free names and, on the
+        rule side, the term-side names at redex entry."""
+        names = st.names
+        if _assoc_get(names, var) is None:
+            used = {b for _, b in names} | self.avoid
+            if isinstance(st, _RState):
+                used |= {b for _, b in st.nenv}
+            names = _assoc_extend(names, [(var, fresh_name(var, used))])
+        return names
+
     def successors(self, st):
         v = st.value
+        names = self._named(st, v.var) if isinstance(v, Abs) else st.names
         out = []
-        if isinstance(st, _TState):
-            for i, c in children(v):
-                env, nenv = st.env, st.nenv
-                if isinstance(v, Abs):
-                    chosen = _assoc_get(nenv, v.var)
-                    if chosen is None:
-                        used = {b for _, b in nenv} | self.avoid
-                        chosen = fresh_name(v.var, used)
-                        nenv = _assoc_extend(nenv, [(v.var, chosen)])
-                    env = _assoc_extend(env, [(v.var, "ord")])
-                out.append((i, _TState(resolve(c), _rel_descend(st.rel, i), env, nenv)))
-            return out
         for i, c in children(v):
-            rnenv = st.rnenv
-            if isinstance(v, Abs):
-                chosen = _assoc_get(rnenv, v.var)
-                if chosen is None:
-                    used = {b for _, b in rnenv} | {b for _, b in st.nenv} | self.avoid
-                    chosen = fresh_name(v.var, used)
-                    rnenv = _assoc_extend(rnenv, [(v.var, chosen)])
-            out.append((i, _RState(st.rule, resolve(c), st.redex_value,
-                                   st.redex_rel, st.env, st.nenv, rnenv)))
+            c = resolve(c)
+            if isinstance(st, _TState):
+                nxt = _TState(c, _rel_descend(st.rel, i), _trimmed(st.env, c), names)
+            else:
+                nxt = _RState(st.rule, c, st.redex_value, st.redex_rel,
+                              st.env, st.nenv, names)
+            out.append((i, nxt))
         return out
 
     # -- decision + construction ----------------------------------------------
@@ -703,18 +703,6 @@ class _Machine:
         except FiniteJumpsViolated:
             return False
 
-    def chosen_name(self, st):
-        v = st.value
-        if isinstance(st, _TState):
-            if isinstance(v, Var):
-                got = _assoc_get(st.nenv, v.name)
-                return got if got is not None else v.name
-            return _assoc_get(st.nenv, v.var) if isinstance(v, Abs) else None
-        if isinstance(v, Var):
-            got = _assoc_get(st.rnenv, v.name)
-            return got if got is not None else v.name
-        return _assoc_get(st.rnenv, v.var) if isinstance(v, Abs) else None
-
     def target(self):
         """The developed term, read off the walk's graph of labelled states:
         a state met again on the way down becomes a rec binder."""
@@ -735,14 +723,10 @@ class _Machine:
             v = lab.value
             succ = graph[lab]
             if isinstance(v, Var):
-                out = Var(self.chosen_name(lab))
+                out = Var(_assoc_get(lab.names, v.name) or v.name)
             elif isinstance(v, Abs):
                 _, inner, inner_lab = succ[0]
-                if isinstance(inner, _TState):
-                    chosen = _assoc_get(inner.nenv, v.var)
-                else:
-                    chosen = _assoc_get(inner.rnenv, v.var)
-                out = Abs(chosen or v.var, build(inner_lab))
+                out = Abs(_assoc_get(inner.names, v.var), build(inner_lab))
             else:  # Sym (meta nodes are unlabelled)
                 out = Sym(v.fun, tuple(build(arg) for _, _, arg in succ))
             name, used = building.pop(lab)

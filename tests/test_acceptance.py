@@ -209,6 +209,36 @@ def test_criterion_05_finite_jumps_iff_development(report, collapse_system):
            f"development on {agreements} finite sets and the collapsing tower")
 
 
+# cyclic λ-terms over lambda_beta.crs with their developed terms: each turn
+# of the cycle re-enters the redex it left, so the walk machine needs a
+# finite state space here, which trimmed environments give it
+CYCLIC_LAMBDA = [
+    ("rec S. app(abs([x] app(x, S)), abs([y] y))",
+     "rec T. app(abs([y] y), T)"),
+    ("rec S. app(abs([x] app(S, x)), abs([y] y))",
+     "rec T. app(T, abs([y] y))"),
+    ("rec S. abs([z] app(abs([x] app(x, app(z, S))), abs([y] y)))",
+     "rec T. abs([z] app(abs([y] y), app(z, T)))"),
+    ("rec S. app(abs([x] abs([w] app(x, app(w, S)))), abs([y] y))",
+     "rec T. abs([w] app(abs([y] y), app(w, T)))"),
+]
+
+
+@pytest.mark.parametrize("term,developed", CYCLIC_LAMBDA)
+def test_criterion_05_cyclic_lambda_terms_develop(report, beta_system, term,
+                                                  developed):
+    clock = _Clock(5.0)
+    code, out = _run_cli("develop", str(CORPUS / "lambda_beta.crs"),
+                         "--term", term, "--all-redexes")
+    assert code == 0
+    printed = out.removeprefix("target: ").strip()
+    assert alpha_eq(parse_term(printed), T(developed))
+    assert has_finite_jumps(T(term), ALL_REDEXES, beta_system)
+    assert develops_by_exhaustion(T(term), ALL_REDEXES, beta_system)
+    t = clock.check()
+    report(f"criterion 5 pass ({t:.1f}s): {term} develops to {printed}")
+
+
 def test_criterion_06_essentiality_matches_descendants(report):
     clock = _Clock(60.0)
     rng = random.Random(606)

@@ -128,6 +128,12 @@ class TestDevelop:
         assert code == 0
         assert "target: f([x] g(x), a)" in out
 
+    def test_cyclic_lambda_term_develops(self):
+        code, out = run("develop", corpus("lambda_beta.crs"), "--term",
+                        "rec S. app(abs([x] app(x, S)), abs([y] y))", "--all-redexes")
+        assert code == 0
+        assert out == "target: rec T1. app(abs([y] y), T1)\n"
+
     def test_collapse_tower_fails(self):
         code, out = run("develop", corpus("collapse_loop.crs"),
                         "--term", "rec F. f(F)", "--all-redexes")

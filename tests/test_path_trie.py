@@ -13,7 +13,7 @@ from icrs import (
     ALL_REDEXES, PathSpace, complete_development, parse_system, parse_term,
     path_prefix_set, print_term, target_term,
 )
-from icrs.developments import Path, _assoc_get, _Machine, _TState
+from icrs.developments import Path, _assoc_get, _Machine
 from icrs.errors import BudgetExceeded, EngineError, FiniteJumpsViolated
 from icrs.oracle import OracleReport, phi_injectivity_check
 from icrs.rewriting import redex_at
@@ -311,11 +311,10 @@ def check_then_build(term, redexes, system, state_budget=200_000):
         v = lab.value
         succ = dict(m.successors(lab))
         if isinstance(v, Var):
-            out = Var(m.chosen_name(lab))
+            out = Var(_assoc_get(lab.names, v.name) or v.name)
         elif isinstance(v, Abs):
             inner = succ[0]
-            env = inner.nenv if isinstance(inner, _TState) else inner.rnenv
-            out = Abs(_assoc_get(env, v.var) or v.var, build(inner))
+            out = Abs(_assoc_get(inner.names, v.var), build(inner))
         else:
             out = Sym(v.fun, tuple(build(succ[i + 1]) for i in range(len(v.args))))
         name, used = building.pop(lab)
