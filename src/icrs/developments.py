@@ -37,7 +37,7 @@ from .errors import (
     BudgetExceeded, FiniteJumpsViolated, InfiniteStageSet, PositionError,
     PreconditionViolated, TermError,
 )
-from .rewriting import Redex, contract, match, redex_at, residuals
+from .rewriting import Redex, contract, match, redex_at, redex_trie, residuals
 from .syntax import position_str, print_term
 from .systems import Rule, max_lhs_depth, pattern_meta, require_valid
 from .terms import (
@@ -282,14 +282,7 @@ class PathSpace:
     def __init__(self, term, redexes, system):
         self.system = require_valid(system)
         self.all = isinstance(redexes, AllRedexes)
-        marks = None
-        if not self.all:
-            marks = [None, {}]  # [redex here, {child index: entry}]
-            for u in redexes:
-                entry = marks
-                for i in u.position:
-                    entry = entry[1].setdefault(i, [None, {}])
-                entry[0] = u
+        marks = None if self.all else redex_trie(redexes)
         # a pattern abstraction lies at most this deep below its redex
         self._reach = max_lhs_depth(self.system)
         self.root = self._settle(TermNode(None, None, resolve(term), marks))

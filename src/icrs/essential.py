@@ -78,18 +78,52 @@ def zeta(path):
     return frozenset(u.position + rel for rel in pattern_meta(u.rule.lhs).positions)
 
 
-def _fed(pps):
-    """Union of zeta over a path prefix set."""
+def _fed(paths):
+    """Union of zeta over paths."""
     out = set()
-    for path in pps.paths:
+    for path in paths:
         out |= zeta(path)
     return frozenset(out)
 
 
+def _redex_paths(prefix, stage):
+    """The paths of a stage realised as one step, at p, walked in the redex
+    subterm alone with the redex at the empty position, whose edge words
+    shifted by p lie in the prefix set; positions are relative to p.  The
+    whole-term paths through p are the plain path down to p followed by
+    one of these."""
+    step, = stage.steps
+    u = step.redex
+    p = u.position
+    if p not in prefix:
+        return ()
+    space = PathSpace(step.path[-1], (Redex((), u.rule, u.valuation),),
+                      stage.system)
+    enum = space.enumerate(word_filter=lambda w: p + w in prefix,
+                           collect_all=True)
+    if enum.truncated:
+        raise PreconditionViolated("path prefix set enumeration was cut short")
+    return enum.maximal
+
+
 def epsilon_step(prefix, stage):
     """Prefix set of the stage source feeding the given prefix set of the
-    stage target (union of zeta over the path prefix set)."""
-    return _fed(path_prefix_set(prefix, stage))
+    stage target (union of zeta over the path prefix set).
+
+    A stage realised as one step, at p, changes the path space only below
+    p: in an orthogonal system a position disjoint from the redex or above
+    it keeps its subterm or its pattern (Huet & Levy, "Computations in
+    orthogonal rewriting systems", 1991), so it is reached by one plain
+    path and feeds only itself.  Such positions pass straight through, and
+    paths are enumerated only from the redex node (`_redex_paths`)."""
+    if stage.steps is None or len(stage.steps) != 1:
+        return _fed(path_prefix_set(prefix, stage).paths)
+    prefix = _check_prefix_set(prefix, stage.target)
+    p = stage.steps[0].redex.position
+    n = len(p)
+    out = {q for q in prefix if q[:n] != p}
+    out.update(p + q for q in _fed(_redex_paths(prefix, stage)))
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -113,7 +147,7 @@ def sweep(prefix, dev_seq):
     for stage in reversed(dev_seq.stages):
         pps = path_prefix_set(sets[-1], stage)
         path_sets.append(pps)
-        sets.append(_fed(pps))
+        sets.append(_fed(pps.paths))
     sets.reverse()
     path_sets.reverse()
     return Sweep(tuple(sets), tuple(path_sets))

@@ -71,6 +71,18 @@ class Redex:
         return len(self.position)
 
 
+def redex_trie(redexes):
+    """The trie of the redexes' positions: each entry is [the redex rooted
+    there or None, {child index: entry}]."""
+    trie = [None, {}]
+    for u in redexes:
+        entry = trie
+        for i in u.position:
+            entry = entry[1].setdefault(i, [None, {}])
+        entry[0] = u
+    return trie
+
+
 # ---------------------------------------------------------------------------
 # substitution
 

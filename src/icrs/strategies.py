@@ -23,7 +23,7 @@ from functools import cached_property
 from .errors import FuelExhausted, NoEligibleRedex, PreconditionViolated
 from .developments import DevRecord
 from .essential import epsilon_step
-from .rewriting import Redex, contract, find_redexes, match
+from .rewriting import Redex, contract, find_redexes, match, redex_trie
 from .syntax import position_str
 from .systems import max_lhs_depth, require_valid
 from .terms import (
@@ -147,20 +147,17 @@ def min_redex_depth(term, system):
 def outermost_redexes(term, system, depth_bound):
     """Redexes with no redex at any strict prefix position."""
     redexes = find_redexes(term, system, depth_bound)
-    roots = {u.position for u in redexes}
-    out = []
-    for u in redexes:
-        if not any(u.position[:k] in roots for k in range(len(u.position))):
-            out.append(u)
-    return out
+    pred = _Predicate(OUTERMOST_FAIR, system)
+    pred.scanned(term, redexes, depth_bound)
+    return [u for u in redexes if pred.satisfies(term, u)]
 
 
 class _Predicate:
     """satisfies(term, redex): does a redex of the term satisfy the strategy
     predicate?  The answer never depends on the enumeration bound.
     Outermost-fair checks the ancestors of the redex: those above the bound
-    of the term's recorded scan by its redex positions, deeper ones (which
-    tracked residuals reach) by matching.
+    of the term's recorded scan by one walk down the trie of its redex
+    positions, deeper ones (which tracked residuals reach) by matching.
 
     Needed-fair classifies a redex by whether its position is essential for
     an outermost-fair pilot run from the term.  One live pilot serves every
@@ -191,15 +188,16 @@ class _Predicate:
     def __init__(self, kind, system):
         self.kind = kind
         self.system = system
-        self._scan = (None, frozenset(), 0)  # (term, its redex positions, bound)
+        self._scan = (None, redex_trie(()), 0)  # (term, its redex trie, bound)
         self._pilot = None
         self._held = (None, None)  # (term in hand, its needed positions)
 
     def scanned(self, term, redexes, bound):
         """Record the redexes of the term at depth < bound: outermost-fair
-        then answers for ancestors above the bound from their positions."""
+        then answers for ancestors above the bound from a trie of their
+        positions."""
         if self.kind.kind == "outermost-fair":
-            self._scan = (term, frozenset(u.position for u in redexes), bound)
+            self._scan = (term, redex_trie(redexes), bound)
 
     def satisfies(self, term, redex):
         if self.kind.kind == "fair":
@@ -208,8 +206,13 @@ class _Predicate:
             p = redex.position
             scanned, roots, bound = self._scan
             k = min(len(p), bound) if scanned is term else 0
-            if any(p[:i] in roots for i in range(k)):
-                return False
+            entry = roots
+            for i in p[:k]:  # the ancestors at depths 0 .. k-1
+                if entry[0] is not None:
+                    return False
+                entry = entry[1].get(i)
+                if entry is None:
+                    break
             if k == len(p):
                 return True
             # ancestors at or past the bound, which tracked residuals reach
@@ -545,12 +548,37 @@ def fairness_audit(trace, kind, window=None):
 # ---------------------------------------------------------------------------
 # needed-fair pilot
 
+class _Walk:
+    """The positions of a stratum term above the deepest depth among its
+    strata, from one walk made when a prefix is first read.  They are kept
+    shortest first, so each stratum's prefix is a slice."""
+
+    def __init__(self, term, depth):
+        self.term = term
+        self.depth = depth
+
+    @cached_property
+    def _positions(self):
+        positions = sorted(positions_to_depth(self.term, self.depth - 1),
+                           key=len)
+        return positions, [len(q) for q in positions]
+
+    def above(self, depth):
+        positions, lengths = self._positions
+        return frozenset(positions[:bisect_left(lengths, depth)])
+
+
 @dataclass(frozen=True)
 class Stratum:
     depth: int
     index: int      # trace index after which all steps are at least this deep
     term: Term
-    prefix: frozenset  # positions of the stratum term above the depth
+    walk: object = field(compare=False, repr=False)  # shared by the term's strata
+
+    @cached_property
+    def prefix(self):
+        """Positions of the stratum term above the depth."""
+        return self.walk.above(self.depth)
 
 
 @dataclass(frozen=True)
@@ -576,20 +604,23 @@ class Pilot:
         the pilot's own steps, adding each stratum's prefix at its index,
         gives at each index the union of the per-stratum essential sets.
         The sets of `tail` stand for the last indices, so only the steps
-        before them are swept."""
+        before them are swept, and only the strata at the swept indices
+        have their prefixes read."""
         at_index = {}
         for st in self.strata:
-            if st.prefix:
-                at_index.setdefault(st.index, set()).update(st.prefix)
+            at_index.setdefault(st.index, []).append(st)
+
+        def fed(i):
+            return frozenset().union(*(st.prefix for st in at_index.get(i, ())))
+
         system = self.trace.system
         last = max(at_index, default=0)
-        swept = list(reversed(self.tail)) or [frozenset(at_index.get(last, ()))]
+        swept = list(reversed(self.tail)) or [fed(last)]
         for i in reversed(range(last + 1 - len(swept))):
             step = self.trace.steps[i]
             stage = DevRecord(step.source, step.target, (step.redex,), (step,),
                               system)
-            swept.append(epsilon_step(swept[-1], stage)
-                         | at_index.get(i, frozenset()))
+            swept.append(epsilon_step(swept[-1], stage) | fed(i))
         swept.reverse()
         return tuple(swept)
 
@@ -601,8 +632,7 @@ class Pilot:
         their depth as prefix."""
         swept = self._swept
         out = swept[start] if start < len(swept) else frozenset()
-        collapsed = [st.depth for st in self.strata
-                     if st.prefix and st.index < start]
+        collapsed = [st.depth for st in self.strata if st.index < start]
         if collapsed:
             above = positions_to_depth(self.trace.terms[start],
                                        max(collapsed) - 1)
@@ -641,15 +671,16 @@ class Pilot:
 def _stratified(trace, depth_goal, tail=()):
     """The pilot over a stabilised outermost-fair trace: for every depth d
     up to the goal, the index after which all contractions are below d, the
-    term there, and its positions above d."""
+    term there, and its positions above d.  Each distinct stratum term is
+    walked once, to the deepest depth among its strata, and only when a
+    prefix of it is read."""
     floor = trace.depth_floor()
-    strata = []
-    for d in range(1, depth_goal + 1):
-        n_d = bisect_left(floor, d)
-        s_d = trace.terms[n_d]
-        prefix = frozenset(positions_to_depth(s_d, d - 1))
-        strata.append(Stratum(d, n_d, s_d, prefix))
-    return Pilot(trace, tuple(strata), tail)
+    index = {d: bisect_left(floor, d) for d in range(1, depth_goal + 1)}
+    deepest = {trace.terms[n_d]: d for d, n_d in index.items()}  # last d wins
+    walks = {s: _Walk(s, d) for s, d in deepest.items()}
+    strata = tuple(Stratum(d, n_d, trace.terms[n_d], walks[trace.terms[n_d]])
+                   for d, n_d in index.items())
+    return Pilot(trace, strata, tail)
 
 
 def needed_pilot(term, system, depth_goal, fuel):

@@ -352,17 +352,16 @@ def root_key(t):
 
 
 def positions_to_depth(t, d):
-    """All positions of depth <= d, mapped to the display root symbol there."""
+    """All positions of depth <= d, mapped to the display root symbol there,
+    in pre-order.  An explicit stack, so deep terms are walked too."""
     out = {}
-
-    def walk(u, p):
+    todo = [((), t)]
+    while todo:
+        p, u = todo.pop()
         u = resolve(u)
         out[p] = root_label(u)
         if len(p) < d:
-            for i, c in children(u):
-                walk(c, p + (i,))
-
-    walk(t, ())
+            todo.extend((p + (i,), c) for i, c in reversed(children(u)))
     return out
 
 

@@ -186,6 +186,11 @@ def test_splice_is_a_run_and_sweeps_as_a_fresh_pass(monkeypatch):
     assert sum(bool(p.tail) for _, p in splices) >= 60
     for term, pilot in splices:
         trace = pilot.trace
+        # the old pilot's sets stand for the last indices: their strata
+        # have had no prefix built
+        covered = len(pilot._swept) - len(pilot.tail)
+        assert not any("prefix" in vars(st)
+                       for st in pilot.strata if st.index >= covered)
         assert trace.initial == term
         for i, step in enumerate(trace.steps):
             assert step.source == trace.terms[i]

@@ -1,8 +1,10 @@
 """The needed-fair pilot's single backward sweep agrees with the route it
 replaced: one epsilon sequence per stratum prefix, replayed through
-`dev_sequence_of_steps`, unioned over the strata.  Also pins the fact the
-sweep relies on to skip the finite-jumps check: a stage realised step by
-step always has the finite jumps property."""
+`dev_sequence_of_steps`, unioned over the strata.  Its epsilon steps are
+redex-local, and agree with zeta over the whole-term path prefix set, in
+sets and in path counts.  Also pins the fact the sweep relies on to skip the
+finite-jumps check: a stage realised step by step always has the finite
+jumps property."""
 
 import pathlib
 import random
@@ -10,9 +12,12 @@ import random
 import pytest
 
 from icrs import (
-    dev_sequence_of_steps, epsilon_seq, has_finite_jumps, needed_fair,
-    needed_pilot, parse_system, parse_term,
+    complete_development, dev_sequence_of_steps, epsilon_seq, epsilon_step,
+    find_redexes, has_finite_jumps, needed_fair, needed_pilot, parse_system,
+    parse_term, path_prefix_set, positions_to_depth, resolve, subterm_at, zeta,
 )
+from icrs import essential, strategies
+from icrs.developments import DevRecord, PathSpace
 from icrs.errors import EngineError
 from icrs.strategies import Pilot, Stratum
 from icrs.systems import max_lhs_depth
@@ -37,6 +42,17 @@ def per_stratum_positions(pilot):
         dev = dev_sequence_of_steps(initial, specs[: st.index], system)
         out |= epsilon_seq(st.prefix, dev)[0]
     return frozenset(out)
+
+
+class GivenPrefix:
+    """Stands in for the walk of a stratum term: every stratum that reads
+    it gets the one given prefix set."""
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+
+    def above(self, depth):
+        return self.prefix
 
 
 def outcome(fn):
@@ -96,7 +112,7 @@ def test_sweep_matches_per_stratum_on_random_pilots():
         picked = sorted(rng.randint(0, len(trace.steps)) for _ in range(3))
         random_strata = Pilot(trace, tuple(
             Stratum(k + 1, i, trace.terms[i],
-                    genrand.random_prefix_set(rng, trace.terms[i]))
+                    GivenPrefix(genrand.random_prefix_set(rng, trace.terms[i])))
             for k, i in enumerate(picked)))
         for p in (pilot, random_strata):
             swept = outcome(p.essential_start_positions)
@@ -118,3 +134,139 @@ def test_realised_stages_have_finite_jumps():
             assert has_finite_jumps(st.source, st.redexes, system)
             stages += 1
     assert stages >= RANDOM_SEQUENCES
+
+
+# ---------------------------------------------------------------------------
+# redex-local epsilon steps
+
+RANDOM_STAGES = 400
+
+
+def pilot_depth(system, depth):
+    """The pilot depth normalize uses for needed-fair at this goal depth."""
+    return max(needed_fair().pilot_depth, depth + max_lhs_depth(system) + 1)
+
+
+def corpus_pilots():
+    """The pilots of the needed inputs, and of the fixpoint at depth 16."""
+    fixpoint = ("lambda_beta.crs", None, 16)
+    for system_file, term, depth in NEEDED_INPUTS + [fixpoint]:
+        system = parse_system((CORPUS / system_file).read_text())
+        t = parse_term(term if term is not None else fixpoint_term())
+        yield needed_pilot(t, system, pilot_depth(system, depth), 600)
+
+
+def stage_of(step, system):
+    return DevRecord(step.source, step.target, (step.redex,), (step,), system)
+
+
+def whole_term(prefix, stage):
+    """The route the local step replaced: zeta over the path prefix set of
+    the whole term, and the number of its paths."""
+    pps = path_prefix_set(prefix, stage)
+    fed = set()
+    for path in pps.paths:
+        fed |= zeta(path)
+    return frozenset(fed), len(pps)
+
+
+def local_counts(prefix, stage):
+    """Passed-through positions and paths walked from the redex node."""
+    p = stage.steps[0].redex.position
+    passed = sum(q[:len(p)] != p for q in prefix)
+    return passed, len(essential._redex_paths(frozenset(prefix), stage))
+
+
+def assert_local_agrees(prefix, stage):
+    fed, count = whole_term(prefix, stage)
+    assert epsilon_step(prefix, stage) == fed
+    passed, local = local_counts(prefix, stage)
+    assert passed + local == count
+    return local
+
+
+def test_local_steps_match_whole_term_on_corpus_pilots():
+    stages = 0
+    for pilot in corpus_pilots():
+        swept, system = pilot._swept, pilot.trace.system
+        for i in range(len(swept) - 1):
+            stage = stage_of(pilot.trace.steps[i], system)
+            # the set the sweep feeds the stage, and a full prefix set
+            full = frozenset(positions_to_depth(stage.target, 5))
+            for prefix in (swept[i + 1], full):
+                assert_local_agrees(prefix, stage)
+            stages += 1
+    assert stages >= 150
+
+
+def test_local_steps_match_whole_term_on_random_stages():
+    rng = random.Random(9)
+    stages = walked = 0
+    for _ in range(RANDOM_STAGES):
+        system = genrand.random_system(rng)
+        term = genrand.random_term(rng, system, rng.randint(2, 5))
+        redexes = find_redexes(term, system, 6)
+        if not redexes:
+            continue
+        u = rng.choice(redexes)
+        stage = outcome(lambda: complete_development(term, [u], system))
+        if not isinstance(stage, DevRecord):
+            continue
+        target = stage.target
+        for prefix in (genrand.random_prefix_set(rng, target, rng.randint(1, 5)),
+                       frozenset(positions_to_depth(target, rng.randint(0, 6)))):
+            local = outcome(lambda: assert_local_agrees(prefix, stage))
+            if isinstance(local, int):
+                walked += local > 0
+            else:  # the whole-term route raised: the local one must too
+                assert outcome(lambda: epsilon_step(prefix, stage)) is local
+        stages += 1
+    assert stages >= 300
+    assert walked >= 300
+
+
+def test_sweep_builds_term_nodes_only_below_the_contracted_redexes(monkeypatch):
+    """A machine-independent work count: every term node a PathSpace builds
+    during the fixpoint pilot's sweep is a node of the contracted redex's
+    subterm, and there are fewer of them than the whole-term route builds."""
+    system = parse_system((CORPUS / "lambda_beta.crs").read_text())
+    pilot = needed_pilot(parse_term(fixpoint_term()), system,
+                         pilot_depth(system, 16), 600)
+    stages, space_stage, built = [], {}, []
+    step_fn = strategies.epsilon_step
+    init, settle = PathSpace.__init__, PathSpace._settle
+
+    def stepping(prefix, stage):
+        stages.append(stage)
+        return step_fn(prefix, stage)
+
+    def initialising(self, term, redexes, system):
+        space_stage[self] = stages[-1]
+        init(self, term, redexes, system)
+
+    def settling(self, node):
+        built.append((self, node))
+        return settle(self, node)
+
+    monkeypatch.setattr(strategies, "epsilon_step", stepping)
+    monkeypatch.setattr(PathSpace, "__init__", initialising)
+    monkeypatch.setattr(PathSpace, "_settle", settling)
+    swept = pilot._swept
+    monkeypatch.undo()
+    assert len(stages) == len(swept) - 1 and built
+    for space, node in built:
+        step, = space_stage[space].steps
+        assert space.root.sub is step.path[-1]
+        q = step.redex.position + node.position
+        assert node.sub is resolve(subterm_at(step.source, q))
+    whole = []
+
+    def counting(self, node):
+        whole.append(node)
+        return settle(self, node)
+
+    monkeypatch.setattr(PathSpace, "_settle", counting)
+    for i, stage in enumerate(reversed(stages)):
+        path_prefix_set(swept[i + 1], stage)
+    monkeypatch.undo()
+    assert len(built) < len(whole)

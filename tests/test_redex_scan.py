@@ -78,6 +78,47 @@ def test_outermost_satisfies_agrees_with_prefix_check():
             assert fair.satisfies(term, u)
 
 
+def deep_instances(seed, count=30):
+    """Random terms hung below a long random spine of constructors and
+    redex roots, so that redexes and their ancestors lie deep."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        system = genrand.random_system(rng)
+        names_ = {r.name for r in system.rules}
+        unary = ["c1"] + sorted(names_ & {"dup", "drop", "col", "uno"})
+        term = genrand.random_term(rng, system, 3, allow_rec=False)
+        spine = rng.randint(15, 50)
+        for _ in range(spine):
+            roll = rng.random()
+            if roll < 0.2:
+                term = Sym("c2", (term, Sym("k")))
+            elif roll < 0.35:
+                term = Sym("c2", (Sym("k"), term))
+            elif roll < 0.45 and "swap" in names_:
+                term = Sym("swap", (term, Sym("k")))
+            else:
+                term = Sym(rng.choice(unary), (term,))
+        yield system, term, spine + 4
+
+
+def test_outermost_satisfies_agrees_on_deep_positions():
+    # the scan's trie answers above its bound, matching below it
+    checked = deep = 0
+    for system, term, depth in deep_instances(35):
+        redexes = find_redexes(term, system, depth)
+        expected = [root_walk_outermost(term, system, u.position, u.rule)
+                    for u in redexes]
+        for bound in (0, 5, 17, depth):
+            pred = _Predicate(OUTERMOST_FAIR, system)
+            pred.scanned(term, find_redexes(term, system, bound), bound)
+            for u, want in zip(redexes, expected):
+                assert pred.satisfies(term, u) == want
+                checked += 1
+                deep += u.depth >= 20
+    assert checked >= 1000
+    assert deep >= 300
+
+
 def test_normal_form_and_min_depth_agree_with_root_walk():
     # the generated terms' distinct nodes all occur above depth 12
     for system, term in instances(34):

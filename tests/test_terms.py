@@ -51,6 +51,37 @@ class TestPositions:
         for d in range(4):
             assert set(positions_to_depth(t, d)) <= set(positions_to_depth(t, d + 1))
 
+    def test_deep_term_does_not_overflow(self):
+        t = Sym("a", ())
+        for _ in range(3000):
+            t = Sym("g", (t,))
+        got = positions_to_depth(t, 3000)
+        assert len(got) == 3001
+        assert got[(1,) * 3000] == "a" and got[(1,) * 2999] == "g"
+
+    def test_agrees_with_recursive_walk_on_random_terms(self):
+        def recursive(t, d):
+            out = {}
+
+            def walk(u, p):
+                u = resolve(u)
+                out[p] = terms.root_label(u)
+                if len(p) < d:
+                    for i, c in children(u):
+                        walk(c, p + (i,))
+
+            walk(t, ())
+            return out
+
+        rng = random.Random(12)
+        for _ in range(150):
+            system = genrand.random_system(rng)
+            t = genrand.random_term(rng, system, rng.randint(1, 5))
+            for d in (0, 1, 3, 6):
+                # the same entries in the same (pre-)order
+                assert (list(positions_to_depth(t, d).items())
+                        == list(recursive(t, d).items()))
+
 
 class TestSubterm:
     def test_direct_descent(self):
