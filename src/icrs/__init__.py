@@ -35,9 +35,9 @@ from .essential import (
     mirrors, path_prefix_set, sequence_mirrors, sub_mirrors, zeta,
 )
 from .strategies import (
-    FAIR, OUTERMOST_FAIR, Approximant, StrategyKind, Trace,
-    detect_rational_nf, fairness_audit, is_normal_form, needed_fair,
-    needed_pilot, normalize, outermost_redexes, trace_of,
+    FAIR, NEEDED_FAIR, OUTERMOST_FAIR, Approximant, StrategyKind, Trace,
+    detect_rational_nf, fairness_audit, is_normal_form, needed_pilot,
+    normalize, outermost_redexes, trace_of,
 )
 from . import errors, oracle
 

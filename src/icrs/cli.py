@@ -6,6 +6,9 @@
     icrs paths FILE --term TERM [--redexes POS,POS] [--budget N]
     icrs essential FILE --script SCRIPT --prefix POS,POS
 
+A needed-fair pilot of normalize stratifies to D plus the largest lhs depth
+plus one, and runs on N steps, or on 600 when N is smaller.
+
 Exit codes: 0 ok, 1 check/validation failure, 2 parse error, 3 divergence
 suspected, 4 budget exhausted (including terms too deep to traverse).
 """
@@ -126,7 +129,7 @@ def cmd_normalize(args, out):
     kind = {
         "fair": strategies.FAIR,
         "outermost-fair": strategies.OUTERMOST_FAIR,
-        "needed-fair": strategies.needed_fair(pilot_depth=args.depth + 2),
+        "needed-fair": strategies.NEEDED_FAIR,
     }[args.strategy]
     approx, trace = strategies.normalize(term, system, kind, args.depth, args.fuel)
     code = _STATUS_EXIT.get(approx.status, EXIT_OK)
@@ -274,8 +277,12 @@ def main(argv=None):
     p.add_argument("--term", required=True)
     p.add_argument("--strategy", default="outermost-fair",
                    choices=["fair", "outermost-fair", "needed-fair"])
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--fuel", type=int, default=400)
+    p.add_argument("--depth", type=int, default=4,
+                   help="depth to certify the approximant to; a needed-fair "
+                        "pilot goes to it plus the largest lhs depth plus one")
+    p.add_argument("--fuel", type=int, default=400,
+                   help="most steps of the run, and of each needed-fair "
+                        f"pilot, which gets at least {strategies.PILOT_FUEL}")
     p.add_argument("--emit", default="approximant",
                    choices=["approximant", "trace", "rational", "all"])
     p.add_argument("--json", action="store_true")

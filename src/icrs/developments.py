@@ -37,7 +37,9 @@ from .errors import (
     BudgetExceeded, FiniteJumpsViolated, InfiniteStageSet, PositionError,
     PreconditionViolated, TermError,
 )
-from .rewriting import Redex, contract, match, redex_at, redex_trie, residuals
+from .rewriting import (
+    Redex, contract, match, redex_at, redex_trie, residuals, step_redex,
+)
 from .syntax import position_str, print_term
 from .systems import Rule, max_lhs_depth, pattern_meta, require_valid
 from .terms import (
@@ -393,14 +395,8 @@ class PathSpace:
             path = path.parent
         raise PreconditionViolated("bound variable reached before its redex")
 
-    def node_label(self, node):
-        """Projection label of a path node (needs no history: membership and
-        boundness are properties of the node itself)."""
-        return node.label
-
     def project(self, path):
-        return PathProjection(tuple(self.node_label(n) for n in path.nodes),
-                              path.edges)
+        return PathProjection(tuple(n.label for n in path.nodes), path.edges)
 
     # -- enumeration ---------------------------------------------------------
     def initial(self):
@@ -849,17 +845,9 @@ def dev_sequence_of_steps(term, redex_specs, system):
     stages = []
     cur = term
     for spec in redex_specs:
-        if isinstance(spec, Redex):
-            pos, rule = spec.position, spec.rule
-        else:
-            pos, rule = spec
-            if isinstance(rule, str):
-                rule = system.rule(rule)
-        v = match(rule, cur, pos)
-        if v is None:
-            raise PreconditionViolated(
-                f"no {rule.name} redex at {position_str(pos)}")
-        u = Redex(pos, rule, v)
+        pos, rule = ((spec.position, spec.rule) if isinstance(spec, Redex)
+                     else spec)
+        u = step_redex(cur, system, pos, rule)
         stages.append(complete_development(cur, [u], system))
         cur = stages[-1].target
     return DevSequence(term, tuple(stages))

@@ -27,7 +27,7 @@ from .developments import (
     AllRedexes, DevSequence, PathSpace, RuleNode, complete_development,
     project_sequence,
 )
-from .rewriting import Redex, match, residuals
+from .rewriting import Redex, match, residuals, step_redex
 from .syntax import position_str
 from .systems import pattern_meta
 from .terms import is_prefix_set, root_key, subterm_at
@@ -365,13 +365,8 @@ def emaciate_reduction(dev_seq, reduction, prefix, system=None):
     cur_term = dev_seq.initial
 
     def apply_steps(seq, term, specs):
-        for pos, rulename in specs:
-            rule = system.rule(rulename) if isinstance(rulename, str) else rulename
-            v = match(rule, term, tuple(pos))
-            if v is None:
-                raise PreconditionViolated(
-                    f"reduction step is not a redex at {position_str(tuple(pos))}")
-            u = Redex(tuple(pos), rule, v)
+        for pos, rule in specs:
+            u = step_redex(term, system, pos, rule)
             result = emaciate_step(seq, u, prefix)
             seq = result.sequence
             term = complete_development(term, [u], system).target

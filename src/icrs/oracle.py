@@ -240,7 +240,7 @@ def phi_injectivity_check(term, redexes, system, budget=2000):
     no key grows with the path."""
     space = PathSpace(term, redexes, system)
     init = space.initial()
-    seen = {(None, None, space.node_label(init.node)): (0, init)}
+    seen = {(None, None, init.node.label): (0, init)}
     count = 0
     stack = [(init, 0)]
     while stack:
@@ -250,7 +250,7 @@ def phi_injectivity_check(term, redexes, system, budget=2000):
             continue
         for e, n in space.extensions(path):
             p2 = Path(path, e, n)
-            key = (proj, e, space.node_label(n))
+            key = (proj, e, n.label)
             hit = seen.get(key)
             if hit is None:
                 hit = seen[key] = (len(seen), p2)

@@ -19,13 +19,13 @@ from functools import lru_cache
 
 from .errors import (
     ArityMismatch, FiniteChainsViolated, InfiniteResultError, PositionError,
-    StaleRedex, TermError, UnassignedMetaVariable,
+    PreconditionViolated, StaleRedex, TermError, UnassignedMetaVariable,
 )
 from .terms import (
     Abs, MetaApp, Position, Rec, RecVar, Sym, Term, Var,
     alpha_eq, check_guarded, children, free_recvars, free_vars, fresh_name,
-    iter_tagged, path_nodes, rebuild_path, resolve, set_tag_at, subst_recvar,
-    subterm_at,
+    iter_tagged, path_nodes, position_str, rebuild_path, resolve, set_tag_at,
+    subst_recvar, subterm_at,
 )
 
 
@@ -289,6 +289,18 @@ def redex_at(term, system, p):
         if v is not None:
             return Redex(p, rule, v)
     return None
+
+
+def step_redex(term, system, position, rule):
+    """The redex of a step given by its position and its rule or rule name."""
+    position = tuple(position)
+    if isinstance(rule, str):
+        rule = system.rule(rule)
+    v = match(rule, term, position)
+    if v is None:
+        raise PreconditionViolated(
+            f"no {rule.name} redex at {position_str(position)}")
+    return Redex(position, rule, v)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from functools import cached_property
 from .errors import FuelExhausted, NoEligibleRedex, PreconditionViolated
 from .developments import DevRecord
 from .essential import epsilon_step
-from .rewriting import Redex, contract, find_redexes, match, redex_trie
+from .rewriting import contract, find_redexes, match, redex_trie, step_redex
 from .syntax import position_str
 from .systems import max_lhs_depth, require_valid
 from .terms import (
@@ -35,8 +35,6 @@ from .terms import (
 @dataclass(frozen=True)
 class StrategyKind:
     kind: str  # 'fair' | 'outermost-fair' | 'needed-fair'
-    pilot_depth: int = 8
-    pilot_fuel: int = 600
 
     def __post_init__(self):
         if self.kind not in ("fair", "outermost-fair", "needed-fair"):
@@ -45,10 +43,10 @@ class StrategyKind:
 
 FAIR = StrategyKind("fair")
 OUTERMOST_FAIR = StrategyKind("outermost-fair")
+NEEDED_FAIR = StrategyKind("needed-fair")
 
-
-def needed_fair(pilot_depth=8, pilot_fuel=600):
-    return StrategyKind("needed-fair", pilot_depth, pilot_fuel)
+# the least fuel of a needed-fair pilot run; a run's own fuel raises it
+PILOT_FUEL = 600
 
 
 @dataclass
@@ -92,13 +90,8 @@ def trace_of(term, step_specs, system, label="scripted"):
     terms = [term]
     steps = []
     cur = term
-    for pos, rulename in step_specs:
-        rule = system.rule(rulename) if isinstance(rulename, str) else rulename
-        v = match(rule, cur, tuple(pos))
-        if v is None:
-            raise PreconditionViolated(
-                f"scripted step is not a redex at {position_str(tuple(pos))}")
-        rec = contract(cur, Redex(tuple(pos), rule, v))
+    for pos, rule in step_specs:
+        rec = contract(cur, step_redex(cur, system, pos, rule))
         steps.append(rec)
         cur = rec.target
         terms.append(cur)
@@ -177,17 +170,19 @@ class _Predicate:
     run that stabilises or spends the pilot fuel before it joins is the run
     a fresh pilot would make, and serves or fails as that pilot.  A fresh
     pilot starts only when the spliced run would be longer than the pilot
-    fuel.  A fresh pilot ages its obligations afresh and
-    may take other steps than the suffix or the splice, but by the
-    neededness correspondence the essential positions of every
-    outermost-fair reduction to the limit are the needed ones (Huet & Levy,
-    "Computations in orthogonal rewriting systems", 1991; Middeldorp, "Call
-    by need computations to root-stable form", 1997), so all of them serve
-    the same set."""
+    fuel, `fuel`.  Every pilot stratifies to `depth_goal`.  A fresh pilot
+    ages its obligations afresh and may take other steps than the suffix or
+    the splice, but by the neededness correspondence the essential positions
+    of every outermost-fair reduction to the limit are the needed ones (Huet
+    & Levy, "Computations in orthogonal rewriting systems", 1991;
+    Middeldorp, "Call by need computations to root-stable form", 1997), so
+    all of them serve the same set."""
 
-    def __init__(self, kind, system):
+    def __init__(self, kind, system, depth_goal=0, fuel=0):
         self.kind = kind
         self.system = system
+        self.depth_goal = depth_goal
+        self.fuel = fuel
         self._scan = (None, redex_trie(()), 0)  # (term, its redex trie, bound)
         self._pilot = None
         self._held = (None, None)  # (term in hand, its needed positions)
@@ -226,10 +221,9 @@ class _Predicate:
             pilot = self._pilot
             start = pilot.index.get(term) if pilot else None
             if start is None:
-                kind = self.kind
-                pilot = pilot and pilot.spliced(term, kind.pilot_fuel)
+                pilot = pilot and pilot.spliced(term, self.fuel)
                 self._pilot = pilot or needed_pilot(
-                    term, self.system, kind.pilot_depth, kind.pilot_fuel)
+                    term, self.system, self.depth_goal, self.fuel)
                 start = 0
             self._held = (term, self._pilot.essential_start_positions(start))
         return self._held[1]
@@ -255,10 +249,16 @@ class FairnessTracker:
     every member of an open obligation in the current term, taken from the
     scan or from the residual map of the last step, so no member is matched
     again.  `live` holds the open obligations in ledger order; it is pruned
-    wherever an obligation is resolved, so no step rescans the ledger."""
+    wherever an obligation is resolved, so no step rescans the ledger.
 
-    def __init__(self, kind, system, spawn_bound):
-        self.pred = _Predicate(kind, system)
+    Needed-fair pilots stratify to one less than the spawn bound, past every
+    depth the run still rewrites at, or pending redexes near the bound would
+    classify as inessential.  They run on the run's fuel, and on at least
+    PILOT_FUEL."""
+
+    def __init__(self, kind, system, spawn_bound, fuel):
+        self.pred = _Predicate(kind, system, spawn_bound - 1,
+                               max(fuel, PILOT_FUEL))
         self.system = system
         self.spawn_bound = spawn_bound
         self.obligations = []
@@ -340,20 +340,6 @@ class FairnessTracker:
         raise NoEligibleRedex("no tracked redex satisfies the strategy predicate")
 
 
-def _replay_tracker(kind, trace, spawn_bound=None):
-    bound = spawn_bound or _default_bound(trace)
-    tracker = FairnessTracker(kind, trace.system, bound)
-    for i, step in enumerate(trace.steps):
-        tracker.observe_term(i, trace.terms[i])
-        tracker.observe_step(i, trace.terms[i], step)
-    return tracker
-
-
-def _default_bound(trace):
-    deepest = max((len(s.redex.position) for s in trace.steps), default=0)
-    return deepest + max_lhs_depth(trace.system) + 2
-
-
 # ---------------------------------------------------------------------------
 # normalisation
 
@@ -363,7 +349,7 @@ def _reduce(term, system, kind, stable_bound, fuel, until=None):
     the test `until` (status 'joined'), or for fuel steps (status None).
     Returns the trace and the status."""
     scan_bound = stable_bound + 2
-    tracker = FairnessTracker(kind, system, scan_bound)
+    tracker = FairnessTracker(kind, system, scan_bound, fuel)
     terms = [term]
     steps = []
     cur = term
@@ -399,10 +385,6 @@ def normalize(term, system, kind, depth_goal, fuel):
     """
     require_valid(system)
     stable_bound = depth_goal + max_lhs_depth(system)
-    if kind.kind == "needed-fair" and kind.pilot_depth <= stable_bound:
-        # the pilot must stratify past every depth the run still rewrites at,
-        # or pending redexes near the bound would classify as inessential
-        kind = StrategyKind(kind.kind, stable_bound + 1, kind.pilot_fuel)
     trace, status = _reduce(term, system, kind, stable_bound, fuel)
     return _approximant(trace, status, depth_goal), trace
 
@@ -528,11 +510,17 @@ def fairness_audit(trace, kind, window=None):
     residuals.  Obligations younger than the window at the cut are
     inconclusive and pass."""
     require_valid(trace.system)
-    if window is None:
-        window = max(1, len(trace.steps))
-    tracker = _replay_tracker(kind, trace)
-    tracker.observe_term(len(trace.steps), trace.final)
     end = len(trace.steps)
+    if window is None:
+        window = max(1, end)
+    # the replay scans below every contracted redex; it has no run fuel
+    deepest = max((len(s.redex.position) for s in trace.steps), default=0)
+    tracker = FairnessTracker(kind, trace.system, deepest + 2
+                              + max_lhs_depth(trace.system), PILOT_FUEL)
+    for i, step in enumerate(trace.steps):
+        tracker.observe_term(i, trace.terms[i])
+        tracker.observe_step(i, trace.terms[i], step)
+    tracker.observe_term(end, trace.final)
     for ob in tracker.obligations:
         if ob.open and end - ob.born >= window:
             pos = sorted(ob.members)

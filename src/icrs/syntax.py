@@ -25,7 +25,8 @@ import re
 from .errors import ParseError
 from .systems import RewriteSystem, Rule, infer_signature
 from .terms import (
-    HOLE, Abs, MetaApp, Rec, RecVar, Sym, Var, check_guarded, truncate,
+    HOLE, Abs, MetaApp, Rec, RecVar, Sym, Var, check_guarded, position_str,
+    truncate,
 )
 
 _TOKEN = re.compile(
@@ -192,10 +193,6 @@ def parse_position(text):
         return tuple(int(part) for part in text.split("."))
     except ValueError:
         raise ParseError(f"bad position {text!r}") from None
-
-
-def position_str(p):
-    return "@" if not p else ".".join(str(i) for i in p)
 
 
 def parse_system(text):

@@ -27,6 +27,10 @@ from .errors import NotCycleRoot, PositionError, TermError
 
 Position = tuple
 
+
+def position_str(p):
+    return "@" if not p else ".".join(str(i) for i in p)
+
 HOLE = "_|_"
 
 

@@ -7,10 +7,10 @@ import time
 import pytest
 
 from icrs import (
-    ALL_REDEXES, DevSequence, FAIR, OUTERMOST_FAIR, Measure, alpha_eq,
-    complete_development, detect_rational_nf, dev_sequence_of_steps,
+    ALL_REDEXES, DevSequence, FAIR, NEEDED_FAIR, OUTERMOST_FAIR, Measure,
+    alpha_eq, complete_development, detect_rational_nf, dev_sequence_of_steps,
     emaciate_step, epsilon_seq, epsilon_step, fairness_audit, find_redexes,
-    has_finite_jumps, measure, measure_less, needed_fair, needed_pilot,
+    has_finite_jumps, measure, measure_less, needed_pilot,
     normalize, parse_term, path_prefix_set, print_term, redexes_from_positions,
     sequence_mirrors, target_term, trace_of, truncate,
 )
@@ -328,7 +328,7 @@ def test_criterion_08_normalisation_agreement(report, pair_system,
         (spine_system, "f(a, c)", 200),
         (map_system, "map([z] s(z), rec L. cons(zero, L))", 120),
     ]
-    kinds = [FAIR, OUTERMOST_FAIR, needed_fair(pilot_depth=goal, pilot_fuel=300)]
+    kinds = [FAIR, OUTERMOST_FAIR, NEEDED_FAIR]
     for system, text, fuel in jobs:
         finals = []
         for kind in kinds:
@@ -375,7 +375,7 @@ def test_criterion_09_audit_verdicts(report, pair_system, spine_system):
     trace3 = trace_of(T("f(a, c)"), specs, spine_system)
     assert not fairness_audit(trace3, FAIR)
     assert fairness_audit(trace3, OUTERMOST_FAIR)
-    assert fairness_audit(trace3, needed_fair(pilot_depth=4, pilot_fuel=200))
+    assert fairness_audit(trace3, NEEDED_FAIR)
     t = clock.check()
     report(f"criterion 9 pass ({t:.2f}s): audits reproduce the outermost-fair "
            "pass/fail pair and the fair-fail/outermost-pass/needed-pass triple")

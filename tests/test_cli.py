@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from icrs import alpha_eq, parse_term, strategies
+from icrs import alpha_eq, parse_term, strategies, truncate
 from icrs.cli import main
 from icrs.developments import PathSpace
 
@@ -257,6 +257,46 @@ class TestNormalize:
         # the fold compares snapshots without recursion (it overflowed at
         # 384); at 500 the recursive truncate and fold still exit 4
         self.check_fair_spine(384, capsys)
+
+    def test_needed_fair_fixpoint_at_depth_96(self, capsys):
+        # the pilot runs on --fuel: on a fixed 600 steps it did not stabilise
+        lines = (CORPUS / "lambda_fixpoint.term").read_text().splitlines()
+        term = " ".join(ln.strip() for ln in lines
+                        if ln.strip() and not ln.lstrip().startswith("#"))
+        code, out = run("normalize", corpus("lambda_beta.crs"), "--term", term,
+                        "--strategy", "needed-fair", "--depth", "96",
+                        "--fuel", "4000", "--json")
+        assert code == 0, capsys.readouterr().err
+        payload = json.loads(out)
+        nf = parse_term("rec S. app(app(gc, bc), S)")
+        assert payload["status"] == "approximant"
+        assert alpha_eq(parse_term(payload["approximant"]), truncate(nf, 96))
+        assert alpha_eq(parse_term(payload["rational_normal_form"]), nf)
+
+    @pytest.mark.parametrize("depth", [2, 5, 10])
+    def test_needed_fair_spine_pilot_depth(self, monkeypatch, depth):
+        # the spine's lhs depth is 0, so its pilots stratify to depth + 1,
+        # one less than the depth + 2 the command line once gave them; the
+        # run is the same
+        pilot = strategies.needed_pilot
+        strata = []
+
+        def counting(term, system, depth_goal, fuel):
+            out = pilot(term, system, depth_goal, fuel)
+            strata.append(len(out.strata))
+            return out
+
+        def deeper(term, system, depth_goal, fuel):
+            return pilot(term, system, depth_goal + 1, fuel)
+
+        argv = ("normalize", corpus("spine_growth.crs"), "--term", "f(a, c)",
+                "--strategy", "needed-fair", "--depth", str(depth), "--json")
+        monkeypatch.setattr(strategies, "needed_pilot", counting)
+        code, out = run(*argv)
+        assert code == 0
+        assert strata and set(strata) == {depth + 1}
+        monkeypatch.setattr(strategies, "needed_pilot", deeper)
+        assert run(*argv) == (code, out)
 
     @staticmethod
     def check_fair_spine(depth, capsys):

@@ -11,8 +11,8 @@ import random
 import pytest
 
 from icrs import (
-    FAIR, OUTERMOST_FAIR, MetaApp, Redex, Sym, Valuation, apply_valuation,
-    contract, find_redexes, graft, match, needed_fair, normalize,
+    FAIR, NEEDED_FAIR, OUTERMOST_FAIR, MetaApp, Redex, Sym, Valuation,
+    apply_valuation, contract, find_redexes, graft, match, normalize,
     parse_system, parse_term,
 )
 from icrs import rewriting, strategies
@@ -31,7 +31,7 @@ CORPUS = pathlib.Path(__file__).parent.parent / "src" / "icrs" / "corpus"
 KINDS = {
     "fair": FAIR,
     "outermost-fair": OUTERMOST_FAIR,
-    "needed-fair": needed_fair(pilot_depth=4, pilot_fuel=200),
+    "needed-fair": NEEDED_FAIR,
 }
 
 PROBE_DEPTH = 3

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from icrs import needed_fair, normalize, parse_system, parse_term
+from icrs import NEEDED_FAIR, normalize, parse_system, parse_term
 from icrs import strategies
 from icrs.errors import EngineError
 from icrs.strategies import Pilot
@@ -100,7 +100,7 @@ def differences(seen):
             continue
         compared[id(term)] = term  # holding the term keeps its id
         fresh = outcome(lambda: needed_pilot(
-            term, pred.system, pred.kind.pilot_depth, pred.kind.pilot_fuel
+            term, pred.system, pred.depth_goal, pred.fuel
         ).essential_start_positions())
         if fresh != served:
             out.append((term, served, fresh))
@@ -114,7 +114,7 @@ def test_suffix_sets_match_fresh_pilots_on_needed_inputs(
     system = parse_system((CORPUS / system_file).read_text())
     t = parse_term(term if term is not None else fixpoint_term())
     for depth in depths:
-        approx, _ = normalize(t, system, needed_fair(), depth, 4000)
+        approx, _ = normalize(t, system, NEEDED_FAIR, depth, 4000)
         assert approx.status != "fuel-exhausted"
     diffs, compared = differences(seen)
     assert diffs == []
@@ -128,13 +128,14 @@ def test_suffix_sets_match_fresh_pilots_on_random_systems(consulted):
     for _ in range(RANDOM_SYSTEMS):
         system = genrand.random_system(rng)
         term = genrand.random_term(rng, system, rng.randint(2, 4))
-        kind = needed_fair(rng.randint(3, 5), 200)
+        rng.randint(3, 5)  # unused; drawn so the random systems stay put
         before = len(seen)
-        outcome(lambda: normalize(term, system, kind, rng.randint(1, 3), 60))
+        outcome(lambda: normalize(term, system, NEEDED_FAIR, rng.randint(1, 3),
+                                  60))
         runs += len(seen) > before
-    # 5 of the 42 join runs stabilise before they join and serve as fresh
-    # pilots; repeating them in fresh pilots took 194 outermost-fair runs
-    assert reduced == {"runs": 189, "joins": 42}
+    # 6 of the 39 join runs stabilise before they join and serve as fresh
+    # pilots
+    assert reduced == {"runs": 186, "joins": 39}
     diffs, compared = differences(seen)
     assert diffs == []
     assert runs >= 120
@@ -145,7 +146,7 @@ def test_suffix_sets_match_fresh_pilots_on_random_systems(consulted):
 def test_one_pilot_serves_the_spine_run(consulted, spine_system):
     seen, counts, _ = consulted
     approx, trace = normalize(parse_term("f(a, c)"), spine_system,
-                              needed_fair(), 6, 4000)
+                              NEEDED_FAIR, 6, 4000)
     assert approx.status == "approximant"
     assert len({id(t) for _, t, _ in seen}) >= len(trace.steps)
     assert counts["pilots"] + counts["splices"] <= 2
@@ -156,7 +157,7 @@ def test_splices_serve_the_fixpoint_run(consulted):
     _, counts, _ = consulted
     system = parse_system((CORPUS / "lambda_beta.crs").read_text())
     approx, _ = normalize(parse_term(fixpoint_term()), system,
-                          needed_fair(), 8, 4000)
+                          NEEDED_FAIR, 8, 4000)
     assert approx.status == "approximant"
     assert counts == {"pilots": 1, "splices": 11}
 
@@ -176,12 +177,12 @@ def test_splice_is_a_run_and_sweeps_as_a_fresh_pass(monkeypatch):
 
     monkeypatch.setattr(strategies.Pilot, "spliced", keeping)
     system = parse_system((CORPUS / "lambda_beta.crs").read_text())
-    normalize(parse_term(fixpoint_term()), system, needed_fair(), 4, 4000)
+    normalize(parse_term(fixpoint_term()), system, NEEDED_FAIR, 4, 4000)
     rng = random.Random(8)
     for _ in range(120):
         system = genrand.random_system(rng)
         term = genrand.random_term(rng, system, rng.randint(3, 5))
-        outcome(lambda: normalize(term, system, needed_fair(5, 200), 3, 60))
+        outcome(lambda: normalize(term, system, NEEDED_FAIR, 3, 60))
     assert len(splices) >= 80
     assert sum(bool(p.tail) for _, p in splices) >= 60
     for term, pilot in splices:

@@ -13,14 +13,14 @@ import pytest
 
 from icrs import (
     complete_development, dev_sequence_of_steps, epsilon_seq, epsilon_step,
-    find_redexes, has_finite_jumps, needed_fair, needed_pilot, parse_system,
-    parse_term, path_prefix_set, positions_to_depth, resolve, subterm_at, zeta,
+    NEEDED_FAIR, find_redexes, has_finite_jumps, needed_pilot, normalize,
+    parse_system, parse_term, path_prefix_set, positions_to_depth, resolve,
+    subterm_at, zeta,
 )
 from icrs import essential, strategies
 from icrs.developments import DevRecord, PathSpace
 from icrs.errors import EngineError
 from icrs.strategies import Pilot, Stratum
-from icrs.systems import max_lhs_depth
 
 import genrand
 
@@ -68,6 +68,27 @@ def fixpoint_term():
                     if ln.strip() and not ln.lstrip().startswith("#"))
 
 
+class FirstPilot(Exception):
+    pass
+
+
+def pilot_depth(system, term, depth):
+    """The depth of the pilots that needed-fair normalize makes at this goal
+    depth, read off its first pilot, and at least the tests' own floor
+    of 8."""
+
+    def first(term, system, depth_goal, fuel):
+        raise FirstPilot(depth_goal)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strategies, "needed_pilot", first)
+        try:
+            normalize(term, system, NEEDED_FAIR, depth, 4000)
+        except FirstPilot as e:
+            return max(8, e.args[0])
+    raise AssertionError("normalize made no pilot")
+
+
 # the inputs of the benchmark's needed workload, at its smallest depths
 NEEDED_INPUTS = [
     ("spine_growth.crs", "f(a, c)", 3),
@@ -81,14 +102,12 @@ NEEDED_INPUTS = [
 def test_sweep_matches_per_stratum_on_needed_inputs(system_file, term, depth):
     system = parse_system((CORPUS / system_file).read_text())
     t = parse_term(term if term is not None else fixpoint_term())
-    # the pilot depth normalize uses for needed-fair at this goal depth
-    pilot_depth = max(needed_fair().pilot_depth,
-                      depth + max_lhs_depth(system) + 1)
+    goal = pilot_depth(system, t, depth)
     # the input and the next terms of its outermost-fair run
-    first = needed_pilot(t, system, pilot_depth, 600)
+    first = needed_pilot(t, system, goal, 600)
     checked = 0
     for s in dict.fromkeys(first.trace.terms[:4]):
-        pilot = needed_pilot(s, system, pilot_depth, 600)
+        pilot = needed_pilot(s, system, goal, 600)
         swept = pilot.essential_start_positions()
         assert swept == per_stratum_positions(pilot)
         checked += bool(pilot.trace.steps)
@@ -142,18 +161,13 @@ def test_realised_stages_have_finite_jumps():
 RANDOM_STAGES = 400
 
 
-def pilot_depth(system, depth):
-    """The pilot depth normalize uses for needed-fair at this goal depth."""
-    return max(needed_fair().pilot_depth, depth + max_lhs_depth(system) + 1)
-
-
 def corpus_pilots():
     """The pilots of the needed inputs, and of the fixpoint at depth 16."""
     fixpoint = ("lambda_beta.crs", None, 16)
     for system_file, term, depth in NEEDED_INPUTS + [fixpoint]:
         system = parse_system((CORPUS / system_file).read_text())
         t = parse_term(term if term is not None else fixpoint_term())
-        yield needed_pilot(t, system, pilot_depth(system, depth), 600)
+        yield needed_pilot(t, system, pilot_depth(system, t, depth), 600)
 
 
 def stage_of(step, system):
@@ -230,8 +244,8 @@ def test_sweep_builds_term_nodes_only_below_the_contracted_redexes(monkeypatch):
     during the fixpoint pilot's sweep is a node of the contracted redex's
     subterm, and there are fewer of them than the whole-term route builds."""
     system = parse_system((CORPUS / "lambda_beta.crs").read_text())
-    pilot = needed_pilot(parse_term(fixpoint_term()), system,
-                         pilot_depth(system, 16), 600)
+    t = parse_term(fixpoint_term())
+    pilot = needed_pilot(t, system, pilot_depth(system, t, 16), 600)
     stages, space_stage, built = [], {}, []
     step_fn = strategies.epsilon_step
     init, settle = PathSpace.__init__, PathSpace._settle

@@ -382,7 +382,7 @@ def tuple_key_phi(term, redexes, system, budget):
     of labels and edges."""
     space = PathSpace(term, redexes, system)
     init = space.initial()
-    init_proj = (space.node_label(init.node),)
+    init_proj = (init.node.label,)
     seen = {init_proj: init}
     count = 0
     stack = [(init, init_proj)]
@@ -393,7 +393,7 @@ def tuple_key_phi(term, redexes, system, budget):
             continue
         for e, n in space.extensions(path):
             p2 = Path(path, e, n)
-            proj2 = proj + (e, space.node_label(n))
+            proj2 = proj + (e, n.label)
             other = seen.get(proj2)
             if other is not None and other != p2:
                 return OracleReport("phi-injectivity", count, 0, (other, p2))
@@ -420,11 +420,17 @@ class TestNumberedProjections:
 
     def test_forced_collision_is_reported_by_both(self, monkeypatch):
         # the edges of a path determine it, so a constant label collides
-        # only once the edges are erased as well
+        # only once the edges are erased as well; every path starts at the
+        # root, so its label is left as it is
         extensions = PathSpace.extensions
-        monkeypatch.setattr(PathSpace, "node_label", lambda self, node: "c")
-        monkeypatch.setattr(PathSpace, "extensions", lambda self, path: tuple(
-            (None, n) for _, n in extensions(self, path)))
+
+        def constant(self, path):
+            out = tuple(n for _, n in extensions(self, path))
+            for n in out:
+                n.label = "c"
+            return tuple((None, n) for n in out)
+
+        monkeypatch.setattr(PathSpace, "extensions", constant)
         reported = 0
         for t, us, system in instances(14, 20)[::2]:
             got = summary(phi_injectivity_check(t, us, system, budget=40))

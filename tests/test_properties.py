@@ -7,9 +7,9 @@ import random
 import pytest
 
 from icrs import (
-    ALL_REDEXES, DevSequence, FAIR, OUTERMOST_FAIR, alpha_eq,
+    ALL_REDEXES, DevSequence, FAIR, NEEDED_FAIR, OUTERMOST_FAIR, alpha_eq,
     complete_development, dev_sequence_of_steps, emaciate_step, epsilon_seq,
-    essential_skeleton, find_redexes, needed_fair, needed_pilot, normalize,
+    essential_skeleton, find_redexes, needed_pilot, normalize,
     parse_system, parse_term, print_term, redexes_from_positions,
     sequence_mirrors, sub_mirrors,
 )
@@ -141,7 +141,7 @@ class TestNormalFormSafety:
 
 class TestNeededFairNeverWasteful:
     def test_selected_redexes_are_never_not_needed(self, spine_system):
-        kind = needed_fair(pilot_depth=6, pilot_fuel=300)
+        kind = NEEDED_FAIR
         _, trace = normalize(T("f(a, c)"), spine_system, kind, 4, 200)
         assert trace.steps
         for i, step in enumerate(trace.steps):

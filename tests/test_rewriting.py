@@ -3,12 +3,15 @@ import random
 import pytest
 
 from icrs import (
-    Abs, Redex, Substitute, Sym, Valuation, Var, alpha_eq, apply_substitute,
-    apply_valuation, contract, descendants, find_redexes, graft, match,
+    Abs, Redex, ReductionDescriptor, Substitute, Sym, Valuation, Var,
+    alpha_eq, apply_substitute, apply_valuation, contract, descendants,
+    dev_sequence_of_steps, emaciate_reduction, find_redexes, graft, match,
     parse_system, parse_term, print_term, residuals, subterm_at, substitute,
+    trace_of,
 )
 from icrs.errors import (
-    ArityMismatch, FiniteChainsViolated, InfiniteResultError, StaleRedex,
+    ArityMismatch, FiniteChainsViolated, InfiniteResultError,
+    PreconditionViolated, StaleRedex,
 )
 from icrs.oracle import brute_descendant_map, brute_descendants
 from icrs import rewriting
@@ -215,6 +218,30 @@ class TestMatch:
             got = match(rule, inst, ())
             assert got is not None
             assert alpha_eq(apply_valuation(got, rule.lhs), inst)
+
+
+class TestStepRedex:
+    def test_rule_or_rule_name(self, spine_system):
+        t = T("f(a, c)")
+        u = rewriting.step_redex(t, spine_system, [1], "once")
+        assert u == redex_at(t, spine_system, (1,))
+        assert u == rewriting.step_redex(t, spine_system, (1,),
+                                         spine_system.rule("once"))
+
+    def test_one_message_for_every_scripted_route(self, spine_system):
+        t = T("f(a, c)")
+        bad = [((1,), "loop")]
+        routes = [
+            lambda: trace_of(t, bad, spine_system),
+            lambda: dev_sequence_of_steps(t, bad, spine_system),
+            lambda: emaciate_reduction(
+                dev_sequence_of_steps(t, [], spine_system),
+                ReductionDescriptor(steps=bad), {()}, spine_system),
+        ]
+        for route in routes:
+            with pytest.raises(PreconditionViolated,
+                               match=r"^no loop redex at 1$"):
+                route()
 
 
 class TestFindRedexes:

@@ -1,8 +1,8 @@
 import pytest
 
 from icrs import (
-    FAIR, OUTERMOST_FAIR, Trace, alpha_eq, detect_rational_nf, fairness_audit,
-    find_redexes, is_normal_form, needed_fair, needed_pilot, normalize,
+    FAIR, NEEDED_FAIR, OUTERMOST_FAIR, Trace, alpha_eq, detect_rational_nf,
+    fairness_audit, find_redexes, is_normal_form, needed_pilot, normalize,
     outermost_redexes, parse_system, parse_term, print_term, trace_of,
     truncate,
 )
@@ -59,7 +59,7 @@ class TestSelect:
         assert u.position == ()
 
     def test_needed_fair_skips_loop(self, spine_system):
-        kind = needed_fair(pilot_depth=4, pilot_fuel=200)
+        kind = NEEDED_FAIR
         u = first_selected(T("f(a, c)"), spine_system, kind)
         assert u.rule.name != "loop"
 
@@ -104,7 +104,7 @@ class TestNormalize:
 
     def test_all_strategies_agree(self, spine_system):
         finals = []
-        for kind in (FAIR, OUTERMOST_FAIR, needed_fair(pilot_depth=6, pilot_fuel=300)):
+        for kind in (FAIR, OUTERMOST_FAIR, NEEDED_FAIR):
             approx, _ = normalize(T("f(a, c)"), spine_system, kind, 4, 400)
             finals.append(approx.term)
         assert alpha_eq(finals[0], finals[1]) and alpha_eq(finals[1], finals[2])
@@ -145,7 +145,7 @@ class TestAudits:
         trace = trace_of(T("f(a, c)"), alternating_spine_steps(6), spine_system)
         assert not fairness_audit(trace, FAIR)
         assert fairness_audit(trace, OUTERMOST_FAIR)
-        assert fairness_audit(trace, needed_fair(pilot_depth=5, pilot_fuel=300))
+        assert fairness_audit(trace, NEEDED_FAIR)
 
 
 class TestRationalNF:

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from icrs import (
-    FAIR, OUTERMOST_FAIR, Redex, match, needed_fair, normalize, parse_system,
+    FAIR, NEEDED_FAIR, OUTERMOST_FAIR, Redex, match, normalize, parse_system,
     parse_term,
 )
 from icrs import strategies
@@ -23,7 +23,7 @@ CORPUS = pathlib.Path(__file__).parent.parent / "src" / "icrs" / "corpus"
 KINDS = {
     "fair": FAIR,
     "outermost-fair": OUTERMOST_FAIR,
-    "needed-fair": needed_fair(pilot_depth=4, pilot_fuel=200),
+    "needed-fair": NEEDED_FAIR,
 }
 
 
