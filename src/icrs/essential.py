@@ -118,7 +118,14 @@ def epsilon_step(prefix, stage):
     paths are enumerated only from the redex node (`_redex_paths`)."""
     if stage.steps is None or len(stage.steps) != 1:
         return _fed(path_prefix_set(prefix, stage).paths)
-    prefix = _check_prefix_set(prefix, stage.target)
+    return local_epsilon_step(_check_prefix_set(prefix, stage.target), stage)
+
+
+def local_epsilon_step(prefix, stage):
+    """`epsilon_step` through a stage realised as one step, for a frozenset
+    of positions that the caller built as a prefix set of the stage target:
+    it is not checked again.  The needed-fair sweep passes unions of
+    epsilon images and stratum prefixes, which are prefix sets."""
     p = stage.steps[0].redex.position
     n = len(p)
     out = {q for q in prefix if q[:n] != p}

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .errors import FuelExhausted, NoEligibleRedex, PreconditionViolated
 from .developments import DevRecord
-from .essential import epsilon_step
+from .essential import local_epsilon_step
 from .rewriting import contract, find_redexes, match, redex_trie, step_redex
 from .syntax import position_str
 from .systems import max_lhs_depth, require_valid
@@ -593,7 +593,9 @@ class Pilot:
         gives at each index the union of the per-stratum essential sets.
         The sets of `tail` stand for the last indices, so only the steps
         before them are swept, and only the strata at the swept indices
-        have their prefixes read."""
+        have their prefixes read.  Every set is a union of epsilon images
+        and stratum prefixes, so a prefix set of its term, and the steps do
+        not check it again."""
         at_index = {}
         for st in self.strata:
             at_index.setdefault(st.index, []).append(st)
@@ -608,7 +610,7 @@ class Pilot:
             step = self.trace.steps[i]
             stage = DevRecord(step.source, step.target, (step.redex,), (step,),
                               system)
-            swept.append(epsilon_step(swept[-1], stage) | fed(i))
+            swept.append(local_epsilon_step(swept[-1], stage) | fed(i))
         swept.reverse()
         return tuple(swept)
 
@@ -617,14 +619,15 @@ class Pilot:
         stratum prefix of the suffix from there; by the neededness
         correspondence these are the needed ones.  Strata whose index falls
         before `start` collapse to it, with the positions of that term above
-        their depth as prefix."""
+        their depth as prefix.  No step from a stratum's index on is above
+        its depth, so those are the positions of the deepest collapsed
+        stratum's term above its depth, read off that term's one walk."""
         swept = self._swept
         out = swept[start] if start < len(swept) else frozenset()
-        collapsed = [st.depth for st in self.strata if st.index < start]
-        if collapsed:
-            above = positions_to_depth(self.trace.terms[start],
-                                       max(collapsed) - 1)
-            out = out | frozenset(above)
+        collapsed = [st for st in self.strata if st.index < start]
+        if collapsed:  # the strata go by depth, so the last is the deepest
+            deepest = collapsed[-1]
+            out = out | deepest.walk.above(deepest.depth)
         return out
 
     def spliced(self, term, fuel):

@@ -42,23 +42,23 @@ class Term:
     those fields, so structurally equal nodes, tags included, are one
     object, and equality is identity.  Children are interned before their
     parent, so looking a node up compares its fields by identity and costs
-    one hash of its own fields, not a walk of the subtree.  Each node keeps
-    its hash in the `_hash` slot: the hash of the tuple of its fields, as a
-    plain frozen dataclass would compute it.  The `_tagged` slot records,
-    from the node's own tag and its children's slots, whether a tag occurs
-    at or below the node (a `Rec` has its body's, a `RecVar` none), so tag
-    walks skip untagged subterms without looking inside them.  The intern
-    table of each class holds its nodes weakly: a node that is no longer
-    used is dropped from it.
+    one hash of its own fields, not a walk of the subtree.  A node hashes
+    by identity, as Python's own object hash: that is exact, because equal
+    nodes are the same object, and it is no hash of the node's fields at
+    all.  So sets and dicts of nodes iterate in an order that depends on
+    where nodes live in memory; no output depends on that order
+    (`tests/test_determinism.py` runs commands with differing addresses
+    and hash seeds).  Each class's `_fill` sets a new node's fields and
+    its `_tagged` slot, which records, from the node's own tag and its
+    children's slots, whether a tag occurs at or below the node (a `Rec`
+    has its body's, a `RecVar` none), so tag walks skip untagged subterms
+    without looking inside them.  The intern table of each class holds its
+    nodes weakly: a node that is no longer used is dropped from it.
     """
-    __slots__ = ("_hash", "_tagged", "__weakref__")
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("_tagged", "__weakref__")
 
     def __reduce__(self):
-        # rebuild through the constructor, which interns the copy and takes
-        # the hash afresh (string hashes differ between processes)
+        # rebuild through the constructor, which interns the copy
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
@@ -69,8 +69,13 @@ class _Entry(weakref.ref):
 
 
 def _node(cls):
-    """Make cls a frozen, slotted node class with an intern table."""
+    """Make cls a frozen, slotted node class with an intern table.  The
+    class's `_filler` is given the setters of its field slots, in field
+    order, and returns its `_fill`: the function that sets a new node's
+    fields and its `_tagged` slot through them, as a frozen class must."""
     cls = dataclass(frozen=True, slots=True, init=False, eq=False)(cls)
+    cls._fill = staticmethod(cls._filler(
+        *(cls.__dict__[name].__set__ for name in cls.__match_args__)))
     table = {}
 
     def drop(entry):
@@ -82,7 +87,7 @@ def _node(cls):
     return cls
 
 
-_set = object.__setattr__
+_set_tagged = Term.__dict__["_tagged"].__set__
 
 
 def _intern(cls, key):
@@ -95,10 +100,7 @@ def _intern(cls, key):
         if node is not None:
             return node
     node = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, key):
-        _set(node, name, value)
-    _set(node, "_hash", hash(key))
-    _set(node, "_tagged", node._summary())
+    cls._fill(node, *key)
     entry = table[key] = _Entry(node, cls._drop)
     entry.key = key
     return node
@@ -119,8 +121,13 @@ class Var(Term):
     def __new__(cls, name, tag=None):
         return _intern(cls, (name, tag))
 
-    def _summary(self):
-        return self.tag is not None
+    @staticmethod
+    def _filler(set_name, set_tag):
+        def fill(node, name, tag):
+            set_name(node, name)
+            set_tag(node, tag)
+            _set_tagged(node, tag is not None)
+        return fill
 
 
 @_node
@@ -132,8 +139,14 @@ class Abs(Term):
     def __new__(cls, var, body, tag=None):
         return _intern(cls, (var, body, tag))
 
-    def _summary(self):
-        return self.tag is not None or self.body._tagged
+    @staticmethod
+    def _filler(set_var, set_body, set_tag):
+        def fill(node, var, body, tag):
+            set_var(node, var)
+            set_body(node, body)
+            set_tag(node, tag)
+            _set_tagged(node, tag is not None or body._tagged)
+        return fill
 
 
 @_node
@@ -145,8 +158,14 @@ class Sym(Term):
     def __new__(cls, fun, args=(), tag=None):
         return _intern(cls, (fun, args, tag))
 
-    def _summary(self):
-        return self.tag is not None or _any_tagged(self.args)
+    @staticmethod
+    def _filler(set_fun, set_args, set_tag):
+        def fill(node, fun, args, tag):
+            set_fun(node, fun)
+            set_args(node, args)
+            set_tag(node, tag)
+            _set_tagged(node, tag is not None or _any_tagged(args))
+        return fill
 
 
 @_node
@@ -157,8 +176,13 @@ class MetaApp(Term):
     def __new__(cls, mv, args=()):
         return _intern(cls, (mv, args))
 
-    def _summary(self):
-        return _any_tagged(self.args)
+    @staticmethod
+    def _filler(set_mv, set_args):
+        def fill(node, mv, args):
+            set_mv(node, mv)
+            set_args(node, args)
+            _set_tagged(node, _any_tagged(args))
+        return fill
 
 
 @_node
@@ -169,8 +193,13 @@ class Rec(Term):
     def __new__(cls, var, body):
         return _intern(cls, (var, body))
 
-    def _summary(self):
-        return self.body._tagged
+    @staticmethod
+    def _filler(set_var, set_body):
+        def fill(node, var, body):
+            set_var(node, var)
+            set_body(node, body)
+            _set_tagged(node, body._tagged)
+        return fill
 
 
 @_node
@@ -180,8 +209,12 @@ class RecVar(Term):
     def __new__(cls, name):
         return _intern(cls, (name,))
 
-    def _summary(self):
-        return False
+    @staticmethod
+    def _filler(set_name):
+        def fill(node, name):
+            set_name(node, name)
+            _set_tagged(node, False)
+        return fill
 
 
 def hole():
@@ -221,6 +254,8 @@ def _unroll(t):
 
 def resolve(t):
     """Unroll rec binders until the root is a var/abs/sym/meta node."""
+    if t.__class__ is not Rec and t.__class__ is not RecVar:
+        return t
     guard = 0
     while isinstance(t, Rec):
         t = _unroll(t)
@@ -302,11 +337,14 @@ def children(t):
 
 
 def child_at(t, i):
-    t = resolve(t)
-    if isinstance(t, Abs):
+    cls = t.__class__
+    if cls is Rec or cls is RecVar:
+        t = resolve(t)
+        cls = t.__class__
+    if cls is Abs:
         if i == 0:
             return t.body
-    elif isinstance(t, (Sym, MetaApp)):
+    elif cls is Sym or cls is MetaApp:
         if 1 <= i <= len(t.args):
             return t.args[i - 1]
     raise PositionError(f"no child {i} under {root_label(t)}")
@@ -322,7 +360,9 @@ def path_nodes(t, p):
     """The resolved nodes from the root down to position p, root first."""
     out = [resolve(t)]
     for i in p:
-        out.append(resolve(child_at(out[-1], i)))
+        u = child_at(out[-1], i)
+        cls = u.__class__
+        out.append(resolve(u) if cls is Rec or cls is RecVar else u)
     return out
 
 
@@ -384,15 +424,15 @@ def rebuild_path(nodes, p, s):
     path nodes, root first, ending with s."""
     out = [s]
     for node, i in zip(reversed(nodes[:len(p)]), reversed(p)):
-        match node:
-            case Abs(x, _, tag) if i == 0:
-                s = Abs(x, s, tag)
-            case Sym(f, args, tag) if 1 <= i <= len(args):
-                s = Sym(f, args[:i - 1] + (s,) + args[i:], tag)
-            case MetaApp(z, args) if 1 <= i <= len(args):
-                s = MetaApp(z, args[:i - 1] + (s,) + args[i:])
-            case _:
-                raise PositionError(f"no child {i} under {root_label(node)}")
+        cls = node.__class__
+        if cls is Abs and i == 0:
+            s = Abs(node.var, s, node.tag)
+        elif cls is Sym and 1 <= i <= len(node.args):
+            s = Sym(node.fun, node.args[:i - 1] + (s,) + node.args[i:], node.tag)
+        elif cls is MetaApp and 1 <= i <= len(node.args):
+            s = MetaApp(node.mv, node.args[:i - 1] + (s,) + node.args[i:])
+        else:
+            raise PositionError(f"no child {i} under {root_label(node)}")
         out.append(s)
     out.reverse()
     return out
@@ -551,19 +591,34 @@ def alpha_eq(t, u, holes=False):
 
 def truncate(t, d):
     """The finite approximation that agrees with t strictly above depth d and
-    has a hole at every depth-d cut point."""
-    if d == 0:
-        return hole()
-    u = resolve(t)
-    match u:
-        case Abs(x, body, tag):
-            return Abs(x, truncate(body, d - 1), tag)
-        case Sym(f, args, tag):
-            return Sym(f, tuple(truncate(a, d - 1) for a in args), tag)
-        case MetaApp(z, args):
-            return MetaApp(z, tuple(truncate(a, d - 1) for a in args))
-        case _:
-            return u
+    has a hole at every depth-d cut point.  An explicit stack, so deep terms
+    are truncated too: a node with children is met twice, first to push its
+    children and then, with depth None, to build it from their results."""
+    out = []  # finished subterms; a node's children end it, leftmost first
+    todo = [(t, d)]
+    while todo:
+        u, k = todo.pop()
+        if k is None:
+            match u:
+                case Abs(x, _, tag):
+                    out.append(Abs(x, out.pop(), tag))
+                case Sym(f, args, tag):
+                    n = len(out) - len(args)
+                    out[n:] = [Sym(f, tuple(out[n:]), tag)]
+                case MetaApp(z, args):
+                    n = len(out) - len(args)
+                    out[n:] = [MetaApp(z, tuple(out[n:]))]
+        elif k == 0:
+            out.append(hole())
+        else:
+            u = resolve(u)
+            kids = children(u)
+            if kids:
+                todo.append((u, None))
+                todo.extend((c, k - 1) for _, c in reversed(kids))
+            else:
+                out.append(u)
+    return out[0]
 
 
 def distance(t, u):

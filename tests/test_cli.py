@@ -192,10 +192,11 @@ class TestNormalize:
         assert "Traceback" not in out + err
 
     def test_too_deep_term_exits_budget(self, capsys):
-        # the chain parses and scans; truncating it 2000 deep still recurses
+        # the chain parses, scans and truncates 2000 deep; the rational
+        # normal form's fold still recurses, in free_vars
         deep = "g(" * 3000 + "a" + ")" * 3000
         code, out = run("normalize", corpus("spine_growth.crs"), "--term", deep,
-                        "--depth", "2000")
+                        "--depth", "2000", "--emit", "all")
         err = capsys.readouterr().err
         assert code == 4
         assert err.startswith("budget exceeded: term too deep")
@@ -213,6 +214,17 @@ class TestNormalize:
         assert code == 4
         assert out == ""
         assert capsys.readouterr().err.startswith("budget exceeded: term too deep")
+
+    def test_deep_chain_truncates(self):
+        # truncation walks an explicit stack: the approximant 2000 deep is
+        # built without recursion
+        deep = "g(" * 3000 + "a" + ")" * 3000
+        code, out = run("normalize", corpus("spine_growth.crs"), "--term", deep,
+                        "--depth", "2000")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "status: approximant"
+        assert lines[1] == "approximant: " + "g(" * 2000 + "_|_" + ")" * 2000
 
     def test_deep_chain_normalizes(self):
         deep = "g(" * 3000 + "b" + ")" * 3000

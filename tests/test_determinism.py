@@ -1,0 +1,121 @@
+"""No output depends on where nodes live in memory or on the string hash
+seed.  Term nodes hash by identity, so sets and dicts of nodes, redexes and
+machine states iterate in an order that follows object addresses.  Each
+command below gives byte-identical output when run twice in one process,
+with the engine's caches cleared and unrelated nodes built and dropped in
+between so that the second run builds its nodes at other addresses, and
+once more in a fresh process under another PYTHONHASHSEED."""
+
+import contextlib
+import gc
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from icrs.cli import main
+from icrs.terms import Abs, Sym, Var
+
+ROOT = pathlib.Path(__file__).parent.parent
+CORPUS = ROOT / "src" / "icrs" / "corpus"
+
+
+def fixpoint_text():
+    lines = (CORPUS / "lambda_fixpoint.term").read_text().splitlines()
+    return " ".join(ln.strip() for ln in lines
+                    if ln.strip() and not ln.lstrip().startswith("#"))
+
+
+INPUTS = {
+    "spine": ("spine_growth.crs", "f(a, c)"),
+    "pair": ("outermost_pair.crs", "f(a)"),
+    "map": ("map_streams.crs", "map([z] s(z), rec L. cons(zero, L))"),
+    "fixpoint": ("lambda_beta.crs", fixpoint_text()),
+}
+STRATEGIES = ("fair", "outermost-fair", "needed-fair")
+
+
+def commands():
+    out = {}
+    for name, (system, term) in INPUTS.items():
+        for strategy in STRATEGIES:
+            out[f"normalize-{name}-{strategy}"] = [
+                "normalize", str(CORPUS / system), "--term", term,
+                "--strategy", strategy, "--depth", "4", "--emit", "all"]
+    out["develop-cyclic"] = [
+        "develop", str(CORPUS / "lambda_beta.crs"), "--term",
+        "rec S. app(abs([x] app(x, S)), abs([y] y))", "--all-redexes"]
+    out["suite-0"] = ["suite", "--seed", "0", "--instances", "10"]
+    return out
+
+
+def run_all(argvs):
+    """Exit code, stdout and stderr of each command, run in this process."""
+    results = {}
+    for label, argv in argvs.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        results[label] = [code, out.getvalue(), err.getvalue()]
+    return results
+
+
+def churn():
+    """Clear the engine's caches, which hold nodes alive, then build
+    unrelated nodes, keep every third alive and drop the rest, so that
+    nodes built next are placed elsewhere; the kept ones are returned for
+    the caller to hold."""
+    for module in [m for n, m in sys.modules.items() if n.startswith("icrs.")]:
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):
+                value.cache_clear()
+    built = [Abs(f"u{i}", Sym("churn", (Var(f"v{i}"),), tag=i)) for i in range(6000)]
+    kept = built[::3]
+    del built
+    gc.collect()
+    return kept
+
+
+# run in a fresh interpreter: argvs as JSON on stdin, results as JSON out
+CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_determinism import run_all
+json.dump(run_all(json.load(sys.stdin)), sys.stdout)
+"""
+
+
+@pytest.fixture(scope="module")
+def first():
+    return run_all(commands())
+
+
+def test_commands_exit_cleanly(first):
+    assert all(code == 0 for code, _, _ in first.values()), {
+        label: (code, err) for label, (code, _, err) in first.items() if code}
+
+
+def test_output_repeats_with_nodes_at_other_addresses(first):
+    kept = churn()
+    second = run_all(commands())
+    del kept
+    gc.collect()
+    for label in first:
+        assert second[label] == first[label], label
+
+
+def test_output_repeats_under_another_hash_seed(first):
+    seed = "7" if os.environ.get("PYTHONHASHSEED") != "7" else "8"
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(pathlib.Path(__file__).parent)],
+        input=json.dumps(commands()), env=env, capture_output=True, text=True,
+        timeout=600, check=True)
+    third = json.loads(proc.stdout)
+    for label in first:
+        assert third[label] == first[label], label

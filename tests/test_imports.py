@@ -53,13 +53,13 @@ def test_no_private_or_function_local_engine_imports():
 
 
 def test_node_slots_are_read_in_terms_only():
-    """The per-node hash and tag summary are the term layer's own: other
-    modules go through public helpers."""
+    """The per-node tag summary is the term layer's own: other modules go
+    through public helpers."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "terms.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in ("_hash", "_tagged"):
+            if isinstance(node, ast.Attribute) and node.attr == "_tagged":
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert not found, "\n".join(found)

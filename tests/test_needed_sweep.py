@@ -14,8 +14,8 @@ import pytest
 from icrs import (
     complete_development, dev_sequence_of_steps, epsilon_seq, epsilon_step,
     NEEDED_FAIR, find_redexes, has_finite_jumps, needed_pilot, normalize,
-    parse_system, parse_term, path_prefix_set, positions_to_depth, resolve,
-    subterm_at, zeta,
+    is_prefix_set, parse_system, parse_term, path_prefix_set,
+    positions_to_depth, resolve, subterm_at, zeta,
 )
 from icrs import essential, strategies
 from icrs.developments import DevRecord, PathSpace
@@ -213,6 +213,36 @@ def test_local_steps_match_whole_term_on_corpus_pilots():
     assert stages >= 150
 
 
+def test_swept_sets_are_prefix_sets_of_their_terms():
+    """The sweep's steps do not check the sets they are passed, so every
+    set the sweep builds must be a prefix set of its trace term."""
+    swept_sets = 0
+    for pilot in corpus_pilots():
+        swept = pilot._swept
+        for i, prefix in enumerate(swept):
+            assert is_prefix_set(prefix, pilot.trace.terms[i]), i
+        swept_sets += len(swept)
+    assert swept_sets >= 150
+
+
+def test_collapsed_start_positions_match_a_fresh_walk():
+    """Past an index where strata collapse, the start positions add the
+    deepest collapsed stratum's prefix; the route it replaced walked the
+    term at the start index instead."""
+    collapsed_starts = 0
+    for pilot in corpus_pilots():
+        terms, swept = pilot.trace.terms, pilot._swept
+        for start in range(len(terms)):
+            depths = [st.depth for st in pilot.strata if st.index < start]
+            want = swept[start] if start < len(swept) else frozenset()
+            if depths:
+                want = want | frozenset(
+                    positions_to_depth(terms[start], max(depths) - 1))
+                collapsed_starts += 1
+            assert pilot.essential_start_positions(start) == want, start
+    assert collapsed_starts >= 20
+
+
 def test_local_steps_match_whole_term_on_random_stages():
     rng = random.Random(9)
     stages = walked = 0
@@ -247,7 +277,7 @@ def test_sweep_builds_term_nodes_only_below_the_contracted_redexes(monkeypatch):
     t = parse_term(fixpoint_term())
     pilot = needed_pilot(t, system, pilot_depth(system, t, 16), 600)
     stages, space_stage, built = [], {}, []
-    step_fn = strategies.epsilon_step
+    step_fn = strategies.local_epsilon_step
     init, settle = PathSpace.__init__, PathSpace._settle
 
     def stepping(prefix, stage):
@@ -262,7 +292,7 @@ def test_sweep_builds_term_nodes_only_below_the_contracted_redexes(monkeypatch):
         built.append((self, node))
         return settle(self, node)
 
-    monkeypatch.setattr(strategies, "epsilon_step", stepping)
+    monkeypatch.setattr(strategies, "local_epsilon_step", stepping)
     monkeypatch.setattr(PathSpace, "__init__", initialising)
     monkeypatch.setattr(PathSpace, "_settle", settling)
     swept = pilot._swept

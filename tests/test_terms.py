@@ -191,6 +191,44 @@ class TestTruncate:
         t = T("f(a, b)")
         assert truncate(t, 5) == t
 
+    def test_deep_term_does_not_recurse(self):
+        t = Sym("a")
+        for _ in range(3000):
+            t = Sym("g", (t,))
+        assert truncate(t, 3001) is t
+        cut = truncate(t, 2999)
+        for _ in range(2999):
+            assert cut.fun == "g"
+            cut, = cut.args
+        assert cut is hole()
+
+    def test_agrees_with_the_recursive_route(self):
+        rng = random.Random(21)
+        roots = corpus_terms() + [
+            genrand.random_term(rng, genrand.random_system(rng), 4)
+            for _ in range(150)]
+        roots += [tag_structurally(t, rng, 0.2) for t in roots[:60]]
+        assert any(isinstance(t, Rec) for t in roots)
+        for t in roots:
+            for d in range(7):
+                assert truncate(t, d) is recursive_truncate(t, d)
+
+
+def recursive_truncate(t, d):
+    """The recursive route that the explicit stack replaced."""
+    if d == 0:
+        return hole()
+    u = resolve(t)
+    match u:
+        case Abs(x, body, tag):
+            return Abs(x, recursive_truncate(body, d - 1), tag)
+        case Sym(f, args, tag):
+            return Sym(f, tuple(recursive_truncate(a, d - 1) for a in args), tag)
+        case MetaApp(z, args):
+            return MetaApp(z, tuple(recursive_truncate(a, d - 1) for a in args))
+        case _:
+            return u
+
 
 class TestPrefixSets:
     def test_listed_example(self):
@@ -297,11 +335,6 @@ def structural_nodes(t):
     return out
 
 
-def dataclass_hash(t):
-    """The hash a plain frozen dataclass computes: its compare fields' tuple."""
-    return hash(tuple(getattr(t, f.name) for f in fields(t) if f.compare))
-
-
 class TestNodes:
     @pytest.fixture(scope="class")
     def nodes(self):
@@ -310,22 +343,30 @@ class TestNodes:
         assert kinds == {Var, Abs, Sym, MetaApp, Rec, RecVar}
         return out
 
-    def test_hash_is_the_dataclass_hash(self, nodes):
+    def test_hash_is_identity(self, nodes):
+        # a node built again from its fields, or pickled, is the node itself
+        # and hashes alike; distinct nodes are unequal
         for t in nodes:
-            assert hash(t) == dataclass_hash(t)
+            assert type(t).__hash__ is object.__hash__
+            twin = type(t)(*(getattr(t, f.name) for f in fields(t)))
+            assert twin is t and twin == t and hash(twin) == hash(t)
+        for t in nodes[:200]:
+            assert pickle.loads(pickle.dumps(t)) is t
+        rng = random.Random(3)
+        for _ in range(2000):
+            a, b = rng.choice(nodes), rng.choice(nodes)
+            assert (a == b) is (a is b)
 
     def test_nodes_have_no_dict(self, nodes):
         for t in nodes:
             assert not hasattr(t, "__dict__")
 
-    def test_replaced_tag_rehashes(self, nodes):
+    def test_replaced_tag_returns_the_node(self, nodes):
         for t in nodes:
-            if isinstance(t, (Var, Abs, Sym)):
+            if isinstance(t, (Var, Abs, Sym)) and t.tag is None:
                 tagged = replace(t, tag=("d", 3))
-                assert hash(tagged) == dataclass_hash(tagged)
-                assert tagged != t and tagged.tag == ("d", 3)
-                assert replace(tagged, tag=None) == t
-                assert hash(replace(tagged, tag=None)) == hash(t)
+                assert tagged is not t and tagged != t and tagged.tag == ("d", 3)
+                assert replace(tagged, tag=None) is t
 
     def test_positional_patterns_bind_the_fields(self, nodes):
         for t in nodes:
@@ -468,7 +509,7 @@ class TestBoundedMemory:
                 assert isinstance(entry, weakref.ref) and entry.key == key
 
     def test_node_slots_cache_nothing(self):
-        assert Term.__slots__ == ("_hash", "_tagged", "__weakref__")
+        assert Term.__slots__ == ("_tagged", "__weakref__")
         for cls in (Var, Abs, Sym, MetaApp, Rec, RecVar):
             assert cls.__slots__ == tuple(f.name for f in fields(cls))
 
