@@ -694,37 +694,45 @@ class _Machine:
 
     def target(self):
         """The developed term, read off the walk's graph of labelled states:
-        a state met again on the way down becomes a rec binder."""
+        a state met again on the way down becomes a rec binder.  An explicit
+        stack, so deep terms are built too: a state is met twice, first to
+        enter it and push its successors, then, finished, to build its node
+        from theirs, leftmost first at the end of `out`."""
         first, graph = self.walk()
         memo = {}
         building = {}
-        counter = [0]
-
-        def build(lab):
-            if lab in building:
+        counter = 0
+        out = []
+        todo = [(first, False)]
+        while todo:
+            lab, finished = todo.pop()
+            if finished:
+                v = lab.value
+                succ = graph[lab]
+                if isinstance(v, Var):
+                    node = Var(_assoc_get(lab.names, v.name) or v.name)
+                elif isinstance(v, Abs):
+                    node = Abs(_assoc_get(succ[0][1].names, v.var), out.pop())
+                else:  # Sym (meta nodes are unlabelled)
+                    k = len(out) - len(succ)
+                    node = Sym(v.fun, tuple(out[k:]))
+                    del out[k:]
+                name, used = building.pop(lab)
+                if used:
+                    node = Rec(name, node)
+                memo[lab] = node
+                out.append(node)
+            elif lab in building:
                 building[lab][1] = True
-                return RecVar(building[lab][0])
-            if lab in memo:
-                return memo[lab]
-            counter[0] += 1
-            recname = f"T{counter[0]}"
-            building[lab] = [recname, False]
-            v = lab.value
-            succ = graph[lab]
-            if isinstance(v, Var):
-                out = Var(_assoc_get(lab.names, v.name) or v.name)
-            elif isinstance(v, Abs):
-                _, inner, inner_lab = succ[0]
-                out = Abs(_assoc_get(inner.names, v.var), build(inner_lab))
-            else:  # Sym (meta nodes are unlabelled)
-                out = Sym(v.fun, tuple(build(arg) for _, _, arg in succ))
-            name, used = building.pop(lab)
-            if used:
-                out = Rec(name, out)
-            memo[lab] = out
-            return out
-
-        return build(first)
+                out.append(RecVar(building[lab][0]))
+            elif lab in memo:
+                out.append(memo[lab])
+            else:
+                counter += 1
+                building[lab] = [f"T{counter}", False]
+                todo.append((lab, True))
+                todo.extend((arg, False) for _, _, arg in reversed(graph[lab]))
+        return out[0]
 
 
 def _rel_descend_path(rel, q):

@@ -9,7 +9,7 @@ what the property suites assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DevelopmentExplosion, PositionError, TermError
 from .developments import AllRedexes, Path, PathSpace, has_finite_jumps
@@ -17,7 +17,7 @@ from .rewriting import Redex, apply_valuation, match, find_redexes, redex_at
 from .systems import pattern_meta
 from .terms import (
     MetaApp, alpha_eq, iter_tagged, path_nodes, rebuild_path, set_tag_at,
-    strip_tags, truncate,
+    strip_tags, truncate, with_tag,
 )
 
 
@@ -110,7 +110,7 @@ def _add_label(term, p, label):
     if isinstance(node, MetaApp):
         raise TermError("cannot tag a meta-variable node")
     tag = (node.tag or frozenset()) | {label}
-    return rebuild_path(nodes, p, replace(node, tag=tag))[0]
+    return rebuild_path(nodes, p, with_tag(node, tag))[0]
 
 
 def _labelled(found, kind):

@@ -14,8 +14,8 @@ variables have no descendants.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import (
     ArityMismatch, FiniteChainsViolated, InfiniteResultError, PositionError,
@@ -24,8 +24,8 @@ from .errors import (
 from .terms import (
     Abs, MetaApp, Position, Rec, RecVar, Sym, Term, Var,
     alpha_eq, check_guarded, children, free_recvars, free_vars, fresh_name,
-    iter_tagged, path_nodes, position_str, rebuild_path, resolve, set_tag_at,
-    subst_recvar, subterm_at,
+    iter_tagged, match_memo, path_nodes, position_str, rebuild_path, resolve,
+    set_tag_at, subst_recvar, subterm_at,
 )
 
 
@@ -108,9 +108,7 @@ def _subst(s, m):
             live = {k: v for k, v in m.items() if k != x}
             if not live:
                 return s
-            incoming = set()
-            for v in live.values():
-                incoming |= free_vars(v)
+            incoming = set().union(*map(free_vars, live.values()))
             if x in incoming:
                 x2 = fresh_name(x, incoming | free_vars(body) | set(live))
                 body = _subst(body, {x: Var(x2)})
@@ -121,9 +119,7 @@ def _subst(s, m):
         case MetaApp(z, args):
             return MetaApp(z, tuple(_subst(a, m) for a in args))
         case Rec(v, body):
-            incoming = set()
-            for t in m.values():
-                incoming |= free_recvars(t)
+            incoming = set().union(*map(free_recvars, m.values()))
             if v in incoming:
                 v2 = fresh_name(v, incoming | free_recvars(body))
                 body = subst_recvar(body, v, RecVar(v2))
@@ -161,9 +157,9 @@ def apply_valuation(valuation, metaterm):
                 return t
             case Abs(x, body, tag):
                 if avoid is None:
-                    avoid = set()
-                    for sub in valuation.assignment.values():
-                        avoid |= free_vars(sub.body) - set(sub.params)
+                    avoid = set().union(*(
+                        free_vars(sub.body) - set(sub.params)
+                        for sub in valuation.assignment.values()))
                 if x in avoid:
                     x2 = fresh_name(x, avoid | free_vars(body))
                     body = _subst(body, {x: Var(x2)})
@@ -202,17 +198,24 @@ def match(rule, term, position=()):
     the same redex twice gives equal valuations.  A binder is renamed (to
     `_b<pattern depth>`, skipping names free in the subterm) only when it
     shadows an earlier binder of the same match, so that each pattern binder
-    stands for one name.  The valuation is memoised per (rule, resolved
-    node): nodes are interned, so a node met again is the same key.
+    stands for one name.  The result is kept on the resolved node by rule
+    (`match_memo`): False for no match, else the valuation, weakly, as on a
+    cycle it can hold an unrolling with the node as a subterm (see `Term`).
     """
     try:
         target = subterm_at(term, position)
     except (PositionError, TermError):
         return None
-    return _match_node(rule, resolve(target))
+    node = resolve(target)
+    memo = match_memo(node)
+    ref = memo.get(rule)
+    v = ref and ref()  # None when not kept or died, False for no match
+    if v is None:
+        v = _match_node(rule, node)
+        memo[rule] = v is not None and weakref.ref(v)
+    return v or None
 
 
-@lru_cache(maxsize=None)
 def _match_node(rule, node):
     assignment = {}
 

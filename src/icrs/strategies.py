@@ -408,16 +408,21 @@ def _approximant(trace, status, depth_goal):
 # rational normal forms from stable prefixes
 
 def _known_depth(t):
-    """Depth of the shallowest hole; None when the subtree is hole-free."""
-    t = resolve(t)
-    if is_hole(t):
-        return 0
-    best = None
-    for _, c in children(t):
-        d = _known_depth(c)
-        if d is not None:
-            best = d + 1 if best is None else min(best, d + 1)
-    return best
+    """Depth of the shallowest hole; None when the subtree is hole-free.  A
+    breadth-first search, so deep subtrees do not recurse; a node met again
+    is not entered again, as its first meeting was no deeper."""
+    level, seen, depth = [t], set(), 0
+    while level:
+        below = []
+        for u in level:
+            u = resolve(u)
+            if is_hole(u):
+                return depth
+            if u not in seen:
+                seen.add(u)
+                below.extend(c for _, c in children(u))
+        level, depth = below, depth + 1
+    return None
 
 
 def _fold_rational(snapshot):

@@ -19,9 +19,8 @@ results are stripped of tags.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import NotCycleRoot, PositionError, TermError
 
@@ -40,22 +39,23 @@ class Term:
     Nodes are hash-consed (Filliatre & Conchon, "Type-safe modular
     hash-consing", 2006): a constructor call returns the one live node with
     those fields, so structurally equal nodes, tags included, are one
-    object, and equality is identity.  Children are interned before their
-    parent, so looking a node up compares its fields by identity and costs
-    one hash of its own fields, not a walk of the subtree.  A node hashes
-    by identity, as Python's own object hash: that is exact, because equal
-    nodes are the same object, and it is no hash of the node's fields at
-    all.  So sets and dicts of nodes iterate in an order that depends on
-    where nodes live in memory; no output depends on that order
-    (`tests/test_determinism.py` runs commands with differing addresses
-    and hash seeds).  Each class's `_fill` sets a new node's fields and
-    its `_tagged` slot, which records, from the node's own tag and its
-    children's slots, whether a tag occurs at or below the node (a `Rec`
-    has its body's, a `RecVar` none), so tag walks skip untagged subterms
-    without looking inside them.  The intern table of each class holds its
-    nodes weakly: a node that is no longer used is dropped from it.
+    object, equality is identity, and so is the hash; sets and dicts of
+    nodes iterate in an order that depends on addresses, and no output
+    depends on it (`tests/test_determinism.py`).  Each class's intern table
+    holds its nodes weakly, under their fields.
+
+    `_fill` sets a new node's fields and its summaries, made from its
+    children's, so none needs a walk and each dies with its node: `_tagged`
+    (a tag occurs at or below it), `_free` and `_free_rec` (free variables
+    and rec variables; closed nodes share one empty set, and a node shares
+    a child's set equal to its own) and `_has_vars` (a variable occurs).
+    Two memos start empty: match results (`match_memo`) and a `Rec`'s
+    unrolling (`_unrolled`).  What they keep can have the node as a
+    subterm, and a table key holds its node's children, so they keep it
+    weakly: a strong reference would keep both nodes for good.
     """
-    __slots__ = ("_tagged", "__weakref__")
+    __slots__ = ("_tagged", "_free", "_free_rec", "_has_vars", "_matches",
+                 "_unrolled", "__weakref__")
 
     def __reduce__(self):
         # rebuild through the constructor, which interns the copy
@@ -71,8 +71,8 @@ class _Entry(weakref.ref):
 def _node(cls):
     """Make cls a frozen, slotted node class with an intern table.  The
     class's `_filler` is given the setters of its field slots, in field
-    order, and returns its `_fill`: the function that sets a new node's
-    fields and its `_tagged` slot through them, as a frozen class must."""
+    order, and returns its `_fill`, which sets a new node's fields through
+    them, as a frozen class must, and its summaries by `_summarise`."""
     cls = dataclass(frozen=True, slots=True, init=False, eq=False)(cls)
     cls._fill = staticmethod(cls._filler(
         *(cls.__dict__[name].__set__ for name in cls.__match_args__)))
@@ -87,7 +87,17 @@ def _node(cls):
     return cls
 
 
-_set_tagged = Term.__dict__["_tagged"].__set__
+_NONE = frozenset()
+_set_tagged, _set_free, _set_free_rec, _set_has_vars, _set_matches, \
+    _set_unrolled = (Term.__dict__[name].__set__ for name in Term.__slots__[:6])
+
+
+def _summarise(node, tagged, free, free_rec, has_vars):
+    _set_tagged(node, tagged)
+    _set_free(node, free)
+    _set_free_rec(node, free_rec)
+    _set_has_vars(node, has_vars)
+    _set_matches(node, None)
 
 
 def _intern(cls, key):
@@ -106,11 +116,22 @@ def _intern(cls, key):
     return node
 
 
-def _any_tagged(args):
+def _without(names, x):
+    return names - {x} or _NONE if x in names else names
+
+
+def _summarise_args(node, args, tagged):
+    """Set the summaries of a node with the children args from theirs."""
+    free = free_rec = _NONE
+    has_vars = False
     for a in args:
-        if a._tagged:
-            return True
-    return False
+        tagged = tagged or a._tagged
+        has_vars = has_vars or a._has_vars
+        if not a._free <= free:
+            free = free | a._free if free else a._free
+        if not a._free_rec <= free_rec:
+            free_rec = free_rec | a._free_rec if free_rec else a._free_rec
+    _summarise(node, tagged, free, free_rec, has_vars)
 
 
 @_node
@@ -126,7 +147,7 @@ class Var(Term):
         def fill(node, name, tag):
             set_name(node, name)
             set_tag(node, tag)
-            _set_tagged(node, tag is not None)
+            _summarise(node, tag is not None, frozenset((name,)), _NONE, True)
         return fill
 
 
@@ -145,7 +166,8 @@ class Abs(Term):
             set_var(node, var)
             set_body(node, body)
             set_tag(node, tag)
-            _set_tagged(node, tag is not None or body._tagged)
+            _summarise(node, tag is not None or body._tagged,
+                       _without(body._free, var), body._free_rec, body._has_vars)
         return fill
 
 
@@ -164,7 +186,7 @@ class Sym(Term):
             set_fun(node, fun)
             set_args(node, args)
             set_tag(node, tag)
-            _set_tagged(node, tag is not None or _any_tagged(args))
+            _summarise_args(node, args, tag is not None)
         return fill
 
 
@@ -181,7 +203,7 @@ class MetaApp(Term):
         def fill(node, mv, args):
             set_mv(node, mv)
             set_args(node, args)
-            _set_tagged(node, _any_tagged(args))
+            _summarise_args(node, args, False)
         return fill
 
 
@@ -198,7 +220,9 @@ class Rec(Term):
         def fill(node, var, body):
             set_var(node, var)
             set_body(node, body)
-            _set_tagged(node, body._tagged)
+            _summarise(node, body._tagged, body._free,
+                       _without(body._free_rec, var), body._has_vars)
+            _set_unrolled(node, None)
         return fill
 
 
@@ -213,7 +237,7 @@ class RecVar(Term):
     def _filler(set_name):
         def fill(node, name):
             set_name(node, name)
-            _set_tagged(node, False)
+            _summarise(node, False, _NONE, frozenset((name,)), False)
         return fill
 
 
@@ -243,13 +267,16 @@ def subst_recvar(t, name, value):
             return Sym(f, tuple(subst_recvar(a, name, value) for a in args), tag)
         case MetaApp(z, args):
             return MetaApp(z, tuple(subst_recvar(a, name, value) for a in args))
-        case _:
-            return t
+    return t
 
 
-@lru_cache(maxsize=None)
 def _unroll(t):
-    return subst_recvar(t.body, t.var, t)
+    """The unrolling of the `Rec` node t, kept weakly on t (see `Term`)."""
+    out = t._unrolled and t._unrolled()
+    if out is None:
+        out = subst_recvar(t.body, t.var, t)
+        _set_unrolled(t, weakref.ref(out))
+    return out
 
 
 def resolve(t):
@@ -272,24 +299,22 @@ def unfold(t):
     single unfold, below it after more)."""
     if isinstance(t, Rec):
         return _unroll(t)
+    hit = []
 
     def go(u):
         match u:
             case Rec(_, _):
-                return True, _unroll(u)
+                hit.append(u)
+                return _unroll(u)
             case Abs(x, body, tag):
-                hit, b2 = go(body)
-                return hit, Abs(x, b2, tag)
+                return Abs(x, go(body), tag)
             case Sym(f, args, tag):
-                hits, new = zip(*(go(a) for a in args)) if args else ((), ())
-                return any(hits), Sym(f, tuple(new), tag)
+                return Sym(f, tuple(map(go, args)), tag)
             case MetaApp(z, args):
-                hits, new = zip(*(go(a) for a in args)) if args else ((), ())
-                return any(hits), MetaApp(z, tuple(new))
-            case _:
-                return False, u
+                return MetaApp(z, tuple(map(go, args)))
+        return u
 
-    hit, out = go(t)
+    out = go(t)
     if not hit:
         raise NotCycleRoot("term has no rec binder to unroll")
     return out
@@ -441,73 +466,35 @@ def rebuild_path(nodes, p, s):
 # ---------------------------------------------------------------------------
 # variables
 
-@lru_cache(maxsize=None)
 def free_vars(t):
-    match t:
-        case Var(x):
-            return frozenset((x,))
-        case Abs(x, body):
-            return free_vars(body) - {x}
-        case Sym(_, args) | MetaApp(_, args):
-            out = frozenset()
-            for a in args:
-                out |= free_vars(a)
-            return out
-        case Rec(_, body):
-            return free_vars(body)
-        case _:
-            return frozenset()
+    return t._free
 
 
-@lru_cache(maxsize=None)
 def free_recvars(t):
-    match t:
-        case RecVar(n):
-            return frozenset((n,))
-        case Rec(v, body):
-            return free_recvars(body) - {v}
-        case Abs(_, body):
-            return free_recvars(body)
-        case Sym(_, args) | MetaApp(_, args):
-            out = frozenset()
-            for a in args:
-                out |= free_recvars(a)
-            return out
-        case _:
-            return frozenset()
+    return t._free_rec
 
 
-@lru_cache(maxsize=None)
 def has_vars(t):
     """Does any variable node occur at all (bound or free)?"""
-    match t:
-        case Var(_, _):
-            return True
-        case Abs(_, body, _) | Rec(_, body):
-            return has_vars(body)
-        case Sym(_, args, _) | MetaApp(_, args):
-            return any(has_vars(a) for a in args)
-        case _:
-            return False
+    return t._has_vars
 
 
-@lru_cache(maxsize=None)
+def match_memo(t):
+    """The node's memo of match results by rule (see `rewriting.match`)."""
+    if t._matches is None:
+        _set_matches(t, {})
+    return t._matches
+
+
 def meta_vars(t):
-    match t:
-        case MetaApp(z, args):
-            out = frozenset((z,))
-            for a in args:
-                out |= meta_vars(a)
-            return out
-        case Abs(_, body) | Rec(_, body):
-            return meta_vars(body)
-        case Sym(_, args):
-            out = frozenset()
-            for a in args:
-                out |= meta_vars(a)
-            return out
-        case _:
-            return frozenset()
+    """The meta-variables of a rule side, by a walk that keeps nothing."""
+    out, todo = set(), [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, MetaApp):
+            out.add(u.mv)
+        todo.extend((u.body,) if isinstance(u, Rec) else (c for _, c in children(u)))
+    return frozenset(out)
 
 
 def fresh_name(base, used):
@@ -677,11 +664,21 @@ def strip_tags(t):
             return Rec(v, strip_tags(body))
 
 
+def with_tag(t, tag):
+    """The resolved node t with the tag, built by its class's constructor."""
+    match t:
+        case Var(x):
+            return Var(x, tag)
+        case Abs(x, body):
+            return Abs(x, body, tag)
+        case Sym(f, args):
+            return Sym(f, args, tag)
+    raise TermError("cannot tag a meta-variable node")
+
+
 def set_tag_at(t, p, tag):
     nodes = path_nodes(t, p)
-    if isinstance(nodes[-1], MetaApp):
-        raise TermError("cannot tag a meta-variable node")
-    return rebuild_path(nodes, p, replace(nodes[-1], tag=tag))[0]
+    return rebuild_path(nodes, p, with_tag(nodes[-1], tag))[0]
 
 
 def iter_tagged(t):

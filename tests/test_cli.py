@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from icrs import alpha_eq, parse_term, strategies, truncate
+from icrs import Sym, alpha_eq, parse_system, parse_term, strategies, truncate
 from icrs.cli import main
 from icrs.developments import PathSpace
 
@@ -134,6 +134,13 @@ class TestDevelop:
         assert code == 0
         assert out == "target: rec T1. app(abs([y] y), T1)\n"
 
+    def test_deep_chain_develops(self, capsys):
+        # the target is built over an explicit stack (it overflowed at 494)
+        code, out = run("develop", corpus("nested_duplication.crs"), "--term",
+                        "g(" * 600 + "f([x] x, a)" + ")" * 600, "--all-redexes")
+        assert code == 0, capsys.readouterr().err
+        assert out == "target: " + "g(" * 601 + "a" + ")" * 601 + "\n"
+
     def test_collapse_tower_fails(self):
         code, out = run("develop", corpus("collapse_loop.crs"),
                         "--term", "rec F. f(F)", "--all-redexes")
@@ -192,15 +199,24 @@ class TestNormalize:
         assert "Traceback" not in out + err
 
     def test_too_deep_term_exits_budget(self, capsys):
-        # the chain parses, scans and truncates 2000 deep; the rational
-        # normal form's fold still recurses, in free_vars
-        deep = "g(" * 3000 + "a" + ")" * 3000
+        # the cycle parses and is checked 3000 deep; unrolling it
+        # (`subst_recvar`) still recurses
+        deep = "rec X. " + "g(" * 3000 + "X" + ")" * 3000
         code, out = run("normalize", corpus("spine_growth.crs"), "--term", deep,
                         "--depth", "2000", "--emit", "all")
         err = capsys.readouterr().err
         assert code == 4
         assert err.startswith("budget exceeded: term too deep")
         assert "Traceback" not in out + err
+
+    def test_deep_chain_folds(self, capsys):
+        # the chain parses, scans, truncates and folds 2000 deep (the fold
+        # overflowed in the recursive free_vars)
+        deep = "g(" * 3000 + "a" + ")" * 3000
+        code, out = run("normalize", corpus("spine_growth.crs"), "--term", deep,
+                        "--depth", "2000", "--emit", "all")
+        assert code == 0, capsys.readouterr().err
+        assert "rational normal form: rec S1. g(S1)" in out.splitlines()
 
     @pytest.mark.parametrize("emit", ["rational", "all"])
     def test_late_budget_exit_writes_nothing(self, monkeypatch, capsys, emit):
@@ -267,8 +283,38 @@ class TestNormalize:
 
     def test_fair_spine_at_depth_384(self, capsys):
         # the fold compares snapshots without recursion (it overflowed at
-        # 384); at 500 the recursive truncate and fold still exit 4
+        # 384)
         self.check_fair_spine(384, capsys)
+
+    def test_fair_spine_at_depth_500(self):
+        # free variables are read off the node, and the fold finds its
+        # shallowest hole breadth-first: neither recurses (both overflowed).
+        # A fresh process, so that no earlier run has filled a cache
+        proc = subprocess.run(
+            [sys.executable, "-m", "icrs", "normalize",
+             "src/icrs/corpus/spine_growth.crs", "--term", "f(a, c)",
+             "--strategy", "fair", "--depth", "500", "--fuel", "4000", "--json"],
+            cwd=pathlib.Path(__file__).parent.parent,
+            env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["status"] == "approximant"
+        assert alpha_eq(parse_term(payload["rational_normal_form"]),
+                        parse_term("rec S. g(b, S)"))
+
+    def test_rational_form_of_a_snapshot_1200_deep(self):
+        # the fold of the run's stable prefix, without the run before it
+        system = parse_system(pathlib.Path(corpus("spine_growth.crs")).read_text())
+        final = parse_term("f(a, c)")
+        for _ in range(1200):
+            final = Sym("g", (Sym("b"), final))
+        snapshot = truncate(final, 1200)
+        nf = parse_term("rec S. g(b, S)")
+        assert strategies._known_depth(snapshot) == 1200
+        assert alpha_eq(strategies._fold_rational(snapshot), nf)
+        trace = strategies.Trace(system, "deep", [final], [])
+        assert alpha_eq(strategies.detect_rational_nf(trace), nf)
 
     def test_needed_fair_fixpoint_at_depth_96(self, capsys):
         # the pilot runs on --fuel: on a fixed 600 steps it did not stabilise

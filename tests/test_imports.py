@@ -5,6 +5,8 @@ import hides inside a function."""
 import ast
 import pathlib
 
+from icrs.terms import Term
+
 SRC = pathlib.Path(__file__).parent.parent / "src" / "icrs"
 
 
@@ -53,13 +55,15 @@ def test_no_private_or_function_local_engine_imports():
 
 
 def test_node_slots_are_read_in_terms_only():
-    """The per-node tag summary is the term layer's own: other modules go
-    through public helpers."""
+    """The per-node summaries and memos are the term layer's own: other
+    modules go through public helpers."""
+    slots = set(Term.__slots__) - {"__weakref__"}
+    assert {"_tagged", "_free", "_matches", "_unrolled"} <= slots
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "terms.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "_tagged":
+            if isinstance(node, ast.Attribute) and node.attr in slots:
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert not found, "\n".join(found)

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import gc
+import io
 import pathlib
 import pickle
 import random
@@ -15,6 +17,7 @@ from icrs import (
     parse_system, parse_term, positions_to_depth, print_term, resolve,
     subterm_at, truncate, unfold,
 )
+from icrs.cli import main
 from icrs.errors import NotCycleRoot, PositionError, TermError
 from icrs.syntax import parse_metaterm
 from icrs import rewriting, systems, terms
@@ -508,39 +511,75 @@ class TestBoundedMemory:
             for key, entry in list(cls._table.items()):
                 assert isinstance(entry, weakref.ref) and entry.key == key
 
-    def test_node_slots_cache_nothing(self):
-        assert Term.__slots__ == ("_tagged", "__weakref__")
+    def test_node_slots_are_fields_summaries_and_memos(self):
+        assert Term.__slots__ == ("_tagged", "_free", "_free_rec", "_has_vars",
+                                  "_matches", "_unrolled", "__weakref__")
         for cls in (Var, Abs, Sym, MetaApp, Rec, RecVar):
             assert cls.__slots__ == tuple(f.name for f in fields(cls))
 
-    def test_term_caches_are_module_level_lru_caches(self):
-        """Every cache of the term, system and rewriting layers is a
-        module-level lru_cache, which clearing the module's caches empties;
-        the one other, a system's index of its own rules, lives on the
-        system."""
-        found, other = set(), set()
+    def test_term_and_rewriting_layers_keep_no_cache(self):
+        """Summaries and memos live on the nodes: the term and rewriting
+        layers have no cache, and no module keeps a mutable container.  The
+        system layer's caches are keyed by rule sides and systems; the one
+        other, a system's index of its own rules, lives on the system."""
+        found = set()
         for module in (terms, systems, rewriting):
             tree = ast.parse(pathlib.Path(module.__file__).read_text())
             for node in ast.walk(tree):
-                if not isinstance(node, ast.FunctionDef):
-                    continue
-                for d in node.decorator_list:
-                    name = ast.unparse(d)
-                    if "cache" not in name:
-                        continue
-                    if node in tree.body and name.startswith("lru_cache("):
-                        found.add((module, node.name))
-                    else:
-                        other.add(node.name)
-        assert other == {"_rules_by_root"}
-        assert {(m.__name__, n) for m, n in found} >= {
-            ("icrs.rewriting", "_match_node"), ("icrs.terms", "_unroll")}
-        for module, name in found:
-            assert hasattr(getattr(module, name), "cache_clear")
-        for module in (terms, systems, rewriting):
+                if isinstance(node, ast.FunctionDef) and any(
+                        "cache" in ast.unparse(d) for d in node.decorator_list):
+                    found.add((module.__name__, node.name))
             for name, value in vars(module).items():
                 if not name.startswith("__"):
                     assert not isinstance(value, (dict, set, list)), name
+                    assert not hasattr(value, "cache_info") or module is systems
+        assert found == {("icrs.systems", "pattern_meta"),
+                         ("icrs.systems", "_rules_by_root"),
+                         ("icrs.systems", "_checked_ok")}
+
+    def test_rounds_leave_the_intern_tables_flat(self):
+        """Eight in-process rounds, each a seeded suite and a fair fixpoint
+        normalisation, leave the tables at their size after the first."""
+        fixpoint = " ".join(
+            ln for ln in (CORPUS / "lambda_fixpoint.term").read_text().splitlines()
+            if ln.strip() and not ln.lstrip().startswith("#"))
+        sizes = []
+        for k in range(8):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["suite", "--seed", str(k), "--instances", "10"]) == 0
+                assert main(["normalize", str(CORPUS / "lambda_beta.crs"),
+                             "--term", fixpoint, "--depth", "16"]) == 0
+            gc.collect()
+            sizes.append(intern_table_size())
+        assert sizes == sizes[:1] * 8
+
+    def test_a_rec_whose_unrolling_nothing_holds_leaves_the_table(self):
+        gc.collect()
+        before = intern_table_size()
+        r = Rec("X", Sym("leaves", (Var("leaf-var"), RecVar("X"))))
+        u = resolve(r)
+        assert _unroll(r) is u and r._unrolled() is u
+        del u
+        # no cycle ties the unrolling to the binder: it is gone at once
+        assert r._unrolled() is None
+        assert resolve(r).args[1] is r
+        del r
+        assert intern_table_size() == before
+
+    def test_a_memo_holding_an_ancestor_does_not_keep_it(self):
+        """On a cycle the match at h(S) binds Z to the unrolling f(h(S)),
+        whose table key holds h(S): the memo keeps the valuation weakly, so
+        both leave the table once the term and its redexes are dropped."""
+        system = parse_system("sym f/1 ; sym k/1 ;\nrule r: h(Z) -> k(Z) ;")
+        gc.collect()
+        before = intern_table_size()
+        t = T("rec S. f(h(S))")
+        redexes = rewriting.find_redexes(t, system, 4)
+        assert [u.position for u in redexes] == [(1,), (1, 1, 1)]
+        assert redexes[0].valuation["Z"].body is resolve(t)
+        del t, redexes
+        gc.collect()
+        assert intern_table_size() == before
 
 
 class TestRecDiscipline:
@@ -619,6 +658,38 @@ def tagged_by_definition(t):
             return tagged_by_definition(body)
         case _:
             return False
+
+
+def free_by_definition(t):
+    """The free variables and free rec variables of the node, and whether
+    a variable node occurs in it, read off its structure."""
+    match t:
+        case Var(x, _):
+            return {x}, set(), True
+        case RecVar(n):
+            return set(), {n}, False
+        case Abs(x, body, _):
+            free, rec, has = free_by_definition(body)
+            return free - {x}, rec, has
+        case Rec(v, body):
+            free, rec, has = free_by_definition(body)
+            return free, rec - {v}, has
+        case Sym(_, args, _) | MetaApp(_, args):
+            parts = [free_by_definition(a) for a in args]
+            return (set().union(*(f for f, _, _ in parts)),
+                    set().union(*(r for _, r, _ in parts)),
+                    any(h for _, _, h in parts))
+
+
+def meta_vars_by_definition(t):
+    match t:
+        case MetaApp(z, args):
+            return {z}.union(*map(meta_vars_by_definition, args))
+        case Abs(_, body) | Rec(_, body):
+            return meta_vars_by_definition(body)
+        case Sym(_, args):
+            return set().union(*map(meta_vars_by_definition, args))
+    return set()
 
 
 def memo_iter_tagged(t):
@@ -722,6 +793,28 @@ class TestTagSummary:
         for t in samples:
             for u in structural_nodes(t):
                 assert u._tagged == tagged_by_definition(u), u
+
+    def test_summary_slots_are_the_recursive_definitions(self, samples):
+        empty = free_vars(T("a"))
+        meta = 0
+        for t in samples:
+            for u in structural_nodes(t):
+                free, rec, has = free_by_definition(u)
+                assert (free_vars(u), free_recvars(u), terms.has_vars(u)) == (
+                    free, rec, has), u
+                assert meta_vars(u) == meta_vars_by_definition(u)
+                meta += bool(meta_vars(u))
+                # closed nodes share one empty set; a binder not free shares
+                # its body's set
+                if not free:
+                    assert free_vars(u) is empty
+                if not rec:
+                    assert free_recvars(u) is empty
+                if isinstance(u, Abs) and u.var not in free_vars(u.body):
+                    assert free_vars(u) is free_vars(u.body)
+                if isinstance(u, Rec) and u.var not in free_recvars(u.body):
+                    assert free_recvars(u) is free_recvars(u.body)
+        assert meta >= 50
 
     def test_iter_tagged_agrees_with_the_memo_walk(self, samples):
         for t in samples:
