@@ -24,8 +24,8 @@ from .errors import (
 from .terms import (
     Abs, MetaApp, Position, Rec, RecVar, Sym, Term, Var,
     alpha_eq, check_guarded, children, free_recvars, free_vars, fresh_name,
-    iter_tagged, match_memo, path_nodes, position_str, rebuild_path, resolve,
-    set_tag_at, subst_recvar, subterm_at,
+    iter_tagged, match_memo, path_nodes, position_str, rebuild, rebuild_path,
+    resolve, set_tag_at, subst_recvar, subterm_at,
 )
 
 
@@ -99,34 +99,33 @@ def substitute(s, xs, ts):
 
 
 def _subst(s, m):
-    if not m:
-        return s
-    match s:
-        case Var(x, _):
-            return m.get(x, s)
-        case Abs(x, body, tag):
-            live = {k: v for k, v in m.items() if k != x}
-            if not live:
-                return s
-            incoming = set().union(*map(free_vars, live.values()))
-            if x in incoming:
-                x2 = fresh_name(x, incoming | free_vars(body) | set(live))
-                body = _subst(body, {x: Var(x2)})
-                x = x2
-            return Abs(x, _subst(body, live), tag)
-        case Sym(f, args, tag):
-            return Sym(f, tuple(_subst(a, m) for a in args), tag)
-        case MetaApp(z, args):
-            return MetaApp(z, tuple(_subst(a, m) for a in args))
-        case Rec(v, body):
-            incoming = set().union(*map(free_recvars, m.values()))
-            if v in incoming:
-                v2 = fresh_name(v, incoming | free_recvars(body))
-                body = subst_recvar(body, v, RecVar(v2))
-                v = v2
-            return Rec(v, _subst(body, m))
-        case _:
-            return s
+    return rebuild(s, _subst_enter, m) if m else s
+
+
+def _subst_enter(u, m):
+    """`rebuild`'s step of the substitution m: a node with no substituted
+    variable free comes back as it is, so no binder under which nothing is
+    substituted is renamed.  A binder that would capture a free variable of
+    an incoming value is renamed within the same map."""
+    if free_vars(u).isdisjoint(m):
+        return u
+    cls = u.__class__
+    if cls is Var:
+        return m[u.name]
+    if cls is Abs:
+        x = u.var
+        if x in m:
+            m = {k: v for k, v in m.items() if k != x}
+        incoming = set().union(*map(free_vars, m.values()))
+        if x in incoming:
+            x2 = fresh_name(x, incoming | free_vars(u.body) | set(m))
+            return Abs(x2, u.body, u.tag), {**m, x: Var(x2)}
+    elif cls is Rec:
+        incoming = set().union(*map(free_recvars, m.values()))
+        if u.var in incoming:
+            v2 = fresh_name(u.var, incoming | free_recvars(u.body))
+            return Rec(v2, subst_recvar(u.body, u.var, RecVar(v2))), m
+    return u, m
 
 
 def apply_substitute(sub, args):

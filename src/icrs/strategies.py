@@ -56,6 +56,7 @@ class Trace:
     terms: list
     steps: list  # StepRecord per step
     ledger: list = None  # Obligations with birth/resolution bookkeeping
+    pilot_fuel: int = PILOT_FUEL  # the fuel of the run's needed-fair pilots
 
     @property
     def initial(self):
@@ -253,12 +254,10 @@ class FairnessTracker:
 
     Needed-fair pilots stratify to one less than the spawn bound, past every
     depth the run still rewrites at, or pending redexes near the bound would
-    classify as inessential.  They run on the run's fuel, and on at least
-    PILOT_FUEL."""
+    classify as inessential.  They run on pilot_fuel steps."""
 
-    def __init__(self, kind, system, spawn_bound, fuel):
-        self.pred = _Predicate(kind, system, spawn_bound - 1,
-                               max(fuel, PILOT_FUEL))
+    def __init__(self, kind, system, spawn_bound, pilot_fuel):
+        self.pred = _Predicate(kind, system, spawn_bound - 1, pilot_fuel)
         self.system = system
         self.spawn_bound = spawn_bound
         self.obligations = []
@@ -295,7 +294,8 @@ class FairnessTracker:
     def observe_step(self, index, term, step):
         contracted = step.redex.position
         contracted_sat = self.pred.satisfies(term, step.redex)
-        members = {m for ob in self.live for m in ob.members}
+        # sorted: the order labels the redexes, and so the nodes built
+        members = sorted({m for ob in self.live for m in ob.members})
         residual_map = (step.residual_map([self.tracked[m] for m in members])
                         if members else {})
         bypos = {u.position: rs for u, rs in residual_map.items()}
@@ -347,9 +347,12 @@ def _reduce(term, system, kind, stable_bound, fuel, until=None):
     """The loop of `normalize`: reduce with the kind's strategy until no
     redex lies above stable_bound (status 'stable'), until a term passes
     the test `until` (status 'joined'), or for fuel steps (status None).
-    Returns the trace and the status."""
+    Returns the trace and the status.  Needed-fair pilots run on the run's
+    fuel, and on at least PILOT_FUEL; the trace records theirs, so that an
+    audit replays the same pilots."""
     scan_bound = stable_bound + 2
-    tracker = FairnessTracker(kind, system, scan_bound, fuel)
+    pilot_fuel = max(fuel, PILOT_FUEL)
+    tracker = FairnessTracker(kind, system, scan_bound, pilot_fuel)
     terms = [term]
     steps = []
     cur = term
@@ -370,8 +373,8 @@ def _reduce(term, system, kind, stable_bound, fuel, until=None):
         redexes = rec.target_redexes(redexes, system, scan_bound)
         cur = rec.target
         terms.append(cur)
-    return Trace(system, kind.kind, terms, steps,
-                 ledger=tracker.obligations), status
+    return Trace(system, kind.kind, terms, steps, ledger=tracker.obligations,
+                 pilot_fuel=pilot_fuel), status
 
 
 def normalize(term, system, kind, depth_goal, fuel):
@@ -518,10 +521,10 @@ def fairness_audit(trace, kind, window=None):
     end = len(trace.steps)
     if window is None:
         window = max(1, end)
-    # the replay scans below every contracted redex; it has no run fuel
+    # the replay scans below every contracted redex, with the run's pilot fuel
     deepest = max((len(s.redex.position) for s in trace.steps), default=0)
     tracker = FairnessTracker(kind, trace.system, deepest + 2
-                              + max_lhs_depth(trace.system), PILOT_FUEL)
+                              + max_lhs_depth(trace.system), trace.pilot_fuel)
     for i, step in enumerate(trace.steps):
         tracker.observe_term(i, trace.terms[i])
         tracker.observe_step(i, trace.terms[i], step)

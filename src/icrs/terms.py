@@ -250,24 +250,66 @@ def is_hole(t):
 
 
 # ---------------------------------------------------------------------------
+# the term map
+
+def rebuild(t, enter, ctx=None, keep_tags=True):
+    """Map the term t bottom-up over an explicit stack, so deep terms are
+    mapped too.  `enter(u, ctx)` gives either u's image, a Term, or a pair
+    (v, ctx'): v's children, a `Rec` body included, are then mapped under
+    ctx', leftmost first, and v's class is rebuilt over their images, with
+    v's tag unless keep_tags is false.  Work stack entries are (node, ctx)
+    pairs to enter, and bare nodes to rebuild once their children are done;
+    `out` holds finished images, a node's children ending it."""
+    r = enter(t, ctx)
+    if r.__class__ is not tuple:
+        return r
+    out, todo = [], []
+    while True:
+        if r.__class__ is tuple:
+            v, c = r
+            todo.append(v)
+            cls = v.__class__
+            if cls is Sym or cls is MetaApp:
+                todo.extend([(a, c) for a in reversed(v.args)])
+            elif cls is Abs or cls is Rec:
+                todo.append((v.body, c))
+        else:
+            out.append(r)
+        while todo:
+            u = todo.pop()
+            if u.__class__ is tuple:
+                r = enter(u[0], u[1])
+                break
+            cls = u.__class__
+            if cls is Sym:
+                k = len(out) - len(u.args)
+                out[k:] = [Sym(u.fun, tuple(out[k:]), u.tag if keep_tags else None)]
+            elif cls is Abs:
+                out[-1] = Abs(u.var, out[-1], u.tag if keep_tags else None)
+            elif cls is Var:
+                out.append(Var(u.name, u.tag if keep_tags else None))
+            elif cls is Rec:
+                out[-1] = Rec(u.var, out[-1])
+            elif cls is MetaApp:
+                k = len(out) - len(u.args)
+                out[k:] = [MetaApp(u.mv, tuple(out[k:]))]
+            else:
+                out.append(u)
+        else:
+            return out[0]
+
+
+# ---------------------------------------------------------------------------
 # rec resolution
 
 def subst_recvar(t, name, value):
-    """Replace the free occurrences of rec variable `name` by `value`."""
-    match t:
-        case RecVar(n):
-            return value if n == name else t
-        case Rec(v, body):
-            if v == name:
-                return t
-            return Rec(v, subst_recvar(body, name, value))
-        case Abs(v, body, tag):
-            return Abs(v, subst_recvar(body, name, value), tag)
-        case Sym(f, args, tag):
-            return Sym(f, tuple(subst_recvar(a, name, value) for a in args), tag)
-        case MetaApp(z, args):
-            return MetaApp(z, tuple(subst_recvar(a, name, value) for a in args))
-    return t
+    """Replace the free occurrences of rec variable `name` by `value`; a
+    subterm in which `name` is not free comes back as it is."""
+    def enter(u, _):
+        if name not in u._free_rec:
+            return u
+        return value if u.__class__ is RecVar else (u, None)
+    return rebuild(t, enter)
 
 
 def _unroll(t):
@@ -297,24 +339,15 @@ def resolve(t):
 def unfold(t):
     """One-step unrolling of the outermost rec binders (at the root after a
     single unfold, below it after more)."""
-    if isinstance(t, Rec):
-        return _unroll(t)
     hit = []
 
-    def go(u):
-        match u:
-            case Rec(_, _):
-                hit.append(u)
-                return _unroll(u)
-            case Abs(x, body, tag):
-                return Abs(x, go(body), tag)
-            case Sym(f, args, tag):
-                return Sym(f, tuple(map(go, args)), tag)
-            case MetaApp(z, args):
-                return MetaApp(z, tuple(map(go, args)))
-        return u
+    def enter(u, _):
+        if u.__class__ is Rec:
+            hit.append(u)
+            return _unroll(u)
+        return u, None
 
-    out = go(t)
+    out = rebuild(t, enter)
     if not hit:
         raise NotCycleRoot("term has no rec binder to unroll")
     return out
@@ -578,34 +611,8 @@ def alpha_eq(t, u, holes=False):
 
 def truncate(t, d):
     """The finite approximation that agrees with t strictly above depth d and
-    has a hole at every depth-d cut point.  An explicit stack, so deep terms
-    are truncated too: a node with children is met twice, first to push its
-    children and then, with depth None, to build it from their results."""
-    out = []  # finished subterms; a node's children end it, leftmost first
-    todo = [(t, d)]
-    while todo:
-        u, k = todo.pop()
-        if k is None:
-            match u:
-                case Abs(x, _, tag):
-                    out.append(Abs(x, out.pop(), tag))
-                case Sym(f, args, tag):
-                    n = len(out) - len(args)
-                    out[n:] = [Sym(f, tuple(out[n:]), tag)]
-                case MetaApp(z, args):
-                    n = len(out) - len(args)
-                    out[n:] = [MetaApp(z, tuple(out[n:]))]
-        elif k == 0:
-            out.append(hole())
-        else:
-            u = resolve(u)
-            kids = children(u)
-            if kids:
-                todo.append((u, None))
-                todo.extend((c, k - 1) for _, c in reversed(kids))
-            else:
-                out.append(u)
-    return out[0]
+    has a hole at every depth-d cut point."""
+    return rebuild(t, lambda u, k: hole() if k == 0 else (resolve(u), k - 1), d)
 
 
 def distance(t, u):
@@ -646,22 +653,14 @@ def prefix_closure(positions):
 # ---------------------------------------------------------------------------
 # descendant-tracking tags
 
+def _tagged_below(u, _):
+    return (u, None) if u._tagged else u
+
+
 def strip_tags(t):
     """The term without tags; a node with no tag at or below it comes back
     as the very same object, so untagged subterms are shared, not copied."""
-    if not t._tagged:
-        return t
-    match t:
-        case Var(x, _):
-            return Var(x)
-        case Abs(x, body, _):
-            return Abs(x, strip_tags(body))
-        case Sym(f, args, _):
-            return Sym(f, tuple(map(strip_tags, args)))
-        case MetaApp(z, args):
-            return MetaApp(z, tuple(map(strip_tags, args)))
-        case Rec(v, body):
-            return Rec(v, strip_tags(body))
+    return rebuild(t, _tagged_below, keep_tags=False)
 
 
 def with_tag(t, tag):
@@ -696,25 +695,25 @@ def iter_tagged(t):
     """
     out = []
     complete = True
-    on_path = set()  # ids of the Rec nodes on the current path
-
-    def walk(u, p):
-        nonlocal complete
+    on_path = set()  # the Rec nodes on the current path
+    todo = [(t, ())]  # (node, position) to visit; a bare Rec leaves the path
+    while todo:
+        u = todo.pop()
+        if u.__class__ is Rec:
+            on_path.remove(u)
+            continue
+        u, p = u
         r = resolve(u)
         if not r._tagged:
-            return
-        if isinstance(u, Rec):
-            if id(u) in on_path:
+            continue
+        if u.__class__ is Rec:
+            if u in on_path:
                 complete = False
-                return
-            on_path.add(id(u))
+                continue
+            on_path.add(u)
+            todo.append(u)
         tag = getattr(r, "tag", None)
         if tag is not None:
             out.append((p, tag))
-        for i, c in children(r):
-            walk(c, p + (i,))
-        if isinstance(u, Rec):
-            on_path.remove(id(u))
-
-    walk(t, ())
+        todo.extend([(c, p + (i,)) for i, c in reversed(children(r))])
     return out, complete

@@ -198,16 +198,33 @@ class TestNormalize:
         assert err == "parse error: unguarded cycle through rec X\n"
         assert "Traceback" not in out + err
 
-    def test_too_deep_term_exits_budget(self, capsys):
-        # the cycle parses and is checked 3000 deep; unrolling it
-        # (`subst_recvar`) still recurses
-        deep = "rec X. " + "g(" * 3000 + "X" + ")" * 3000
-        code, out = run("normalize", corpus("spine_growth.crs"), "--term", deep,
-                        "--depth", "2000", "--emit", "all")
-        err = capsys.readouterr().err
-        assert code == 4
-        assert err.startswith("budget exceeded: term too deep")
-        assert "Traceback" not in out + err
+    def test_too_deep_term_exits_budget(self, tmp_path, capsys):
+        # the rule-side walks in `systems` recurse: a 3000-deep right-hand
+        # side is the floor, for `check` and for the check `normalize` makes
+        f = tmp_path / "deep.crs"
+        f.write_text("rule deep: h(Z) -> " + "g(" * 3000 + "Z" + ")" * 3000 + " ;")
+        for argv in (["check", str(f)], ["normalize", str(f), "--term", "h(a)"]):
+            code, out = run(*argv)
+            err = capsys.readouterr().err
+            assert code == 4
+            assert err.startswith("budget exceeded: term too deep to traverse")
+            assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("emit", [["--emit", "all"], ["--json"]])
+    def test_deep_cycle_normalizes(self, capsys, emit):
+        # unrolling, matching, truncating and printing the 3000-deep cycle
+        # walk explicit stacks
+        body = "g(" * 3000 + "X" + ")" * 3000
+        code, out = run("normalize", corpus("spine_growth.crs"), "--term",
+                        "rec X. " + body, "--depth", "2000", *emit)
+        assert code == 0, capsys.readouterr().err
+        if emit == ["--json"]:
+            payload = json.loads(out)
+            assert payload["status"] == "normal-form"
+            assert payload["rational_normal_form"] == "rec X. " + body
+        else:
+            assert out.splitlines()[0] == "status: normal-form"
+            assert "rational normal form: rec X. " + body in out.splitlines()
 
     def test_deep_chain_folds(self, capsys):
         # the chain parses, scans, truncates and folds 2000 deep (the fold

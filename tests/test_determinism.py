@@ -4,7 +4,9 @@ machine states iterate in an order that follows object addresses.  Each
 command below gives byte-identical output when run twice in one process,
 with the engine's caches cleared and unrelated nodes built and dropped in
 between so that the second run builds its nodes at other addresses, and
-once more in a fresh process under another PYTHONHASHSEED."""
+once more in a fresh process under another PYTHONHASHSEED.  The work done
+does not depend on the hash seed either: the matcher runs and the nodes
+built are the same under three seeds."""
 
 import contextlib
 import gc
@@ -119,3 +121,52 @@ def test_output_repeats_under_another_hash_seed(first):
     third = json.loads(proc.stdout)
     for label in first:
         assert third[label] == first[label], label
+
+
+# count the matcher runs and the nodes built while the commands run
+COUNTING_CHILD = """
+import contextlib, io, json, sys
+from icrs import rewriting, terms
+from icrs.cli import main
+
+counts = {"matches": 0, "nodes": 0}
+match_node = rewriting._match_node
+
+def counting_match(rule, node):
+    counts["matches"] += 1
+    return match_node(rule, node)
+
+def counting(fill):
+    def counted(node, *fields):
+        counts["nodes"] += 1
+        fill(node, *fields)
+    return staticmethod(counted)
+
+rewriting._match_node = counting_match
+for cls in (terms.Var, terms.Abs, terms.Sym, terms.MetaApp, terms.Rec, terms.RecVar):
+    cls._fill = counting(cls._fill)
+out = {}
+for label, argv in json.load(sys.stdin).items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    out[label] = [code, counts["matches"], counts["nodes"]]
+    counts.update(matches=0, nodes=0)
+json.dump(out, sys.stdout)
+"""
+
+
+def test_work_repeats_under_other_hash_seeds():
+    system, term = INPUTS["fixpoint"]
+    argvs = {"needed": ["normalize", str(CORPUS / system), "--term", term,
+                        "--strategy", "needed-fair", "--depth", "16"],
+             "suite": ["suite", "--seed", "1", "--instances", "10"]}
+    runs = []
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", COUNTING_CHILD],
+                              input=json.dumps(argvs), env=env, capture_output=True,
+                              text=True, timeout=600, check=True)
+        runs.append(json.loads(proc.stdout))
+    assert all(counts[1] > 0 and counts[2] > 0 for counts in runs[0].values())
+    assert runs[1] == runs[0] and runs[2] == runs[0]

@@ -246,6 +246,15 @@ class TestFixpointEncoding:
             assert nf is not None and alpha_eq(nf, expected)
             assert fairness_audit(trace, kind)
 
+    def test_needed_fair_run_passes_its_audit(self, beta_system):
+        # the audit replays the pilots on the fuel the run gave them; on the
+        # least pilot fuel they do not stabilise at this depth
+        approx, trace = normalize(self._term(), beta_system, NEEDED_FAIR, 80, 4000)
+        assert approx.status == "approximant"
+        assert trace.pilot_fuel == 4000
+        assert fairness_audit(trace, NEEDED_FAIR)
+        assert trace_of(trace.initial, [], beta_system).pilot_fuel == strategies.PILOT_FUEL
+
 
 class TestLedger:
     def test_normalize_attaches_obligation_ledger(self, spine_system):
