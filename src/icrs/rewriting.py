@@ -9,7 +9,8 @@ redex are computed by replaying the step on a copy of the redex subterm
 whose nodes carry labels; rule-side material comes out unlabelled,
 substitute bodies keep theirs, and labels of substituted variables are
 dropped, so positions in the redex pattern and positions of redex-bound
-variables have no descendants.
+variables have no descendants.  An occurrence of a binder renamed to avoid
+capture is renamed, not substituted, and keeps its label.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ class Redex:
     rule: Rule
     valuation: Valuation
 
+    def __hash__(self):
+        # equal redexes have equal positions and rules; hashing the
+        # valuation would hash every substitute
+        return hash((self.position, self.rule))
+
     @property
     def depth(self):
         return len(self.position)
@@ -86,6 +92,11 @@ def redex_trie(redexes):
 # ---------------------------------------------------------------------------
 # substitution
 
+# the tag of a map entry that renames a variable rather than substituting
+# for it: the renamed occurrence keeps its own tag
+_RENAMED = object()
+
+
 def substitute(s, xs, ts):
     """Simultaneous capture-avoiding substitution of ts for the distinct
     variables xs, renaming binders per the variable convention."""
@@ -102,6 +113,11 @@ def _subst(s, m):
     return rebuild(s, _subst_enter, m) if m else s
 
 
+def _rename(s, x, x2):
+    """s with the free occurrences of x renamed to x2, tags kept."""
+    return _subst(s, {x: Var(x2, _RENAMED)})
+
+
 def _subst_enter(u, m):
     """`rebuild`'s step of the substitution m: a node with no substituted
     variable free comes back as it is, so no binder under which nothing is
@@ -111,7 +127,10 @@ def _subst_enter(u, m):
         return u
     cls = u.__class__
     if cls is Var:
-        return m[u.name]
+        v = m[u.name]
+        if v.__class__ is Var and v.tag is _RENAMED:
+            return Var(v.name, u.tag)
+        return v
     if cls is Abs:
         x = u.var
         if x in m:
@@ -119,7 +138,7 @@ def _subst_enter(u, m):
         incoming = set().union(*map(free_vars, m.values()))
         if x in incoming:
             x2 = fresh_name(x, incoming | free_vars(u.body) | set(m))
-            return Abs(x2, u.body, u.tag), {**m, x: Var(x2)}
+            return Abs(x2, u.body, u.tag), {**m, x: Var(x2, _RENAMED)}
     elif cls is Rec:
         incoming = set().union(*map(free_recvars, m.values()))
         if u.var in incoming:
@@ -135,45 +154,120 @@ def apply_substitute(sub, args):
     return substitute(sub.body, sub.params, args)
 
 
-def apply_valuation(valuation, metaterm):
-    """Instantiate a meta-term top-down.  Structural on the rational
-    representation, so the result is always rational; producing an unguarded
-    cycle (the image of an infinite chain of meta-variables) raises.
+# meta-term -> (its plan, or None when the plan is the meta-term itself,
+# and whether it has a rec binder); weak, as a rule side's plan lives as
+# long as the rule side
+_plans = weakref.WeakKeyDictionary()
 
-    The work follows the meta-term's shape.  The names to rename binders
-    away from are gathered only when an abstraction is reached.  The result
-    is checked for unguarded cycles only when the meta-term has a rec
-    binder: substitute bodies bound by `match` are subterms of resolved
-    nodes, so they are guarded and have no free rec variables, and an
-    instance built round them with no cycle of its own has no new one."""
-    avoid = None
+
+def _plan(metaterm):
+    """The instantiation plan of a meta-term, built once, and whether the
+    meta-term has a rec binder."""
+    entry = _plans.get(metaterm)
+    if entry is None:
+        entry = _plans[metaterm] = _build_plan(metaterm)
+    plan, has_rec = entry
+    return (metaterm if plan is None else plan), has_rec
+
+
+def _build_plan(t):
+    """The plan of each node, made bottom-up over an explicit stack: a
+    subterm with no meta-variable or abstraction below it is its own plan,
+    as instantiation gives it back unchanged; otherwise a tuple headed by
+    the node's class, `(Sym, f, arg plans, tag)`, `(MetaApp, Z, arg plans)`,
+    `(Abs, x, body, body plan, tag)` or `(Rec, X, body plan)`.  The root's
+    plan is None when it is the root itself, so no plan holds its key."""
+    done = {}
     has_rec = False
+    todo = [t]
+    while todo:
+        u = todo[-1]
+        if u in done:
+            todo.pop()
+            continue
+        cls = u.__class__
+        if cls is Sym or cls is MetaApp:
+            kids = u.args
+        elif cls is Abs or cls is Rec:
+            kids = (u.body,)
+        elif cls is Var or cls is RecVar:
+            kids = ()
+        else:
+            raise TypeError(f"not a meta-term: {u!r}")
+        waiting = [c for c in kids if c not in done]
+        if waiting:
+            todo.extend(waiting)
+            continue
+        todo.pop()
+        plans = tuple(done[c] for c in kids)
+        if cls is MetaApp:
+            done[u] = (MetaApp, u.mv, plans)
+        elif cls is Abs:
+            done[u] = (Abs, u.var, u.body, plans[0], u.tag)
+        elif plans == kids:  # nodes compare by identity
+            done[u] = u
+        elif cls is Sym:
+            done[u] = (Sym, u.fun, plans, u.tag)
+        else:
+            done[u] = (Rec, u.var, plans[0])
+        has_rec = has_rec or cls is Rec
+    plan = done[t]
+    return (None if plan is t else plan), has_rec
 
-    def go(t):
-        nonlocal avoid, has_rec
-        match t:
-            case Var(_, _) | RecVar(_):
-                return t
-            case Abs(x, body, tag):
-                if avoid is None:
-                    avoid = set().union(*(
-                        free_vars(sub.body) - set(sub.params)
-                        for sub in valuation.assignment.values()))
-                if x in avoid:
-                    x2 = fresh_name(x, avoid | free_vars(body))
-                    body = _subst(body, {x: Var(x2)})
-                    x = x2
-                return Abs(x, go(body), tag)
-            case Sym(f, args, tag):
-                return Sym(f, tuple(go(a) for a in args), tag)
-            case MetaApp(z, args):
-                return apply_substitute(valuation[z], tuple(go(a) for a in args))
-            case Rec(v, body):
-                has_rec = True
-                return Rec(v, go(body))
-        raise TypeError(f"not a meta-term: {t!r}")
 
-    out = go(metaterm)
+def apply_valuation(valuation, metaterm):
+    """Instantiate a meta-term top-down by its plan (`_build_plan`), made
+    once per meta-term and kept as long as the meta-term lives, so only the
+    nodes on the way to a meta-variable or an abstraction are rebuilt.
+    Structural on the rational representation, so the result is always
+    rational; producing an unguarded cycle (the image of an infinite chain
+    of meta-variables) raises.
+
+    The names to rename binders away from are gathered only when an
+    abstraction is reached.  The result is checked for unguarded cycles
+    only when the meta-term has a rec binder: substitute bodies bound by
+    `match` are subterms of resolved nodes, so they are guarded and have no
+    free rec variables, and an instance built round them with no cycle of
+    its own has no new one."""
+    plan, has_rec = _plan(metaterm)
+    assignment = valuation.assignment
+    avoid = None
+
+    def go(p):
+        nonlocal avoid
+        if p.__class__ is not tuple:
+            return p
+        cls = p[0]
+        if cls is MetaApp:
+            z, args = p[1], p[2]
+            sub = assignment.get(z)
+            if sub is None:
+                raise UnassignedMetaVariable(z)
+            params = sub.params
+            if not args and not params:
+                return sub.body
+            args = [go(a) for a in args]
+            n = len(params)
+            if len(args) != n:
+                raise ArityMismatch(f"substitute of arity {n} applied to {len(args)}")
+            if n > 1 and len(set(params)) != n:
+                raise ArityMismatch("substituted variables must be distinct")
+            return _subst(sub.body, dict(zip(params, args)))
+        if cls is Sym:
+            return Sym(p[1], tuple([go(a) for a in p[2]]), p[3])
+        if cls is Abs:
+            x, body, inner = p[1], p[2], p[3]
+            if avoid is None:
+                avoid = set().union(*(free_vars(sub.body) - set(sub.params)
+                                      for sub in assignment.values()))
+            if x in avoid:
+                x2 = fresh_name(x, avoid | free_vars(body))
+                inner = _plan(_rename(body, x, x2))[0]
+                x = x2
+            return Abs(x, go(inner), p[4])
+        return Rec(p[1], go(p[2]))
+
+    out = go(plan)
     if has_rec:
         try:
             check_guarded(out)
@@ -197,66 +291,82 @@ def match(rule, term, position=()):
     the same redex twice gives equal valuations.  A binder is renamed (to
     `_b<pattern depth>`, skipping names free in the subterm) only when it
     shadows an earlier binder of the same match, so that each pattern binder
-    stands for one name.  The result is kept on the resolved node by rule
-    (`match_memo`): False for no match, else the valuation, weakly, as on a
-    cycle it can hold an unrolling with the node as a subterm (see `Term`).
-    """
-    try:
-        target = subterm_at(term, position)
-    except (PositionError, TermError):
-        return None
-    node = resolve(target)
+    stands for one name.
+
+    The result is kept on the resolved node by rule (`match_memo`): False
+    for no match, else the valuation itself, unless the match unrolled a
+    rec binder, and then a weak reference to it.  A match that unrolled
+    nothing binds subterms of the node and renamings of them, none of which
+    can hold the node; one that unrolled a binder can bind an unrolling
+    with the node as a subterm (see `Term`)."""
+    if position:
+        try:
+            term = subterm_at(term, position)
+        except (PositionError, TermError):
+            return None
+    cls = term.__class__
+    node = resolve(term) if cls is Rec or cls is RecVar else term
     memo = match_memo(node)
-    ref = memo.get(rule)
-    v = ref and ref()  # None when not kept or died, False for no match
+    v = memo.get(rule)
+    if v.__class__ is weakref.ref:
+        v = v()  # None when it died
     if v is None:
-        v = _match_node(rule, node)
-        memo[rule] = v is not None and weakref.ref(v)
+        v, unrolled = _match_node(rule, node)
+        memo[rule] = False if v is None else weakref.ref(v) if unrolled else v
     return v or None
 
 
 def _match_node(rule, node):
+    """The valuation of the rule's pattern at the resolved node, or None,
+    and whether the walk unrolled a rec binder to get there."""
     assignment = {}
+    unrolled = False
 
     def go(pat, tm, pairs, scope):
-        tm = resolve(tm)
-        match pat:
-            case MetaApp(z, pargs):
-                names = []
-                for a in pargs:
-                    if a.name not in pairs:
-                        return False
-                    names.append(pairs[a.name])
-                # only a pattern binder's variable can escape
-                if scope and (free_vars(tm) & set(scope)) - set(names):
+        nonlocal unrolled
+        cls = tm.__class__
+        if cls is Rec or cls is RecVar:
+            tm = resolve(tm)
+            cls = tm.__class__
+            unrolled = True
+        pcls = pat.__class__
+        if pcls is Sym:
+            if cls is not Sym or tm.fun != pat.fun or len(tm.args) != len(pat.args):
+                return False
+            for pa, ta in zip(pat.args, tm.args):
+                if not go(pa, ta, pairs, scope):
                     return False
-                sub = Substitute(tuple(names), tm)
-                if z in assignment:
-                    old = assignment[z]
-                    return old.params == sub.params and alpha_eq(old.body, sub.body)
-                assignment[z] = sub
-                return True
-            case Var(x, _):
-                return isinstance(tm, Var) and pairs.get(x) == tm.name
-            case Abs(x, pbody, _):
-                if not isinstance(tm, Abs):
+            return True
+        if pcls is MetaApp:
+            names = tuple(pairs.get(a.name) for a in pat.args)
+            if None in names:
+                return False
+            # only a pattern binder's variable can escape
+            if scope:
+                fv = free_vars(tm)
+                if fv and any(x in fv and x not in names for x in scope):
                     return False
-                z, tbody = tm.var, tm.body
-                if z in scope:
-                    # skip names free in the subterm (bound by its context)
-                    z = fresh_name(f"_b{len(scope)}", free_vars(tm) | set(scope))
-                    tbody = substitute(tbody, (tm.var,), (Var(z),))
-                return go(pbody, tbody, {**pairs, x: z}, scope + (z,))
-            case Sym(f, pargs, _):
-                return (isinstance(tm, Sym) and tm.fun == f
-                        and len(tm.args) == len(pargs)
-                        and all(go(pa, ta, pairs, scope)
-                                for pa, ta in zip(pargs, tm.args)))
+            old = assignment.get(pat.mv)
+            if old is not None:
+                return old.params == names and alpha_eq(old.body, tm)
+            assignment[pat.mv] = Substitute(names, tm)
+            return True
+        if pcls is Abs:
+            if cls is not Abs:
+                return False
+            z, tbody = tm.var, tm.body
+            if z in scope:
+                # skip names free in the subterm (bound by its context)
+                z = fresh_name(f"_b{len(scope)}", free_vars(tm) | set(scope))
+                tbody = _rename(tbody, tm.var, z)
+            return go(pat.body, tbody, {**pairs, pat.var: z}, scope + (z,))
+        if pcls is Var:
+            return cls is Var and pairs.get(pat.name) == tm.name
         return False
 
     if go(rule.lhs, node, {}, ()):
-        return Valuation(assignment)
-    return None
+        return Valuation(assignment), unrolled
+    return None, unrolled
 
 
 def find_redexes(term, system, depth_bound):

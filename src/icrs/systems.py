@@ -257,13 +257,18 @@ def _metavar_chain_cycle(rhs):
 
 
 def check_rule(rule):
-    pat = check_pattern(rule.lhs)
+    return _check_rule(rule, check_pattern(rule.lhs))
+
+
+def _check_rule(rule, pat):
+    """check_rule, given the verdict of the rule's pattern check."""
     if not pat.ok:
         return Verdict("rule", False, f"{rule.name}: {pat.detail}", witness=pat.witness)
     root = rule.lhs
     if not isinstance(root, Sym):
         return Verdict("rule", False, f"{rule.name}: lhs root must be a function symbol")
-    extra = meta_vars(rule.rhs) - meta_vars(rule.lhs)
+    # a pattern's record lists every meta-variable of its lhs
+    extra = meta_vars(rule.rhs) - {occ.name for occ in pattern_meta(rule.lhs).metavars}
     if extra:
         return Verdict("rule", False,
                        f"{rule.name}: rhs meta-variables {sorted(extra)} not in lhs")
@@ -406,26 +411,28 @@ class _Unifier:
         raise TermError("pattern contains a rec node")
 
 
-def _non_pattern(system):
-    """The first rule whose lhs fails its pattern check, or None."""
-    return next((r for r in system.rules if not check_pattern(r.lhs).ok), None)
-
-
 def check_orthogonal(system):
     """The first overlap in (outer rule, inner rule, position) order, or a
-    pass.  Each rule's metavariables are renamed once, and its non-meta
-    positions are read off its pattern record.  A position whose symbol or
-    arity differs from the inner lhs root symbol is skipped without
-    unifying, as unification would fail on that first comparison."""
-    if _non_pattern(system) is not None:
+    pass.  The system must be left-linear, with pattern left-hand sides."""
+    if any(not check_pattern(r.lhs).ok for r in system.rules):
         raise PreconditionViolated("orthogonality check requires pattern left-hand sides")
     if not check_left_linear(system).ok:
         raise PreconditionViolated("orthogonality check requires a left-linear system")
-    inners = [Rule(r.name, _rename_metavars(r.lhs, "#2"), r.rhs) for r in system.rules]
+    return _first_overlap(system)
+
+
+def _first_overlap(system):
+    """check_orthogonal's search, for a system that passed its guards.
+    A rule's non-meta positions are read off its pattern record.  A
+    position whose symbol or arity differs from the inner lhs root symbol is
+    skipped without unifying, as unification would fail on that first
+    comparison; the inner rule's metavariables are renamed once, when a
+    position first passes."""
+    inners = {}
     for i, r1 in enumerate(system.rules):
         sites = [(p, subterm_at(r1.lhs, p)) for p in pattern_meta(r1.lhs).positions]
-        for j, inner in enumerate(inners):
-            root = inner.lhs
+        for j, r2 in enumerate(system.rules):
+            root = r2.lhs
             for p, node in sites:
                 if i == j and p == ():
                     continue  # a rule trivially overlaps its own copy at the root
@@ -433,8 +440,11 @@ def check_orthogonal(system):
                         isinstance(node, Sym) and node.fun == root.fun
                         and len(node.args) == len(root.args)):
                     continue
+                if j not in inners:
+                    inners[j] = Rule(r2.name, _rename_metavars(root, "#2"), r2.rhs)
+                inner = inners[j]
                 uni = _Unifier()
-                if uni.unify(node, root, ()):
+                if uni.unify(node, inner.lhs, ()):
                     witness = _overlap_instance(r1, inner, p, uni)
                     return Verdict(
                         "orthogonal", False,
@@ -458,19 +468,21 @@ def _overlap_instance(r1, inner, p, uni):
 
 
 def check_system(system):
-    verdicts = []
-    rule_verdicts = [check_rule(r) for r in system.rules]
+    """Every check, each run once per rule: the pattern verdicts feed the
+    rule verdicts and the orthogonality guard alike."""
+    patterns = [check_pattern(r.lhs) for r in system.rules]
+    rule_verdicts = [_check_rule(r, pat) for r, pat in zip(system.rules, patterns)]
     bad = next((v for v in rule_verdicts if not v.ok), None)
-    verdicts.append(bad if bad is not None else Verdict("rule", True))
+    verdicts = [bad if bad is not None else Verdict("rule", True)]
     ll = check_left_linear(system)
     verdicts.append(ll)
     verdicts.append(check_fully_extended(system))
-    non_pattern = _non_pattern(system)
+    non_pattern = next((r for r, pat in zip(system.rules, patterns) if not pat.ok), None)
     if non_pattern is not None:
         verdicts.append(Verdict(
             "orthogonal", False, f"skipped: lhs of {non_pattern.name} is not a pattern"))
     elif ll.ok:
-        verdicts.append(check_orthogonal(system))
+        verdicts.append(_first_overlap(system))
     else:
         verdicts.append(Verdict("orthogonal", False, "skipped: not left-linear"))
     return CheckReport(tuple(verdicts))

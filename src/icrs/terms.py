@@ -50,9 +50,11 @@ class Term:
     and rec variables; closed nodes share one empty set, and a node shares
     a child's set equal to its own) and `_has_vars` (a variable occurs).
     Two memos start empty: match results (`match_memo`) and a `Rec`'s
-    unrolling (`_unrolled`).  What they keep can have the node as a
-    subterm, and a table key holds its node's children, so they keep it
-    weakly: a strong reference would keep both nodes for good.
+    unrolling (`_unrolled`).  A table key holds its node's children, so a
+    memo must not keep strongly what has the node as a subterm, or both
+    nodes stay for good.  The unrolling has the `Rec` as a child and is
+    kept weakly; a match result is kept strongly unless the match unrolled
+    a rec binder (see `rewriting.match`).
     """
     __slots__ = ("_tagged", "_free", "_free_rec", "_has_vars", "_matches",
                  "_unrolled", "__weakref__")

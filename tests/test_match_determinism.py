@@ -4,8 +4,10 @@ A binder that shadows an earlier binder of the same match is renamed; the
 route that renamed every binder by its pattern depth is written out below
 as the reference the kept names must agree with."""
 
+import gc
 import pathlib
 import random
+import weakref
 
 from icrs import (
     Abs, Sym, Var, alpha_eq, contract, find_redexes, match, parse_system,
@@ -214,11 +216,13 @@ def test_kept_names_agree_with_renaming_route(monkeypatch):
 
 
 def uncached_match(rule, term, position=()):
-    """`match` with its memo bypassed: the same matcher, run afresh."""
+    """`match` with its memo bypassed: the same matcher, run afresh.
+    Returns the valuation or None, and whether the match unrolled a rec
+    binder."""
     try:
         target = subterm_at(term, position)
     except (PositionError, TermError):
-        return None
+        return None, False
     return UNCACHED(rule, resolve(target))
 
 
@@ -228,23 +232,31 @@ UNCACHED = rewriting._match_node
 def assert_memo_agrees(term, system, depth):
     """Every rule at every position to the depth: the memoised match, by
     position and at the node in hand, equals an uncached call, and is what
-    the node's memo holds for the rule (weakly, or False for no match).  Returns the valuations
-    found and the number of `match` calls."""
+    the node's memo holds for the rule: False for no match, the valuation
+    itself when the match unrolled no rec binder, else a weak reference to
+    it.  Returns the valuations found, the number of them kept weakly and
+    the number of `match` calls."""
     found = []
-    calls = 0
+    weak = calls = 0
     for p in positions_to_depth(term, depth):
         node = resolve(subterm_at(term, p))
         for rule in system.rules:
-            expected = uncached_match(rule, term, p)
+            expected, unrolled = uncached_match(rule, term, p)
             v = match(rule, term, p)
             assert v == expected
             kept = match_memo(node)[rule]
-            assert kept is False if v is None else kept() is v
+            if v is None:
+                assert kept is False
+            elif unrolled:
+                assert isinstance(kept, weakref.ref) and kept() is v
+                weak += 1
+            else:
+                assert kept is v
             assert match(rule, node) is v
             calls += 2
             if expected is not None:
                 found.append(expected)
-    return found, calls
+    return found, weak, calls
 
 
 # (system file, input term) of the benchmark's normalize inputs
@@ -286,20 +298,37 @@ def test_memo_agrees_with_uncached_match(monkeypatch):
     for text in ("[z] f([y] [z] g(y, z), z)", "[y] f([y] g(y, y), y)"):
         runs.append((context, parse_term(text)))
     found = []
-    calls = 0
+    weak = calls = 0
     for system, term in runs:
         # along a few steps, so contracta nest copies of matched bodies
         for _ in range(3):
-            more, n = assert_memo_agrees(term, system, 5)
+            more, w, n = assert_memo_agrees(term, system, 5)
             found += more
+            weak += w
             calls += n
             redexes = find_redexes(term, system, 5)
             if not redexes:
                 break
             term = contract(term, redexes[rng.randrange(len(redexes))]).target
-    assert len(found) >= 300
+    # matches below a rec binder, kept weakly, are among them
+    assert len(found) >= 300 and weak >= 20
     # shadowing binders renamed to `_b<depth>` are among them
     assert sum(any(x.startswith("_b") for sub in v.assignment.values()
                    for x in sub.params) for v in found) >= 5
     # a match read back from the node's memo runs no matcher
     assert calls - len(computed) >= len(found)
+    # a valuation kept strongly outlives a collection: matching again
+    # reads it back without a run
+    gc.collect()
+    before = len(computed)
+    kept = again = 0
+    for system, term in runs:
+        for p in positions_to_depth(term, 5):
+            node = resolve(subterm_at(term, p))
+            for rule in system.rules:
+                held = match_memo(node).get(rule)
+                if held is not None and held.__class__ is not weakref.ref:
+                    kept += held is not False
+                    assert match(rule, node) is (held or None)
+                    again += 1
+    assert kept >= 100 and len(computed) == before and again >= kept

@@ -6,6 +6,7 @@ import pathlib
 import pickle
 import random
 import weakref
+from collections.abc import MutableMapping
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -519,10 +520,12 @@ class TestBoundedMemory:
 
     def test_term_and_rewriting_layers_keep_no_cache(self):
         """Summaries and memos live on the nodes: the term and rewriting
-        layers have no cache, and no module keeps a mutable container.  The
-        system layer's caches are keyed by rule sides and systems; the one
-        other, a system's index of its own rules, lives on the system."""
+        layers have no cache, and no module keeps a mutable container but
+        the rewriting layer's instantiation plans, held weakly by rule side.
+        The system layer's caches are keyed by rule sides and systems; the
+        one other, a system's index of its own rules, lives on the system."""
         found = set()
+        weak = set()
         for module in (terms, systems, rewriting):
             tree = ast.parse(pathlib.Path(module.__file__).read_text())
             for node in ast.walk(tree):
@@ -533,6 +536,10 @@ class TestBoundedMemory:
                 if not name.startswith("__"):
                     assert not isinstance(value, (dict, set, list)), name
                     assert not hasattr(value, "cache_info") or module is systems
+                    if isinstance(value, MutableMapping):
+                        assert isinstance(value, weakref.WeakKeyDictionary)
+                        weak.add((module.__name__, name))
+        assert weak == {("icrs.rewriting", "_plans")}
         assert found == {("icrs.systems", "pattern_meta"),
                          ("icrs.systems", "_rules_by_root"),
                          ("icrs.systems", "_checked_ok")}
