@@ -30,18 +30,16 @@ Two engines implement this:
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
-
 from .errors import (
     BudgetExceeded, FiniteJumpsViolated, InfiniteStageSet, PositionError,
     PreconditionViolated, TermError,
 )
+from .records import Frozen
 from .rewriting import (
     Redex, contract, match, redex_at, redex_trie, residuals, step_redex,
 )
 from .syntax import position_str, print_term
-from .systems import Rule, max_lhs_depth, pattern_meta, require_valid
+from .systems import max_lhs_depth, pattern_meta, require_valid
 from .terms import (
     Abs, MetaApp, Rec, RecVar, Sym, Var,
     alpha_eq, children, free_vars, fresh_name, has_vars, resolve,
@@ -49,9 +47,9 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class AllRedexes:
+class AllRedexes(Frozen):
     """The set of all redexes of a rational term (a uniform predicate)."""
+    __slots__ = ()
 
 
 ALL_REDEXES = AllRedexes()
@@ -248,10 +246,14 @@ class Path:
         return " ".join(bits)
 
 
-@dataclass(frozen=True)
-class PathProjection:
-    labels: tuple  # one per node; None is unlabelled
-    edges: tuple   # numeric or None (epsilon)
+class PathProjection(Frozen):
+    __slots__ = ("labels",  # one per node; None is unlabelled
+                 "edges")   # numeric or None (epsilon)
+
+    def __init__(self, labels, edges):
+        set_labels, set_edges = self._set
+        set_labels(self, labels)
+        set_edges(self, edges)
 
     def render(self):
         bits = ["." if self.labels[0] is None else self.labels[0]]
@@ -266,10 +268,13 @@ class PathProjection:
                 tuple(e for e in self.edges if e is not None))
 
 
-@dataclass(frozen=True)
-class PathEnumeration:
-    maximal: tuple
-    truncated: tuple  # paths cut by the budget
+class PathEnumeration(Frozen):
+    __slots__ = ("maximal", "truncated")  # truncated: paths cut by the budget
+
+    def __init__(self, maximal, truncated):
+        set_maximal, set_truncated = self._set
+        set_maximal(self, maximal)
+        set_truncated(self, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -472,50 +477,56 @@ class PathSpace:
 # ---------------------------------------------------------------------------
 # class machine: finite jumps + target term on rational terms
 
-class _Hashed:
-    """Base of the machine's states: a frozen, slotted dataclass whose hash
-    is taken once, when it is built, over its fields."""
-    __slots__ = ("digest",)
+class _TState(Frozen, compare=("value", "rel", "env", "names")):
+    """A term state of the machine, hashed once, when it is built."""
+    __slots__ = (
+        "value", "rel",
+        # ((var name, (_RState, lhs var)), ...) name-sorted: the free
+        # variables of value that a redex pattern binds, each with the rule
+        # state at the meta-variable the walk returns into.  No other entry
+        # is kept: a variable that an ordinary binder rebinds was dropped at
+        # that binder, which does not have it free.
+        "env",
+        "names",  # ((orig binder name, chosen name), ...) name-sorted
+        "digest")
 
-    def __post_init__(self):
-        object.__setattr__(self, "digest", hash(self._fields(self)))
+    def __init__(self, value, rel, env, names):
+        set_value, set_rel, set_env, set_names, set_digest = self._set
+        set_value(self, value)
+        set_rel(self, rel)
+        set_env(self, env)
+        set_names(self, names)
+        set_digest(self, hash((value, rel, env, names)))
 
     def __hash__(self):
         return self.digest
-
-
-def _hashed(cls):
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = _Hashed.__hash__
-    cls._fields = operator.attrgetter(*cls.__match_args__)
-    return cls
-
-
-@_hashed
-class _TState(_Hashed):
-    value: Term
-    rel: object
-    # ((var name, (_RState, lhs var)), ...) name-sorted: the free variables
-    # of value that a redex pattern binds, each with the rule state at the
-    # meta-variable the walk returns into.  No other entry is kept: a
-    # variable that an ordinary binder rebinds was dropped at that binder,
-    # which does not have it free.
-    env: tuple
-    names: tuple  # ((orig binder name, chosen name), ...) name-sorted
 
     def render(self):
         return f"term node {print_term(self.value, max_depth=3)}"
 
 
-@_hashed
-class _RState(_Hashed):
-    rule: Rule
-    value: Term
-    redex_value: Term
-    redex_rel: object
-    env: tuple    # the env of the redex's term state
-    nenv: tuple   # term-side names at redex entry
-    names: tuple  # rule-side names of this activation
+class _RState(Frozen, compare=("rule", "value", "redex_value", "redex_rel",
+                               "env", "nenv", "names")):
+    """A rule state of the machine, hashed once, when it is built."""
+    __slots__ = ("rule", "value", "redex_value", "redex_rel",
+                 "env",    # the env of the redex's term state
+                 "nenv",   # term-side names at redex entry
+                 "names",  # rule-side names of this activation
+                 "digest")
+
+    def __init__(self, rule, value, redex_value, redex_rel, env, nenv, names):
+        (set_rule, set_value, set_redex_value, set_redex_rel, set_env, set_nenv,
+         set_names, set_digest) = self._set
+        set_rule(self, rule)
+        set_value(self, value)
+        set_redex_value(self, redex_value)
+        set_redex_rel(self, redex_rel)
+        set_env(self, env)
+        set_nenv(self, nenv)
+        set_names(self, names)
+        set_digest(self, hash((rule, value, redex_value, redex_rel, env, nenv, names)))
+
+    __hash__ = _TState.__hash__
 
     def render(self):
         return f"rule {self.rule.name} rhs node {print_term(self.value, max_depth=3)}"
@@ -756,13 +767,19 @@ def target_term(term, redexes, system):
 # ---------------------------------------------------------------------------
 # developments
 
-@dataclass(frozen=True)
-class DevRecord:
-    source: Term
-    target: Term
-    redexes: object  # tuple of Redex, or AllRedexes
-    steps: object    # tuple of StepRecord, or None when not realised stepwise
-    system: object
+class DevRecord(Frozen):
+    __slots__ = ("source", "target",
+                 "redexes",  # tuple of Redex, or AllRedexes
+                 "steps",    # tuple of StepRecord, or None when not realised stepwise
+                 "system")
+
+    def __init__(self, source, target, redexes, steps, system):
+        set_source, set_target, set_redexes, set_steps, set_system = self._set
+        set_source(self, source)
+        set_target(self, target)
+        set_redexes(self, redexes)
+        set_steps(self, steps)
+        set_system(self, system)
 
     @property
     def finite(self):
@@ -823,18 +840,19 @@ def complete_development(term, redexes, system):
     return DevRecord(term, cur, redexes, tuple(steps), system)
 
 
-@dataclass(frozen=True)
-class DevSequence:
+class DevSequence(Frozen):
     """A finite sequence of complete developments s0 => s1 => ... => sn."""
-    initial: Term
-    stages: tuple
+    __slots__ = ("initial", "stages")
 
-    def __post_init__(self):
-        prev = self.initial
-        for st in self.stages:
+    def __init__(self, initial, stages):
+        prev = initial
+        for st in stages:
             if not alpha_eq(st.source, prev):
                 raise PreconditionViolated("development stages do not chain")
             prev = st.target
+        set_initial, set_stages = self._set
+        set_initial(self, initial)
+        set_stages(self, stages)
 
     @property
     def final(self):

@@ -17,7 +17,6 @@ the essential positions and the mirrored part of the final term.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     NotAPrefixSet, PositionError, PreconditionViolated, ResidualHitsPrefix,
@@ -27,16 +26,21 @@ from .developments import (
     AllRedexes, DevSequence, PathSpace, RuleNode, complete_development,
     project_sequence,
 )
+from .records import Frozen
 from .rewriting import Redex, match, residuals, step_redex
 from .syntax import position_str
 from .systems import pattern_meta
 from .terms import is_prefix_set, root_key, subterm_at
 
 
-@dataclass(frozen=True)
-class PathPrefixSet:
-    paths: tuple
-    anchor: frozenset  # the prefix set of the development target it came from
+class PathPrefixSet(Frozen):
+    __slots__ = ("paths",
+                 "anchor")  # the prefix set of the development target it came from
+
+    def __init__(self, paths, anchor):
+        set_paths, set_anchor = self._set
+        set_paths(self, paths)
+        set_anchor(self, anchor)
 
     def __len__(self):
         return len(self.paths)
@@ -133,12 +137,17 @@ def local_epsilon_step(prefix, stage):
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(Frozen):
     """The backward pass through a development sequence for a prefix set of
     its final term."""
-    sets: tuple       # (P_0, ..., P_n): P_n given, each earlier the epsilon image
-    path_sets: tuple  # the path prefix set of every stage, first stage first
+    __slots__ = (
+        "sets",       # (P_0, ..., P_n): P_n given, each earlier the epsilon image
+        "path_sets")  # the path prefix set of every stage, first stage first
+
+    def __init__(self, sets, path_sets):
+        set_sets, set_path_sets = self._set
+        set_sets(self, sets)
+        set_path_sets(self, path_sets)
 
     @property
     def measure(self):
@@ -180,9 +189,11 @@ def classify_redex(redex, dev_seq, prefix):
 # ---------------------------------------------------------------------------
 # measure
 
-@dataclass(frozen=True)
-class Measure:
-    values: tuple  # (l_n, ..., l_1): stage cardinalities, last stage first
+class Measure(Frozen):
+    __slots__ = ("values",)  # (l_n, ..., l_1): stage cardinalities, last stage first
+
+    def __init__(self, values):
+        self._set[0](self, values)
 
     def __len__(self):
         return len(self.values)
@@ -308,11 +319,16 @@ def _stage_redex_list(stage):
     return list(stage.redexes)
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    sequence: DevSequence
-    essential_sets: tuple   # per-term essential position sets of the input
-    skeleton: DevSequence
+class ProjectionResult(Frozen):
+    __slots__ = ("sequence",
+                 "essential_sets",  # per-term essential position sets of the input
+                 "skeleton")
+
+    def __init__(self, sequence, essential_sets, skeleton):
+        set_sequence, set_essential_sets, set_skeleton = self._set
+        set_sequence(self, sequence)
+        set_essential_sets(self, essential_sets)
+        set_skeleton(self, skeleton)
 
     @property
     def final(self):
@@ -346,15 +362,21 @@ def emaciate_step(dev_seq, redex, prefix):
     return ProjectionResult(projected, seq, skel)
 
 
-@dataclass(frozen=True)
-class ReductionDescriptor:
+class ReductionDescriptor(Frozen):
     """A reduction from the sequence's initial term: a finite list of
     (position, rule name) steps, optionally followed by a periodic tail with
     a declared limit term (the rational form of an omega reduction)."""
-    steps: tuple = ()
-    period: tuple = ()          # (position, rule name) steps, repeated
-    limit: object = None        # Term reached at the omega limit
-    max_rounds: int = 64
+    __slots__ = ("steps",
+                 "period",  # (position, rule name) steps, repeated
+                 "limit",   # Term reached at the omega limit
+                 "max_rounds")
+
+    def __init__(self, steps=(), period=(), limit=None, max_rounds=64):
+        set_steps, set_period, set_limit, set_max_rounds = self._set
+        set_steps(self, steps)
+        set_period(self, period)
+        set_limit(self, limit)
+        set_max_rounds(self, max_rounds)
 
 
 def emaciate_reduction(dev_seq, reduction, prefix, system=None):

@@ -9,10 +9,9 @@ what the property suites assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DevelopmentExplosion, PositionError, TermError
 from .developments import AllRedexes, Path, PathSpace, has_finite_jumps
+from .records import Frozen
 from .rewriting import Redex, apply_valuation, match, find_redexes, redex_at
 from .systems import pattern_meta
 from .terms import (
@@ -21,12 +20,15 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    claim: str
-    instances: int
-    agreements: int
-    first_disagreement: object = None
+class OracleReport(Frozen):
+    __slots__ = ("claim", "instances", "agreements", "first_disagreement")
+
+    def __init__(self, claim, instances, agreements, first_disagreement=None):
+        set_claim, set_instances, set_agreements, set_first = self._set
+        set_claim(self, claim)
+        set_instances(self, instances)
+        set_agreements(self, agreements)
+        set_first(self, first_disagreement)
 
     @property
     def ok(self):
@@ -95,12 +97,18 @@ def brute_descendants(positions, steps, source=None):
 # ---------------------------------------------------------------------------
 # all development orders
 
-@dataclass(frozen=True)
-class DevelopmentOutcome:
-    finals: tuple            # alpha-distinct final terms (expect exactly one)
-    descendant_sets: tuple   # distinct probe descendant frozensets
-    residual_sets: tuple     # distinct probe-redex residual position frozensets
-    orders: int
+class DevelopmentOutcome(Frozen):
+    __slots__ = ("finals",           # alpha-distinct final terms (expect exactly one)
+                 "descendant_sets",  # distinct probe descendant frozensets
+                 "residual_sets",    # distinct probe-redex residual position frozensets
+                 "orders")
+
+    def __init__(self, finals, descendant_sets, residual_sets, orders):
+        set_finals, set_descendant_sets, set_residual_sets, set_orders = self._set
+        set_finals(self, finals)
+        set_descendant_sets(self, descendant_sets)
+        set_residual_sets(self, residual_sets)
+        set_orders(self, orders)
 
 
 def _add_label(term, p, label):

@@ -16,34 +16,39 @@ capture is renamed, not substituted, and keeps its label.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 
 from .errors import (
     ArityMismatch, FiniteChainsViolated, InfiniteResultError, PositionError,
     PreconditionViolated, StaleRedex, TermError, UnassignedMetaVariable,
 )
+from .records import Frozen
 from .terms import (
-    Abs, MetaApp, Position, Rec, RecVar, Sym, Term, Var,
+    Abs, MetaApp, Rec, RecVar, Sym, Var,
     alpha_eq, check_guarded, children, free_recvars, free_vars, fresh_name,
     iter_tagged, match_memo, path_nodes, position_str, rebuild, rebuild_path,
     resolve, set_tag_at, subst_recvar, subterm_at,
 )
 
 
-@dataclass(frozen=True)
-class Substitute:
+class Substitute(Frozen):
     """n-ary binder: applying to n arguments substitutes them simultaneously."""
-    params: tuple
-    body: Term
+    __slots__ = ("params", "body")
+
+    def __init__(self, params, body):
+        set_params, set_body = self._set
+        set_params(self, params)
+        set_body(self, body)
 
     @property
     def arity(self):
         return len(self.params)
 
 
-@dataclass(frozen=True)
-class Valuation:
-    assignment: dict
+class Valuation(Frozen):
+    __slots__ = ("assignment", "__weakref__")
+
+    def __init__(self, assignment):
+        self._set[0](self, assignment)
 
     def __getitem__(self, z):
         try:
@@ -61,11 +66,14 @@ class Valuation:
         return hash(frozenset(self.assignment.items()))
 
 
-@dataclass(frozen=True)
-class Redex:
-    position: Position
-    rule: Rule
-    valuation: Valuation
+class Redex(Frozen):
+    __slots__ = ("position", "rule", "valuation")
+
+    def __init__(self, position, rule, valuation):
+        set_position, set_rule, set_valuation = self._set
+        set_position(self, position)
+        set_rule(self, rule)
+        set_valuation(self, valuation)
 
     def __hash__(self):
         # equal redexes have equal positions and rules; hashing the
@@ -424,8 +432,7 @@ def _disjoint(q, p):
     return q[:n] != p[:n]
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(Frozen, compare=("source", "target", "redex")):
     """One contraction.  `path` holds the resolved nodes of the source from
     the root down to the redex, `target_path` the nodes of the target from
     the root down to the contractum; the target shares every subterm off
@@ -438,11 +445,15 @@ class StepRecord:
     "Computations in orthogonal rewriting systems", 1991; Klop, van Oostrom
     & van Raamsdonk, "Combinatory reduction systems: introduction and
     survey", 1993).  Only positions below the redex are replayed."""
-    source: Term
-    target: Term
-    redex: Redex
-    path: tuple = field(compare=False, repr=False)
-    target_path: tuple = field(compare=False, repr=False)
+    __slots__ = ("source", "target", "redex", "path", "target_path")
+
+    def __init__(self, source, target, redex, path, target_path):
+        set_source, set_target, set_redex, set_path, set_target_path = self._set
+        set_source(self, source)
+        set_target(self, target)
+        set_redex(self, redex)
+        set_path(self, path)
+        set_target_path(self, target_path)
 
     def descendant_map(self, positions):
         """position -> frozenset of descendant positions.  A position

@@ -17,28 +17,28 @@ reach normal forms.  Exhaustive neededness lives in the oracle module.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import FuelExhausted, NoEligibleRedex, PreconditionViolated
 from .developments import DevRecord
 from .essential import local_epsilon_step
+from .records import Frozen, Record
 from .rewriting import contract, find_redexes, match, redex_trie, step_redex
 from .syntax import position_str
 from .systems import max_lhs_depth, require_valid
 from .terms import (
-    Abs, Rec, RecVar, Sym, Term, Var, alpha_eq, children, is_hole, path_nodes,
-    positions_to_depth, resolve, truncate,
+    Abs, Rec, RecVar, Sym, Var, alpha_eq, children, is_hole, path_nodes,
+    positions_to_depth, resolve, root_key, truncate,
 )
 
 
-@dataclass(frozen=True)
-class StrategyKind:
-    kind: str  # 'fair' | 'outermost-fair' | 'needed-fair'
+class StrategyKind(Frozen):
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in ("fair", "outermost-fair", "needed-fair"):
-            raise PreconditionViolated(f"unknown strategy {self.kind!r}")
+    def __init__(self, kind):
+        if kind not in ("fair", "outermost-fair", "needed-fair"):
+            raise PreconditionViolated(f"unknown strategy {kind!r}")
+        self._set[0](self, kind)
 
 
 FAIR = StrategyKind("fair")
@@ -49,14 +49,20 @@ NEEDED_FAIR = StrategyKind("needed-fair")
 PILOT_FUEL = 600
 
 
-@dataclass
-class Trace:
-    system: object
-    label: str
-    terms: list
-    steps: list  # StepRecord per step
-    ledger: list = None  # Obligations with birth/resolution bookkeeping
-    pilot_fuel: int = PILOT_FUEL  # the fuel of the run's needed-fair pilots
+class Trace(Record):
+    __slots__ = ("system", "label", "terms",
+                 "steps",       # StepRecord per step
+                 "ledger",      # Obligations with birth/resolution bookkeeping
+                 "pilot_fuel")  # the fuel of the run's needed-fair pilots
+
+    def __init__(self, system, label, terms, steps, ledger=None,
+                 pilot_fuel=PILOT_FUEL):
+        self.system = system
+        self.label = label
+        self.terms = terms
+        self.steps = steps
+        self.ledger = ledger
+        self.pilot_fuel = pilot_fuel
 
     @property
     def initial(self):
@@ -99,12 +105,19 @@ def trace_of(term, step_specs, system, label="scripted"):
     return Trace(system, label, terms, steps)
 
 
-@dataclass(frozen=True)
-class Approximant:
-    term: Term
-    stable_depth: int
-    certificate: int  # step index after which all contractions were deeper
-    status: str       # 'normal-form' | 'approximant' | 'divergence-suspected' | 'fuel-exhausted'
+class Approximant(Frozen):
+    __slots__ = (
+        "term", "stable_depth",
+        "certificate",  # step index after which all contractions were deeper
+        # 'normal-form' | 'approximant' | 'divergence-suspected' | 'fuel-exhausted'
+        "status")
+
+    def __init__(self, term, stable_depth, certificate, status):
+        set_term, set_stable_depth, set_certificate, set_status = self._set
+        set_term(self, term)
+        set_stable_depth(self, stable_depth)
+        set_certificate(self, certificate)
+        set_status(self, status)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +246,16 @@ class _Predicate:
 # ---------------------------------------------------------------------------
 # obligation tracking
 
-@dataclass
-class Obligation:
-    born: int
-    members: frozenset  # of (position, rule name)
-    resolved_at: object = None
-    resolution: str = ""
+class Obligation(Record):
+    __slots__ = ("born",
+                 "members",  # frozenset of (position, rule name)
+                 "resolved_at", "resolution")
+
+    def __init__(self, born, members, resolved_at=None, resolution=""):
+        self.born = born
+        self.members = members
+        self.resolved_at = resolved_at
+        self.resolution = resolution
 
     @property
     def open(self):
@@ -433,47 +450,58 @@ def _fold_rational(snapshot):
     unfolding matches the snapshot; None when no sufficiently confirmed fold
     exists.  A fold onto an ancestor L levels up is accepted only when the
     snapshot stays known for at least L further levels below the fold point,
-    i.e. a full extra period confirms the conjectured cycle."""
-    counter = [0]
+    i.e. a full extra period confirms the conjectured cycle.
 
-    def close(t, depth, ancestors):
+    A node is compared with its open ancestors of the same root only,
+    outermost first: ancestors are abstractions and symbols, none a hole,
+    and alpha_eq fails at the root between two such nodes whose roots
+    differ.  Nodes are entered in pre-order over an explicit stack, which
+    holds (node, depth) pairs to enter and the open ancestors' entries
+    [node, depth, rec variable, folded onto, root key] to rebuild once
+    their children are done; `out` holds finished images, a node's
+    children ending it."""
+    count = 0
+    ancestors = {}  # root key -> the entries of the open ancestors with that root
+    out, todo = [], [(snapshot, 0)]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is list:
+            t, _, var, used, key = item
+            ancestors[key].pop()
+            if t.__class__ is Abs:
+                image = Abs(t.var, out.pop())
+            else:
+                n = len(out) - len(t.args)
+                image = Sym(t.fun, tuple(out[n:]))
+                del out[n:]
+            out.append(Rec(var, image) if used else image)
+            continue
+        t, depth = item
         t = resolve(t)
-        if is_hole(t):
+        cls = t.__class__
+        if cls is Var:
+            count += 1
+            out.append(t)
+            continue
+        if cls is not Abs and cls is not Sym or is_hole(t):
             return None
-        for anc, anc_depth, var, used in ancestors:
-            if alpha_eq(t, anc, holes=True):
-                period = depth - anc_depth
+        key = root_key(t)
+        same = ancestors.setdefault(key, [])
+        for anc in same:
+            if alpha_eq(t, anc[0], holes=True):
                 known = _known_depth(t)
-                if known is None or known >= max(period + 1, 2):
-                    used[0] = True
-                    return RecVar(var)
-        counter[0] += 1
-        var = f"S{counter[0]}"
-        used = [False]
-        anc_entry = (t, depth, var, used)
-        match t:
-            case Var(_, _):
-                out = t
-            case Abs(x, body, _):
-                inner = close(body, depth + 1, ancestors + (anc_entry,))
-                if inner is None:
-                    return None
-                out = Abs(x, inner)
-            case Sym(f, args, _):
-                new = []
-                for a in args:
-                    inner = close(a, depth + 1, ancestors + (anc_entry,))
-                    if inner is None:
-                        return None
-                    new.append(inner)
-                out = Sym(f, tuple(new))
-            case _:
-                return None
-        if used[0]:
-            out = Rec(var, out)
-        return out
-
-    return close(snapshot, 0, ())
+                if known is None or known >= max(depth - anc[1] + 1, 2):
+                    anc[3] = True
+                    out.append(RecVar(anc[2]))
+                    break
+        else:
+            count += 1
+            entry = [t, depth, f"S{count}", False, key]
+            same.append(entry)
+            todo.append(entry)
+            kids = t.args if cls is Sym else (t.body,)
+            todo.extend((c, depth + 1) for c in reversed(kids))
+    return out[0]
 
 
 def detect_rational_nf(trace):
@@ -501,11 +529,14 @@ def detect_rational_nf(trace):
 # ---------------------------------------------------------------------------
 # fairness audit
 
-@dataclass(frozen=True)
-class AuditVerdict:
-    ok: bool
-    detail: str = ""
-    witness: object = None
+class AuditVerdict(Frozen):
+    __slots__ = ("ok", "detail", "witness")
+
+    def __init__(self, ok, detail="", witness=None):
+        set_ok, set_detail, set_witness = self._set
+        set_ok(self, ok)
+        set_detail(self, detail)
+        set_witness(self, witness)
 
     def __bool__(self):
         return self.ok
@@ -564,12 +595,19 @@ class _Walk:
         return frozenset(positions[:bisect_left(lengths, depth)])
 
 
-@dataclass(frozen=True)
-class Stratum:
-    depth: int
-    index: int      # trace index after which all steps are at least this deep
-    term: Term
-    walk: object = field(compare=False, repr=False)  # shared by the term's strata
+class Stratum(Frozen, compare=("depth", "index", "term")):
+    __slots__ = ("depth",
+                 "index",  # trace index after which all steps are at least this deep
+                 "term",
+                 "walk",   # shared by the term's strata
+                 "__dict__")
+
+    def __init__(self, depth, index, term, walk):
+        set_depth, set_index, set_term, set_walk = self._set
+        set_depth(self, depth)
+        set_index(self, index)
+        set_term(self, term)
+        set_walk(self, walk)
 
     @cached_property
     def prefix(self):
@@ -577,12 +615,18 @@ class Stratum:
         return self.walk.above(self.depth)
 
 
-@dataclass(frozen=True)
-class Pilot:
-    trace: object
-    strata: tuple  # one per depth 1, 2, ... up to the pilot's depth goal
-    # the sweep's sets at the last indices, taken over by a spliced pilot
-    tail: tuple = field(default=(), compare=False, repr=False)
+class Pilot(Frozen, compare=("trace", "strata")):
+    __slots__ = ("trace",
+                 "strata",  # one per depth 1, 2, ... up to the pilot's depth goal
+                 # the sweep's sets at the last indices, taken over by a spliced pilot
+                 "tail",
+                 "__dict__")
+
+    def __init__(self, trace, strata, tail=()):
+        set_trace, set_strata, set_tail = self._set
+        set_trace(self, trace)
+        set_strata(self, strata)
+        set_tail(self, tail)
 
     @cached_property
     def index(self):

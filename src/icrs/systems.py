@@ -9,31 +9,52 @@ fully-extended system throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import (
     EngineError, ParseError, PreconditionViolated, SystemCheckFailed, TermError,
 )
+from .records import Frozen
 from .rewriting import Substitute, Valuation, apply_substitute, apply_valuation
 from .terms import (
-    HOLE, Abs, MetaApp, Rec, RecVar, Sym, Term, Var,
+    HOLE, Abs, MetaApp, Rec, RecVar, Sym, Var,
     children, env_lookup, free_vars, meta_vars, resolve, subterm_at,
 )
 
 
-@dataclass(frozen=True)
-class Rule:
-    name: str
-    lhs: Term
-    rhs: Term
+class Rule(Frozen):
+    __slots__ = ("name", "lhs", "rhs")
+
+    def __init__(self, name, lhs, rhs):
+        set_name, set_lhs, set_rhs = self._set
+        set_name(self, name)
+        set_lhs(self, lhs)
+        set_rhs(self, rhs)
 
 
-@dataclass(frozen=True)
-class RewriteSystem:
-    rules: tuple
-    signature: tuple  # sorted ((symbol, arity), ...)
+class RewriteSystem(Frozen, compare=("rules", "signature")):
+    __slots__ = ("rules",
+                 "signature",  # sorted ((symbol, arity), ...)
+                 # (symbol, arity) of the lhs root -> the rules that can
+                 # match under that root, in system order; None -> the rules
+                 # whose lhs root is no symbol (check_rule rejects them, an
+                 # unchecked system may have them), which are candidates at
+                 # every node
+                 "_rules_by_root")
+
+    def __init__(self, rules, signature):
+        set_rules, set_signature, set_index = self._set
+        set_rules(self, rules)
+        set_signature(self, signature)
+
+        def key(r):
+            return (r.lhs.fun, len(r.lhs.args)) if isinstance(r.lhs, Sym) else None
+
+        index = {None: tuple(r for r in rules if key(r) is None)}
+        for k in {key(r) for r in rules}:
+            index[k] = tuple(r for r in rules if key(r) in (k, None))
+        set_index(self, index)
 
     def arity(self, f):
         for g, n in self.signature:
@@ -46,20 +67,6 @@ class RewriteSystem:
             if r.name == name:
                 return r
         raise KeyError(name)
-
-    @cached_property
-    def _rules_by_root(self):
-        """(symbol, arity) of the lhs root -> the rules that can match under
-        that root, in system order; None -> the rules whose lhs root is no
-        symbol (check_rule rejects them, an unchecked system may have them),
-        which are candidates at every node."""
-        def key(r):
-            return (r.lhs.fun, len(r.lhs.args)) if isinstance(r.lhs, Sym) else None
-
-        index = {None: tuple(r for r in self.rules if key(r) is None)}
-        for k in {key(r) for r in self.rules}:
-            index[k] = tuple(r for r in self.rules if key(r) in (k, None))
-        return index
 
     def rules_for(self, node):
         """The rules that can match at the resolved node, in system order:
@@ -98,12 +105,15 @@ def infer_signature(rules, declared=None):
     return tuple(sorted(sig.items()))
 
 
-@dataclass(frozen=True)
-class Verdict:
-    check: str
-    ok: bool
-    detail: str = ""
-    witness: object = field(default=None, compare=False)
+class Verdict(Frozen, compare=("check", "ok", "detail")):
+    __slots__ = ("check", "ok", "detail", "witness")
+
+    def __init__(self, check, ok, detail="", witness=None):
+        set_check, set_ok, set_detail, set_witness = self._set
+        set_check(self, check)
+        set_ok(self, ok)
+        set_detail(self, detail)
+        set_witness(self, witness)
 
     def __bool__(self):
         return self.ok
@@ -116,17 +126,23 @@ class Verdict:
         return msg
 
 
-@dataclass(frozen=True)
-class OverlapWitness:
-    rule_outer: str
-    rule_inner: str
-    position: tuple
-    instance: Term  # a term with an outer redex at the root and an inner one at position
+class OverlapWitness(Frozen):
+    # instance: a term with an outer redex at the root and an inner one at position
+    __slots__ = ("rule_outer", "rule_inner", "position", "instance")
+
+    def __init__(self, rule_outer, rule_inner, position, instance):
+        set_outer, set_inner, set_position, set_instance = self._set
+        set_outer(self, rule_outer)
+        set_inner(self, rule_inner)
+        set_position(self, position)
+        set_instance(self, instance)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    verdicts: tuple
+class CheckReport(Frozen):
+    __slots__ = ("verdicts",)
+
+    def __init__(self, verdicts):
+        self._set[0](self, verdicts)
 
     @property
     def ok(self):
@@ -149,12 +165,19 @@ class MetaOccurrence(NamedTuple):
     scope: tuple  # ((binder position, name), ...) above it, outermost first
 
 
-@dataclass(frozen=True, eq=False)
-class PatternMeta:
-    positions: tuple  # non-meta positions, pre-order (which is sorted order)
-    abs_map: dict     # position -> binder name
-    metavars: tuple   # every MetaOccurrence, pre-order
-    finite: bool      # no rec node, meta-variable arguments included
+class PatternMeta(Frozen):
+    __slots__ = ("positions",  # non-meta positions, pre-order (which is sorted order)
+                 "abs_map",    # position -> binder name
+                 "metavars",   # every MetaOccurrence, pre-order
+                 "finite")     # no rec node, meta-variable arguments included
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
+
+    def __init__(self, positions, abs_map, metavars, finite):
+        set_positions, set_abs_map, set_metavars, set_finite = self._set
+        set_positions(self, positions)
+        set_abs_map(self, abs_map)
+        set_metavars(self, metavars)
+        set_finite(self, finite)
 
     def metavar(self, z):
         """The first occurrence of Z (the only one in a left-linear lhs)."""

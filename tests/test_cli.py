@@ -235,6 +235,16 @@ class TestNormalize:
         assert code == 0, capsys.readouterr().err
         assert "rational normal form: rec S1. g(S1)" in out.splitlines()
 
+    def test_deep_chain_without_a_fold(self, capsys):
+        # the fold walks an explicit stack and compares a node only with
+        # ancestors of its root: 3000 distinct symbols have none, and the
+        # hole 3000 deep ends the fold (it used to exit 4 in the recursion)
+        deep = "".join(f"s{i}(" for i in range(1, 3001)) + "a" + ")" * 3000
+        code, out = run("normalize", corpus("spine_growth.crs"), "--term", deep,
+                        "--depth", "2000", "--emit", "all")
+        assert code == 0, capsys.readouterr().err
+        assert out.splitlines()[-1] == "rational normal form: none detected"
+
     @pytest.mark.parametrize("emit", ["rational", "all"])
     def test_late_budget_exit_writes_nothing(self, monkeypatch, capsys, emit):
         # the rational form is found before any line is written, as with --json

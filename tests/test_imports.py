@@ -67,3 +67,28 @@ def test_node_slots_are_read_in_terms_only():
             if isinstance(node, ast.Attribute) and node.attr in slots:
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert not found, "\n".join(found)
+
+
+def dataclass_uses(path):
+    """Lines of the module that import `dataclasses` or name `dataclass`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            hit = any(a.name == "dataclasses" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "dataclasses"
+        else:
+            hit = getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+        if hit:
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_term_nodes_are_dataclasses():
+    """A dataclass generates and compiles its methods when the module is
+    imported; the engine's records are plain slotted classes, and only the
+    term nodes of `terms.py` are dataclasses."""
+    assert dataclass_uses(SRC / "terms.py")
+    found = [o for path in sorted(SRC.glob("*.py")) if path.name != "terms.py"
+             for o in dataclass_uses(path)]
+    assert not found, "\n".join(found)

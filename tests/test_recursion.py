@@ -14,9 +14,6 @@ ALLOWED = {
     "rewriting.apply_valuation.go",
     # walks a rule's left-hand side against a node, as deep as the pattern
     "rewriting._match_node.go",
-    # folds a snapshot onto its ancestors, whose alpha_eq needs the whole
-    # ancestor chain; a deep fold ends in exit 4
-    "strategies._fold_rational.close",
 }
 
 

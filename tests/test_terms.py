@@ -522,8 +522,8 @@ class TestBoundedMemory:
         """Summaries and memos live on the nodes: the term and rewriting
         layers have no cache, and no module keeps a mutable container but
         the rewriting layer's instantiation plans, held weakly by rule side.
-        The system layer's caches are keyed by rule sides and systems; the
-        one other, a system's index of its own rules, lives on the system."""
+        The system layer's caches are keyed by rule sides and systems; a
+        system's index of its own rules is built with the system."""
         found = set()
         weak = set()
         for module in (terms, systems, rewriting):
@@ -541,7 +541,6 @@ class TestBoundedMemory:
                         weak.add((module.__name__, name))
         assert weak == {("icrs.rewriting", "_plans")}
         assert found == {("icrs.systems", "pattern_meta"),
-                         ("icrs.systems", "_rules_by_root"),
                          ("icrs.systems", "_checked_ok")}
 
     def test_rounds_leave_the_intern_tables_flat(self):
