@@ -275,7 +275,10 @@ def apply_valuation(valuation, metaterm):
             return Abs(x, go(inner), p[4])
         return Rec(p[1], go(p[2]))
 
-    out = go(plan)
+    try:
+        out = go(plan)
+    finally:
+        del go  # the closure refers to itself: no cycle outlives the call
     if has_rec:
         try:
             check_guarded(out)
@@ -372,9 +375,11 @@ def _match_node(rule, node):
             return cls is Var and pairs.get(pat.name) == tm.name
         return False
 
-    if go(rule.lhs, node, {}, ()):
-        return Valuation(assignment), unrolled
-    return None, unrolled
+    try:
+        found = go(rule.lhs, node, {}, ())
+    finally:
+        del go  # the closure refers to itself: no cycle outlives the call
+    return (Valuation(assignment) if found else None), unrolled
 
 
 def find_redexes(term, system, depth_bound):

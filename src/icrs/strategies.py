@@ -190,7 +190,10 @@ class _Predicate:
     of every outermost-fair reduction to the limit are the needed ones (Huet
     & Levy, "Computations in orthogonal rewriting systems", 1991;
     Middeldorp, "Call by need computations to root-stable form", 1997), so
-    all of them serve the same set."""
+    all of them serve the same set.
+
+    The run's pilots and splices share one table of redex-local epsilon
+    images (`local_epsilon_step`), which lives as long as the run."""
 
     def __init__(self, kind, system, depth_goal=0, fuel=0):
         self.kind = kind
@@ -199,6 +202,7 @@ class _Predicate:
         self.fuel = fuel
         self._scan = (None, redex_trie(()), 0)  # (term, its redex trie, bound)
         self._pilot = None
+        self._table = {}  # the redex-local epsilon images of every pilot's sweep
         self._held = (None, None)  # (term in hand, its needed positions)
 
     def scanned(self, term, redexes, bound):
@@ -236,8 +240,11 @@ class _Predicate:
             start = pilot.index.get(term) if pilot else None
             if start is None:
                 pilot = pilot and pilot.spliced(term, self.fuel)
-                self._pilot = pilot or needed_pilot(
-                    term, self.system, self.depth_goal, self.fuel)
+                if pilot is None:  # a fresh pilot, on the run's table
+                    fresh = needed_pilot(term, self.system, self.depth_goal,
+                                         self.fuel)
+                    pilot = Pilot(fresh.trace, fresh.strata, table=self._table)
+                self._pilot = pilot
                 start = 0
             self._held = (term, self._pilot.essential_start_positions(start))
         return self._held[1]
@@ -620,13 +627,16 @@ class Pilot(Frozen, compare=("trace", "strata")):
                  "strata",  # one per depth 1, 2, ... up to the pilot's depth goal
                  # the sweep's sets at the last indices, taken over by a spliced pilot
                  "tail",
+                 # the sweep's redex-local epsilon images, shared with its splices
+                 "table",
                  "__dict__")
 
-    def __init__(self, trace, strata, tail=()):
-        set_trace, set_strata, set_tail = self._set
+    def __init__(self, trace, strata, tail=(), table=None):
+        set_trace, set_strata, set_tail, set_table = self._set
         set_trace(self, trace)
         set_strata(self, strata)
         set_tail(self, tail)
+        set_table(self, {} if table is None else table)
 
     @cached_property
     def index(self):
@@ -647,13 +657,15 @@ class Pilot(Frozen, compare=("trace", "strata")):
         before them are swept, and only the strata at the swept indices
         have their prefixes read.  Every set is a union of epsilon images
         and stratum prefixes, so a prefix set of its term, and the steps do
-        not check it again."""
+        not check it again.  The steps read and fill the run's table of
+        redex-local images, `table`."""
         at_index = {}
         for st in self.strata:
             at_index.setdefault(st.index, []).append(st)
 
-        def fed(i):
-            return frozenset().union(*(st.prefix for st in at_index.get(i, ())))
+        def fed(i, base=frozenset()):
+            strata = at_index.get(i)
+            return base.union(*(st.prefix for st in strata)) if strata else base
 
         system = self.trace.system
         last = max(at_index, default=0)
@@ -662,7 +674,7 @@ class Pilot(Frozen, compare=("trace", "strata")):
             step = self.trace.steps[i]
             stage = DevRecord(step.source, step.target, (step.redex,), (step,),
                               system)
-            swept.append(local_epsilon_step(swept[-1], stage) | fed(i))
+            swept.append(fed(i, local_epsilon_step(swept[-1], stage, self.table)))
         swept.reverse()
         return tuple(swept)
 
@@ -699,7 +711,7 @@ class Pilot(Frozen, compare=("trace", "strata")):
                               depth_goal + max_lhs_depth(system), fuel,
                               self.index.__contains__)
         if status == "stable":
-            return _stratified(run, depth_goal)
+            return _stratified(run, depth_goal, table=self.table)
         if status is None:
             raise FuelExhausted("pilot run did not stabilise",
                                 _approximant(run, status, depth_goal), run)
@@ -708,28 +720,32 @@ class Pilot(Frozen, compare=("trace", "strata")):
             return None
         joined = Trace(system, trace.label, run.terms[:-1] + trace.terms[j:],
                        run.steps + trace.steps[j:])
-        return _stratified(joined, depth_goal, self._swept[j + 1:])
+        return _stratified(joined, depth_goal, self._swept[j + 1:], self.table)
 
 
-def _stratified(trace, depth_goal, tail=()):
+def _stratified(trace, depth_goal, tail=(), table=None):
     """The pilot over a stabilised outermost-fair trace: for every depth d
     up to the goal, the index after which all contractions are below d, the
     term there, and its positions above d.  Each distinct stratum term is
     walked once, to the deepest depth among its strata, and only when a
-    prefix of it is read."""
+    prefix of it is read.  The pilot sweeps on the given table of
+    redex-local images, or on a fresh one."""
     floor = trace.depth_floor()
     index = {d: bisect_left(floor, d) for d in range(1, depth_goal + 1)}
     deepest = {trace.terms[n_d]: d for d, n_d in index.items()}  # last d wins
     walks = {s: _Walk(s, d) for s, d in deepest.items()}
     strata = tuple(Stratum(d, n_d, trace.terms[n_d], walks[trace.terms[n_d]])
                    for d, n_d in index.items())
-    return Pilot(trace, strata, tail)
+    return Pilot(trace, strata, tail, table)
 
 
 def needed_pilot(term, system, depth_goal, fuel):
     """A fresh pilot: an outermost-fair run from the term to the goal depth,
-    re-indexed into depth strata."""
-    approx, trace = normalize(term, system, OUTERMOST_FAIR, depth_goal, fuel)
-    if approx.status in ("divergence-suspected", "fuel-exhausted"):
-        raise FuelExhausted("pilot run did not stabilise", approx, trace)
-    return _stratified(trace, depth_goal)
+    re-indexed into depth strata, with a table of its own."""
+    require_valid(system)
+    run, status = _reduce(term, system, OUTERMOST_FAIR,
+                          depth_goal + max_lhs_depth(system), fuel)
+    if status != "stable":
+        raise FuelExhausted("pilot run did not stabilise",
+                            _approximant(run, status, depth_goal), run)
+    return _stratified(run, depth_goal)

@@ -23,14 +23,20 @@ from .terms import (
 )
 
 
-class Rule(Frozen):
-    __slots__ = ("name", "lhs", "rhs")
+class Rule(Frozen, compare=("name", "lhs", "rhs")):
+    """A rule, hashed once, when it is built: every match memo lookup and
+    every `Redex` hash reads the digest."""
+    __slots__ = ("name", "lhs", "rhs", "digest")
 
     def __init__(self, name, lhs, rhs):
-        set_name, set_lhs, set_rhs = self._set
+        set_name, set_lhs, set_rhs, set_digest = self._set
         set_name(self, name)
         set_lhs(self, lhs)
         set_rhs(self, rhs)
+        set_digest(self, hash((name, lhs, rhs)))
+
+    def __hash__(self):
+        return self.digest
 
 
 class RewriteSystem(Frozen, compare=("rules", "signature")):

@@ -92,3 +92,40 @@ def test_only_term_nodes_are_dataclasses():
     found = [o for path in sorted(SRC.glob("*.py")) if path.name != "terms.py"
              for o in dataclass_uses(path)]
     assert not found, "\n".join(found)
+
+
+# calls that make a mapping or a cache at module level
+TABLE_MAKERS = {"dict", "defaultdict", "OrderedDict", "WeakKeyDictionary",
+                "WeakValueDictionary", "lru_cache", "cache"}
+
+
+def module_tables(path):
+    """Names the module binds at its top level to a dict or weak dictionary,
+    and its top-level functions under a caching decorator."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            if isinstance(value, ast.Call):
+                value = value.func
+            made = isinstance(node.value, (ast.Dict, ast.DictComp)) or getattr(
+                value, "id", getattr(value, "attr", None)) in TABLE_MAKERS
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if made:
+                found += [t.id for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.FunctionDef):
+            for d in node.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d
+                if getattr(d, "id", getattr(d, "attr", None)) in TABLE_MAKERS:
+                    found.append(node.name)
+    return found
+
+
+def test_needed_fair_tables_are_owned_by_the_run():
+    """The redex-local epsilon images live in a table that a needed-fair
+    run owns and drops: neither module on that route keeps a module-level
+    mapping or cache, so a long-lived process does not accumulate them."""
+    assert module_tables(SRC / "rewriting.py") == ["_plans"]
+    assert len(module_tables(SRC / "systems.py")) == 2  # the two lru_caches
+    for name in ("strategies.py", "essential.py"):
+        assert module_tables(SRC / name) == [], name

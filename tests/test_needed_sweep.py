@@ -4,7 +4,8 @@ replaced: one epsilon sequence per stratum prefix, replayed through
 redex-local, and agree with zeta over the whole-term path prefix set, in
 sets and in path counts.  Also pins the fact the sweep relies on to skip the
 finite-jumps check: a stage realised step by step always has the finite
-jumps property."""
+jumps property.  A run's table of redex-local images changes no set of any
+sweep, and each image and path space is computed once per run."""
 
 import pathlib
 import random
@@ -19,7 +20,7 @@ from icrs import (
 )
 from icrs import essential, strategies
 from icrs.developments import DevRecord, PathSpace
-from icrs.errors import EngineError
+from icrs.errors import EngineError, PreconditionViolated
 from icrs.strategies import Pilot, Stratum
 
 import genrand
@@ -187,8 +188,10 @@ def whole_term(prefix, stage):
 def local_counts(prefix, stage):
     """Passed-through positions and paths walked from the redex node."""
     p = stage.steps[0].redex.position
-    passed = sum(q[:len(p)] != p for q in prefix)
-    return passed, len(essential._redex_paths(frozenset(prefix), stage))
+    n = len(p)
+    passed = sum(q[:n] != p for q in prefix)
+    rel = frozenset(q[n:] for q in prefix if q[:n] == p)
+    return passed, len(essential._redex_paths(rel, stage))
 
 
 def assert_local_agrees(prefix, stage):
@@ -280,9 +283,9 @@ def test_sweep_builds_term_nodes_only_below_the_contracted_redexes(monkeypatch):
     step_fn = strategies.local_epsilon_step
     init, settle = PathSpace.__init__, PathSpace._settle
 
-    def stepping(prefix, stage):
+    def stepping(prefix, stage, table):
         stages.append(stage)
-        return step_fn(prefix, stage)
+        return step_fn(prefix, stage, table)
 
     def initialising(self, term, redexes, system):
         space_stage[self] = stages[-1]
@@ -314,3 +317,163 @@ def test_sweep_builds_term_nodes_only_below_the_contracted_redexes(monkeypatch):
         path_prefix_set(swept[i + 1], stage)
     monkeypatch.undo()
     assert len(built) < len(whole)
+
+
+# ---------------------------------------------------------------------------
+# the run's table of redex-local epsilon images
+
+# the needed workload's ladder, and the fixpoint at depth 16
+NEEDED_LADDER = [
+    ("spine_growth.crs", "f(a, c)", (3, 4, 5, 6)),
+    ("outermost_pair.crs", "f(a)", (3, 4, 6, 8)),
+    ("map_streams.crs", "map([z] s(z), rec L. cons(zero, L))", (3, 4, 6)),
+    ("lambda_beta.crs", None, (1, 16)),
+]
+
+
+def table_free(prefix, stage, table):
+    return essential.local_epsilon_step(prefix, stage)
+
+
+def table_free_sweep(pilot, tail=True):
+    """The pilot's sweep with every local step made afresh."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strategies, "local_epsilon_step", table_free)
+        return outcome(lambda: Pilot(pilot.trace, pilot.strata,
+                                     pilot.tail if tail else ())._swept)
+
+
+def run_pilots(monkeypatch, term, system, depth):
+    """The pilots a needed-fair normalize run serves its terms from, and
+    the run's table."""
+    pilots, tables = {}, {}
+    answer = strategies._Predicate._needed_positions
+
+    def recording(self, term):
+        out = answer(self, term)
+        pilots[id(self._pilot)] = self._pilot
+        tables[id(self._table)] = self._table
+        return out
+
+    monkeypatch.setattr(strategies._Predicate, "_needed_positions", recording)
+    normalize(term, system, NEEDED_FAIR, depth, 4000)
+    monkeypatch.undo()
+    table, = tables.values()
+    return list(pilots.values()), table
+
+
+@pytest.mark.parametrize("system_file,term,depths", NEEDED_LADDER)
+def test_table_backed_sweeps_match_table_free_ones(monkeypatch, system_file,
+                                                   term, depths):
+    """Every pilot and splice of a run sweeps on the run's one table; each
+    set of its sweep is the set a sweep with no table gives, at every
+    index, also when a splice sweeps the whole joined trace afresh."""
+    system = parse_system((CORPUS / system_file).read_text())
+    t = parse_term(term if term is not None else fixpoint_term())
+    for depth in depths:
+        pilots, table = run_pilots(monkeypatch, t, system, depth)
+        assert pilots and all(p.table is table for p in pilots)
+        for pilot in pilots:
+            swept = pilot._swept
+            assert table_free_sweep(pilot) == swept, depth
+            if pilot.tail:
+                assert table_free_sweep(pilot, tail=False) == swept, depth
+
+
+def test_table_backed_sweeps_match_on_random_pilots():
+    """Table-backed sweeps equal table-free ones on the seeded pilots and
+    random strata of `test_sweep_matches_per_stratum_on_random_pilots`,
+    the random strata sweeping on their pilot's table."""
+    rng = random.Random(4)
+    compared = hits = 0  # hits: local steps that read an image from the table
+    for _ in range(RANDOM_PILOTS):
+        system = genrand.random_system(rng)
+        term = genrand.random_term(rng, system, rng.randint(2, 4))
+        depth = rng.randint(2, 5)
+        try:
+            pilot = needed_pilot(term, system, depth, 200)
+        except EngineError:
+            continue
+        trace = pilot.trace
+        swept = outcome(lambda: pilot._swept)
+        if isinstance(swept, tuple):
+            reaching = sum(trace.steps[i].redex.position in swept[i + 1]
+                           for i in range(len(swept) - 1))
+            hits += reaching - sum(len(k) == 3 for k in pilot.table)
+        assert swept == table_free_sweep(pilot), term
+        # random strata on the same table
+        picked = sorted(rng.randint(0, len(trace.steps)) for _ in range(3))
+        random_strata = Pilot(trace, tuple(
+            Stratum(k + 1, i, trace.terms[i],
+                    GivenPrefix(genrand.random_prefix_set(rng, trace.terms[i])))
+            for k, i in enumerate(picked)), table=pilot.table)
+        swept = outcome(lambda: random_strata._swept)
+        assert swept == table_free_sweep(random_strata), term
+        compared += 1
+    assert compared >= 300
+    assert hits >= 100
+
+
+def test_table_work_on_the_fixpoint_at_depth_16(monkeypatch):
+    """A machine-independent work count for needed-fair normalize of the
+    fixpoint at depth 16: of 280 local epsilon steps, 180 reach the
+    contracted redex, over 46 distinct (redex node, rule, relative prefix)
+    keys and 20 distinct (redex node, rule) pairs.  One path space is built
+    per pair and one enumeration made per key; a step whose prefix misses
+    the redex builds and enumerates nothing."""
+    system = parse_system((CORPUS / "lambda_beta.crs").read_text())
+    t = parse_term(fixpoint_term())
+    keys, counts = [], {"spaces": 0, "enumerations": 0}
+    step_fn = strategies.local_epsilon_step
+    init, enumerate_ = PathSpace.__init__, PathSpace.enumerate
+
+    def stepping(prefix, stage, table):
+        step, = stage.steps
+        p = step.redex.position
+        rel = frozenset(q[len(p):] for q in prefix if q[:len(p)] == p)
+        keys.append((step.path[-1], step.redex.rule, rel))
+        return step_fn(prefix, stage, table)
+
+    def initialising(self, *args):
+        counts["spaces"] += 1
+        init(self, *args)
+
+    def enumerating(self, *args, **kwargs):
+        counts["enumerations"] += 1
+        return enumerate_(self, *args, **kwargs)
+
+    monkeypatch.setattr(strategies, "local_epsilon_step", stepping)
+    monkeypatch.setattr(PathSpace, "__init__", initialising)
+    monkeypatch.setattr(PathSpace, "enumerate", enumerating)
+    normalize(t, system, NEEDED_FAIR, 16, 4000)
+    monkeypatch.undo()
+    reaching = [k for k in keys if () in k[2]]
+    assert (len(keys), len(reaching)) == (280, 180)
+    assert counts["spaces"] == len({k[:2] for k in reaching}) == 20
+    assert counts["enumerations"] == len(set(reaching)) == 46
+
+
+def test_a_cut_enumeration_is_never_kept(monkeypatch):
+    """A local step whose enumeration is cut short raises on every call
+    and leaves no image in the table; once the enumeration completes, the
+    image is the table-free one."""
+    system = parse_system((CORPUS / "lambda_beta.crs").read_text())
+    t = parse_term(fixpoint_term())
+    pilot = needed_pilot(t, system, 8, 600)
+    i = next(i for i, step in enumerate(pilot.trace.steps)
+             if step.redex.position in pilot._swept[i + 1])
+    stage = stage_of(pilot.trace.steps[i], system)
+    prefix = pilot._swept[i + 1]
+    enumerate_ = PathSpace.enumerate
+    table = {}
+    monkeypatch.setattr(PathSpace, "enumerate",
+                        lambda self, **kw: enumerate_(self, budget=1, **kw))
+    for _ in range(2):
+        with pytest.raises(PreconditionViolated):
+            essential.local_epsilon_step(prefix, stage, table)
+        assert all(len(k) == 2 for k in table)
+    monkeypatch.undo()
+    want = essential.local_epsilon_step(prefix, stage)
+    assert essential.local_epsilon_step(prefix, stage, table) == want
+    assert essential.local_epsilon_step(prefix, stage, table) == want
+    assert sum(len(k) == 3 for k in table) == 1

@@ -265,6 +265,7 @@ class Pilot:
     trace: object
     strata: tuple
     tail: tuple = field(default=(), compare=False, repr=False)
+    table: dict = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

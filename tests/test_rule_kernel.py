@@ -16,8 +16,8 @@ import random
 import pytest
 
 from icrs import (
-    Abs, Rec, RecVar, Sym, Var, contract, find_redexes, parse_system,
-    parse_term, positions_to_depth,
+    FAIR, Abs, Rec, RecVar, Sym, Var, contract, find_redexes, normalize,
+    parse_system, parse_term, positions_to_depth,
 )
 from icrs import rewriting, systems
 from icrs.cli import main
@@ -454,6 +454,42 @@ def test_plans_do_not_pin_terms():
     del system, term, made
     gc.collect()
     assert not interned() - before
+
+
+def corpus_runs():
+    """Fair runs of the four corpus inputs with infinite normal forms."""
+    lines = (CORPUS / "lambda_fixpoint.term").read_text().splitlines()
+    fixpoint = " ".join(ln.strip() for ln in lines
+                        if ln.strip() and not ln.lstrip().startswith("#"))
+    inputs = [("spine_growth.crs", "f(a, c)"), ("outermost_pair.crs", "f(a)"),
+              ("map_streams.crs", "map([z] s(z), rec L. cons(zero, L))"),
+              ("lambda_beta.crs", fixpoint)]
+    for name, text in inputs:
+        system = parse_system((CORPUS / name).read_text())
+        yield normalize(parse_term(text), system, FAIR, 8, 400)[1]
+
+
+def test_matching_and_instantiating_leave_no_cycles():
+    """The matcher's and the evaluator's walks refer to themselves while
+    they run, and to nothing once they return: with the cyclic collector
+    off, matching every redex of the corpus runs afresh and instantiating
+    its right-hand side leave nothing for the collector."""
+    runs = list(corpus_runs())
+    steps = 0
+    gc.collect()
+    gc.disable()
+    try:
+        for trace in runs:
+            for step in trace.steps:
+                u = step.redex
+                v, _ = rewriting._match_node(u.rule, step.path[-1])
+                assert v == u.valuation
+                apply_valuation(v, u.rule.rhs)
+                steps += 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert steps >= 50
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,22 @@ class TestPilot:
         with pytest.raises(FuelExhausted):
             needed_pilot(T("c"), system, 3, 30)
 
+    @pytest.mark.parametrize("text,term", [
+        ("rule loop: c -> c ;", "c"),  # stuck at the root: divergence
+        ("sym g/1 ; rule a: a -> g(a) ;", "a"),  # growing: fuel
+    ])
+    def test_pilot_failure_carries_the_outermost_fair_run(self, text, term):
+        """A pilot that does not stabilise raises with the approximant and
+        the trace of outermost-fair normalize to the pilot's depth."""
+        system = parse_system(text)
+        with pytest.raises(FuelExhausted) as info:
+            needed_pilot(T(term), system, 40, 30)
+        approx, trace = normalize(T(term), system, OUTERMOST_FAIR, 40, 30)
+        assert approx.status in ("divergence-suspected", "fuel-exhausted")
+        assert info.value.approximant == approx
+        assert info.value.trace.terms == trace.terms
+        assert info.value.trace.steps == trace.steps
+
     def test_needed_positions_match_oracle(self, spine_system):
         t = T("f(a, c)")
         pilot = needed_pilot(t, spine_system, 4, 300)

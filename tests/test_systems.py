@@ -70,6 +70,22 @@ class TestRule:
         r = Rule("w", parse_metaterm("rec R. f(Z, R)"), parse_metaterm("Z"))
         assert not check_rule(r).ok
 
+    def test_hash_is_taken_once_and_is_the_fields_hash(self):
+        """The digest taken when a rule is built is the hash of its fields;
+        equality still reads the fields, and no field can be assigned."""
+        rules = [r for path in sorted(CORPUS.glob("*.crs"))
+                 for r in parse_system(path.read_text()).rules]
+        assert len(rules) >= 10
+        for r in rules:
+            assert hash(r) == hash((r.name, r.lhs, r.rhs))
+            twin = Rule(r.name, r.lhs, r.rhs)
+            assert twin == r and hash(twin) == hash(r)
+            assert Rule(r.name + "'", r.lhs, r.rhs) != r
+            with pytest.raises(AttributeError):
+                r.name = "other"
+            with pytest.raises(AttributeError):
+                r.digest = 0
+
 
 class TestLeftLinear:
     def test_map_system(self, map_system):
