@@ -12,6 +12,11 @@ Neededness is not computed directly; needed-fair selection classifies
 redexes as essential against a stratified pilot reduction (an outermost-fair
 run cut into depth strata), which coincides with neededness on terms that
 reach normal forms.  Exhaustive neededness lives in the oracle module.
+
+A rational normal form is reported only when the run proves it: a run term
+that recurs below the root of a later one certifies a cycle, and the cycle
+is reported when it is normal (`detect_rational_nf`).  No prefix is folded
+by guesswork, so a run that proves nothing reports nothing.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from .rewriting import contract, find_redexes, match, redex_trie, step_redex
 from .syntax import position_str
 from .systems import max_lhs_depth, require_valid
 from .terms import (
-    Abs, Rec, RecVar, Sym, Var, alpha_eq, children, is_hole, path_nodes,
-    positions_to_depth, resolve, root_key, truncate,
+    Rec, RecVar, children, graft, path_nodes, positions_to_depth, resolve,
+    truncate,
 )
 
 
@@ -432,105 +437,50 @@ def _approximant(trace, status, depth_goal):
 
 
 # ---------------------------------------------------------------------------
-# rational normal forms from stable prefixes
-
-def _known_depth(t):
-    """Depth of the shallowest hole; None when the subtree is hole-free.  A
-    breadth-first search, so deep subtrees do not recurse; a node met again
-    is not entered again, as its first meeting was no deeper."""
-    level, seen, depth = [t], set(), 0
-    while level:
-        below = []
-        for u in level:
-            u = resolve(u)
-            if is_hole(u):
-                return depth
-            if u not in seen:
-                seen.add(u)
-                below.extend(c for _, c in children(u))
-        level, depth = below, depth + 1
-    return None
-
-
-def _fold_rational(snapshot):
-    """Tie holes back to consistent ancestors, producing a rec term whose
-    unfolding matches the snapshot; None when no sufficiently confirmed fold
-    exists.  A fold onto an ancestor L levels up is accepted only when the
-    snapshot stays known for at least L further levels below the fold point,
-    i.e. a full extra period confirms the conjectured cycle.
-
-    A node is compared with its open ancestors of the same root only,
-    outermost first: ancestors are abstractions and symbols, none a hole,
-    and alpha_eq fails at the root between two such nodes whose roots
-    differ.  Nodes are entered in pre-order over an explicit stack, which
-    holds (node, depth) pairs to enter and the open ancestors' entries
-    [node, depth, rec variable, folded onto, root key] to rebuild once
-    their children are done; `out` holds finished images, a node's
-    children ending it."""
-    count = 0
-    ancestors = {}  # root key -> the entries of the open ancestors with that root
-    out, todo = [], [(snapshot, 0)]
-    while todo:
-        item = todo.pop()
-        if item.__class__ is list:
-            t, _, var, used, key = item
-            ancestors[key].pop()
-            if t.__class__ is Abs:
-                image = Abs(t.var, out.pop())
-            else:
-                n = len(out) - len(t.args)
-                image = Sym(t.fun, tuple(out[n:]))
-                del out[n:]
-            out.append(Rec(var, image) if used else image)
-            continue
-        t, depth = item
-        t = resolve(t)
-        cls = t.__class__
-        if cls is Var:
-            count += 1
-            out.append(t)
-            continue
-        if cls is not Abs and cls is not Sym or is_hole(t):
-            return None
-        key = root_key(t)
-        same = ancestors.setdefault(key, [])
-        for anc in same:
-            if alpha_eq(t, anc[0], holes=True):
-                known = _known_depth(t)
-                if known is None or known >= max(depth - anc[1] + 1, 2):
-                    anc[3] = True
-                    out.append(RecVar(anc[2]))
-                    break
-        else:
-            count += 1
-            entry = [t, depth, f"S{count}", False, key]
-            same.append(entry)
-            todo.append(entry)
-            kids = t.args if cls is Sym else (t.body,)
-            todo.extend((c, depth + 1) for c in reversed(kids))
-    return out[0]
-
+# rational normal forms certified by the run
 
 def detect_rational_nf(trace):
-    """Upgrade a stabilised trace to a rational normal form when the stable
-    prefixes are eventually periodic; None otherwise."""
+    """The normal form of the run's input when the run proves one: the final
+    term when it is normal, else a rational limit certified by a recurrence;
+    None when the run proves nothing.
+
+    A run term t_i that occurs again at a position q other than the root of
+    a later run term, t_j = C[t_i], certifies rec S. C[S]: replaying steps
+    i..j under q, then under q.q, and so on, contracts ever deeper, each
+    round |q| deeper than the last, so the reduction converges strongly to
+    rec S. C[S].  Run terms are closed, so no binder of C captures a
+    variable of t_i.  A normal limit is the normal form of the input,
+    because orthogonal, fully-extended iCRSs have unique normal forms
+    (Ketema & Simonsen, "Infinitary Combinatory Reduction Systems:
+    Confluence", LMCS 2009).  The run terms are walked in order, each
+    breadth-first over its distinct resolved nodes, so the shallowest,
+    leftmost recurrence in the earliest term is tried first.  Nodes are
+    hash-consed, so a recurrence is an identity lookup."""
     system = trace.system
-    final = trace.final
-    d = min_redex_depth(final, system)
-    if d is None:
-        return final
-    if d == 0:
-        return None
-    snapshot = truncate(final, d)
-    candidate = _fold_rational(snapshot)
-    if candidate is None:
-        return None
-    if not is_normal_form(candidate, system):
-        return None
-    # the fold must explain the stable prefix exactly, not just consistently
-    if not alpha_eq(truncate(candidate, d), snapshot):
-        return None
-    return candidate
+    if is_normal_form(trace.final, system):
+        return trace.final
+    earlier = set()
+    for t in trace.terms:
+        root = resolve(t)
+        if earlier:
+            seen = {root}
+            level = [((), root)]
+            while level:
+                below = []
+                for q, u in level:
+                    for i, c in children(u):
+                        c = resolve(c)
+                        if c in seen:
+                            continue
+                        seen.add(c)
+                        if c in earlier:
+                            candidate = Rec("S1", graft(t, q + (i,), RecVar("S1")))
+                            if is_normal_form(candidate, system):
+                                return candidate
+                        below.append((q + (i,), c))
+                level = below
+        earlier.add(root)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -85,29 +85,26 @@ class RewriteSystem(Frozen, compare=("rules", "signature")):
 
 
 def infer_signature(rules, declared=None):
+    """The arity of every symbol of the rules, over the declared ones.  Each
+    rule's lhs and then its rhs are walked in pre-order on an explicit
+    stack, so an arity clash names the symbol met first."""
     sig = dict(declared or {})
-
-    def walk(t):
-        match t:
-            case Sym(f, args, _):
-                n = len(args)
-                if f == HOLE:
-                    raise TermError("the hole symbol is reserved")
-                if sig.setdefault(f, n) != n:
-                    raise ParseError(f"symbol {f} used with arities {sig[f]} and {n}")
-                for a in args:
-                    walk(a)
-            case Abs(_, body, _) | Rec(_, body):
-                walk(body)
-            case MetaApp(_, args):
-                for a in args:
-                    walk(a)
-            case _:
-                pass
-
     for r in rules:
-        walk(r.lhs)
-        walk(r.rhs)
+        todo = [r.rhs, r.lhs]
+        while todo:
+            match todo.pop():
+                case Sym(f, args, _):
+                    n = len(args)
+                    if f == HOLE:
+                        raise TermError("the hole symbol is reserved")
+                    if sig.setdefault(f, n) != n:
+                        raise ParseError(
+                            f"symbol {f} used with arities {sig[f]} and {n}")
+                    todo.extend(reversed(args))
+                case Abs(_, body, _) | Rec(_, body):
+                    todo.append(body)
+                case MetaApp(_, args):
+                    todo.extend(reversed(args))
     return tuple(sorted(sig.items()))
 
 
@@ -282,7 +279,10 @@ def _metavar_chain_cycle(rhs):
                 return hit
         return None
 
-    return walk(rhs, frozenset())
+    try:
+        return walk(rhs, frozenset())
+    finally:
+        del walk  # the closure refers to itself: no cycle outlives the call
 
 
 def check_rule(rule):

@@ -247,10 +247,6 @@ def hole():
     return Sym(HOLE, ())
 
 
-def is_hole(t):
-    return isinstance(t, Sym) and t.fun == HOLE
-
-
 # ---------------------------------------------------------------------------
 # the term map
 
@@ -567,13 +563,12 @@ def env_lookup(env, x, y):
     return x == y
 
 
-def mismatch_depth(t, u, holes=False):
+def mismatch_depth(t, u):
     """The least depth at which the unfoldings of t and u differ under
-    consistent binder renaming, or None when they are bisimilar.  With
-    holes, a hole on either side agrees with anything (a snapshot's unknown
-    part).  One breadth-first bisimulation over an explicit queue: each
-    (node, node, binder pairs) triple is compared once, at the least depth
-    it is met, so cycles end and deep terms do not recurse."""
+    consistent binder renaming, or None when they are bisimilar.  One
+    breadth-first bisimulation over an explicit queue: each (node, node,
+    binder pairs) triple is compared once, at the least depth it is met, so
+    cycles end and deep terms do not recurse."""
     seen = set()
     level = [(t, u, ())]
     depth = 0
@@ -581,8 +576,6 @@ def mismatch_depth(t, u, holes=False):
         below = []
         for a, b, env in level:
             a, b = resolve(a), resolve(b)
-            if holes and (is_hole(a) or is_hole(b)):
-                continue
             env = _env_restrict(env, free_vars(a), free_vars(b))
             key = (a, b, env)
             if key in seen:
@@ -605,10 +598,9 @@ def mismatch_depth(t, u, holes=False):
     return None
 
 
-def alpha_eq(t, u, holes=False):
-    """Bisimilarity of the unfoldings under consistent binder renaming;
-    with holes, a hole on either side agrees with anything."""
-    return t is u or mismatch_depth(t, u, holes) is None
+def alpha_eq(t, u):
+    """Bisimilarity of the unfoldings under consistent binder renaming."""
+    return t is u or mismatch_depth(t, u) is None
 
 
 def truncate(t, d):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from icrs import Sym, alpha_eq, parse_system, parse_term, strategies, truncate
+from icrs import alpha_eq, parse_term, strategies, truncate
 from icrs.cli import main
 from icrs.developments import PathSpace
 
@@ -226,19 +226,35 @@ class TestNormalize:
             assert out.splitlines()[0] == "status: normal-form"
             assert "rational normal form: rec X. " + body in out.splitlines()
 
-    def test_deep_chain_folds(self, capsys):
-        # the chain parses, scans, truncates and folds 2000 deep (the fold
-        # overflowed in the recursive free_vars)
+    def test_deep_chain_certifies_nothing(self, capsys):
+        # the chain parses, scans and truncates 2000 deep; the run makes no
+        # step, so it proves no rational form (the normal form is g^3000(b))
         deep = "g(" * 3000 + "a" + ")" * 3000
         code, out = run("normalize", corpus("spine_growth.crs"), "--term", deep,
                         "--depth", "2000", "--emit", "all")
         assert code == 0, capsys.readouterr().err
-        assert "rational normal form: rec S1. g(S1)" in out.splitlines()
+        assert out.splitlines()[-1] == "rational normal form: none detected"
+
+    def test_short_chain_certifies_nothing(self, capsys):
+        # the redex lies below the certified depth, and no run term recurs
+        code, out = run("normalize", corpus("spine_growth.crs"), "--term",
+                        "g(g(g(g(g(g(a))))))", "--depth", "2", "--emit", "all")
+        assert code == 0, capsys.readouterr().err
+        assert out.splitlines()[-1] == "rational normal form: none detected"
+
+    @pytest.mark.parametrize("strategy", ["fair", "outermost-fair"])
+    def test_counting_stream_certifies_nothing(self, tmp_path, capsys, strategy):
+        # the stream 0, 1, 2, ... is not rational: no prefix is a period
+        f = tmp_path / "from.crs"
+        f.write_text("rule from: from(X) -> cons(X, from(s(X))) ;")
+        code, out = run("normalize", str(f), "--term", "from(zero)",
+                        "--strategy", strategy, "--depth", "4", "--emit", "all")
+        assert code == 0, capsys.readouterr().err
+        assert out.splitlines()[-1] == "rational normal form: none detected"
 
     def test_deep_chain_without_a_fold(self, capsys):
-        # the fold walks an explicit stack and compares a node only with
-        # ancestors of its root: 3000 distinct symbols have none, and the
-        # hole 3000 deep ends the fold (it used to exit 4 in the recursion)
+        # the run makes no step, and the normal-form test is breadth-first,
+        # so 3000 distinct symbols do not recurse (it used to exit 4)
         deep = "".join(f"s{i}(" for i in range(1, 3001)) + "a" + ")" * 3000
         code, out = run("normalize", corpus("spine_growth.crs"), "--term", deep,
                         "--depth", "2000", "--emit", "all")
@@ -309,13 +325,14 @@ class TestNormalize:
         self.check_fair_spine(300, capsys)
 
     def test_fair_spine_at_depth_384(self, capsys):
-        # the fold compares snapshots without recursion (it overflowed at
-        # 384)
+        # the rational form is found without recursion (the former fold
+        # overflowed at 384)
         self.check_fair_spine(384, capsys)
 
     def test_fair_spine_at_depth_500(self):
-        # free variables are read off the node, and the fold finds its
-        # shallowest hole breadth-first: neither recurses (both overflowed).
+        # free variables are read off the node, and the certificate search
+        # is breadth-first: neither recurses (free variables and the former
+        # fold overflowed).
         # A fresh process, so that no earlier run has filled a cache
         proc = subprocess.run(
             [sys.executable, "-m", "icrs", "normalize",
@@ -329,19 +346,6 @@ class TestNormalize:
         assert payload["status"] == "approximant"
         assert alpha_eq(parse_term(payload["rational_normal_form"]),
                         parse_term("rec S. g(b, S)"))
-
-    def test_rational_form_of_a_snapshot_1200_deep(self):
-        # the fold of the run's stable prefix, without the run before it
-        system = parse_system(pathlib.Path(corpus("spine_growth.crs")).read_text())
-        final = parse_term("f(a, c)")
-        for _ in range(1200):
-            final = Sym("g", (Sym("b"), final))
-        snapshot = truncate(final, 1200)
-        nf = parse_term("rec S. g(b, S)")
-        assert strategies._known_depth(snapshot) == 1200
-        assert alpha_eq(strategies._fold_rational(snapshot), nf)
-        trace = strategies.Trace(system, "deep", [final], [])
-        assert alpha_eq(strategies.detect_rational_nf(trace), nf)
 
     def test_needed_fair_fixpoint_at_depth_96(self, capsys):
         # the pilot runs on --fuel: on a fixed 600 steps it did not stabilise

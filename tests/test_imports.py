@@ -129,3 +129,47 @@ def test_needed_fair_tables_are_owned_by_the_run():
     assert len(module_tables(SRC / "systems.py")) == 2  # the two lru_caches
     for name in ("strategies.py", "essential.py"):
         assert module_tables(SRC / name) == [], name
+
+
+def undeleted_self_calls(path):
+    """(checked, offences): the nested functions of the module that call
+    themselves by name, and those of them that the enclosing function does
+    not `del`.  Such a closure holds itself through its cell, so each call
+    of the enclosing function leaves a cycle for the cyclic collector."""
+    checked, found = [], []
+
+    def calls_itself(fn):
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == fn.name for n in ast.walk(fn))
+
+    def deletes(fn, name):
+        return any(isinstance(n, ast.Delete) and any(
+            isinstance(t, ast.Name) and t.id == name for t in n.targets)
+            for n in ast.walk(fn))
+
+    def visit(node, outer):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if outer is not None and calls_itself(child):
+                    where = f"{path.name}:{child.lineno}: {child.name} in {outer.name}"
+                    checked.append(where)
+                    if not deletes(outer, child.name):
+                        found.append(where)
+                visit(child, child)
+            else:
+                visit(child, None if isinstance(child, ast.ClassDef) else outer)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return checked, found
+
+
+def test_self_calling_closures_are_deleted():
+    """A nested function that calls itself is dropped by its enclosing
+    function before it returns, so no call leaves a cycle behind."""
+    checked, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        c, f = undeleted_self_calls(path)
+        checked += c
+        found += f
+    assert len(checked) >= 3, checked  # rewriting's two walks and one in systems
+    assert not found, "\n".join(found)

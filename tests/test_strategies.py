@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from icrs import (
@@ -12,9 +10,6 @@ from icrs import strategies
 from icrs.errors import FuelExhausted, SystemCheckFailed
 from icrs.oracle import brute_needed
 from icrs.rewriting import redex_at
-from icrs.terms import children, is_hole, resolve
-
-import genrand
 
 
 def T(text):
@@ -162,26 +157,6 @@ class TestRationalNF:
     def test_periodic_fold(self, spine_system):
         _, trace = normalize(T("f(a, c)"), spine_system, FAIR, 5, 400)
         assert alpha_eq(detect_rational_nf(trace), T("rec S. g(b, S)"))
-
-    def test_known_depth_agrees_with_the_recursive_search(self):
-        def recursive(t):
-            t = resolve(t)
-            if is_hole(t):
-                return 0
-            found = [d + 1 for d in map(recursive, (c for _, c in children(t)))
-                     if d is not None]
-            return min(found, default=None)
-
-        rng = random.Random(31)
-        holes = 0
-        for _ in range(200):
-            t = genrand.random_term(rng, genrand.random_system(rng), 4)
-            for d in (0, 1, 2, 4, 7):
-                snapshot = truncate(t, d)
-                known = strategies._known_depth(snapshot)
-                assert known == recursive(snapshot)
-                holes += known is not None
-        assert holes >= 500
 
     def test_aperiodic_prefix_gives_none(self):
         system = parse_system(

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import pathlib
 import random
@@ -10,7 +11,7 @@ from icrs import (
     parse_system, parse_term,
 )
 from icrs import systems
-from icrs.errors import PreconditionViolated
+from icrs.errors import ParseError, PreconditionViolated
 from icrs.syntax import parse_metaterm
 from icrs.systems import (
     Rule, Verdict, _overlap_instance, _rename_metavars, _Unifier, pattern_meta,
@@ -304,6 +305,30 @@ class TestCheckSystem:
         rng = random.Random(7)
         for _ in range(15):
             assert check_system(genrand.random_system(rng)).ok
+
+    def test_checks_leave_no_cyclic_garbage(self):
+        # the signature walk keeps an explicit stack, and the meta-variable
+        # chain walk is dropped by its caller: no closure outlives a check
+        texts = [p.read_text() for p in sorted(CORPUS.glob("*.crs"))]
+        assert len(texts) >= 7
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for text in texts:
+                assert check_system(parse_system(text)).ok
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == []
+
+    def test_arity_clash_names_the_symbol_met_first(self):
+        # pre-order, leftmost first, the lhs before the rhs
+        with pytest.raises(ParseError, match="symbol k used with arities 0 and 1"):
+            parse_system("rule r: f(g(k), k(g)) -> k ;")
+        with pytest.raises(ParseError, match="symbol h used with arities 2 and 1"):
+            parse_system("rule r: f(h(a, b), h(a)) -> k(k) ;")
 
 
 def test_rule_meta_pattern_positions(dup_system):
