@@ -32,8 +32,8 @@ from .rewriting import contract, find_redexes, match, redex_trie, step_redex
 from .syntax import position_str
 from .systems import max_lhs_depth, require_valid
 from .terms import (
-    Rec, RecVar, children, graft, path_nodes, positions_to_depth, resolve,
-    truncate,
+    Rec, RecVar, alpha_eq, children, graft, path_nodes, positions_to_depth,
+    resolve, truncate,
 )
 
 
@@ -198,7 +198,14 @@ class _Predicate:
     all of them serve the same set.
 
     The run's pilots and splices share one table of redex-local epsilon
-    images (`local_epsilon_step`), which lives as long as the run."""
+    images (`local_epsilon_step`), which lives as long as the run.
+
+    The run takes its steps from the pilot it follows (`step`): on the
+    pilot's term at index j, a run that selects the pilot's step-j redex
+    takes the pilot's step, whose target is the pilot's term j+1, and the
+    pilot's scan of that term.  A step that leaves the trace there hands
+    the splice from its target the pilot's scan of term j, from which
+    `target_redexes` derives the target's."""
 
     def __init__(self, kind, system, depth_goal=0, fuel=0):
         self.kind = kind
@@ -208,7 +215,9 @@ class _Predicate:
         self._scan = (None, redex_trie(()), 0)  # (term, its redex trie, bound)
         self._pilot = None
         self._table = {}  # the redex-local epsilon images of every pilot's sweep
-        self._held = (None, None)  # (term in hand, its needed positions)
+        # (term in hand, its needed positions, its index on the pilot's trace)
+        self._held = (None, None, None)
+        self._left = None  # (a step off the trace from the pilot's term j, j)
 
     def scanned(self, term, redexes, bound):
         """Record the redexes of the term at depth < bound: outermost-fair
@@ -243,16 +252,43 @@ class _Predicate:
         if self._held[0] is not term:
             pilot = self._pilot
             start = pilot.index.get(term) if pilot else None
+            left, self._left = self._left, None
             if start is None:
-                pilot = pilot and pilot.spliced(term, self.fuel)
+                if left is not None and left[0].target is not term:
+                    left = None
+                pilot = pilot and pilot.spliced(term, self.fuel, left)
                 if pilot is None:  # a fresh pilot, on the run's table
                     fresh = needed_pilot(term, self.system, self.depth_goal,
                                          self.fuel)
-                    pilot = Pilot(fresh.trace, fresh.strata, table=self._table)
+                    pilot = Pilot(fresh.trace, fresh.strata, table=self._table,
+                                  scans=fresh.scans)
                 self._pilot = pilot
                 start = 0
-            self._held = (term, self._pilot.essential_start_positions(start))
+            self._held = (term, self._pilot.essential_start_positions(start),
+                          start)
         return self._held[1]
+
+    def step(self, term, redex, bound):
+        """The step contracting the redex of the term, and the target's
+        redexes at depth < bound when they come from the pilot, else None.
+        On the pilot's term j with the pilot's step-j redex, the step is
+        the pilot's own: contracting an equal redex of the same term makes
+        an equal step onto the same target.  The pilot's scan of the target
+        is at the pilot's bound, past the run's, and in `find_redexes`
+        order, so the run's scan is a prefix of it.  Any other step is
+        contracted; from a term of the trace it is kept for the splice."""
+        held, _, start = self._held
+        if held is term:
+            pilot = self._pilot
+            steps = pilot.trace.steps
+            if start < len(steps) and steps[start].redex == redex:
+                scan = pilot.scans[start + 1]
+                return steps[start], scan[:bisect_left(scan, bound,
+                                                       key=lambda u: u.depth)]
+            rec = contract(term, redex)
+            self._left = (rec, start)
+            return rec, None
+        return contract(term, redex), None
 
 
 # ---------------------------------------------------------------------------
@@ -372,21 +408,34 @@ class FairnessTracker:
 # ---------------------------------------------------------------------------
 # normalisation
 
-def _reduce(term, system, kind, stable_bound, fuel, until=None):
+def _scan_bound(stable_bound):
+    """The bound of the redex scans of a run of `_reduce`."""
+    return stable_bound + 2
+
+
+def _reduce(term, system, kind, stable_bound, fuel, until=None, redexes=None,
+            scans=None):
     """The loop of `normalize`: reduce with the kind's strategy until no
     redex lies above stable_bound (status 'stable'), until a term passes
     the test `until` (status 'joined'), or for fuel steps (status None).
-    Returns the trace and the status.  Needed-fair pilots run on the run's
-    fuel, and on at least PILOT_FUEL; the trace records theirs, so that an
-    audit replays the same pilots."""
-    scan_bound = stable_bound + 2
+    Returns the trace and the status.  `redexes` is the scan of the term at
+    the run's scan bound when the caller has it; the scan of every run term
+    is appended to the list `scans` when one is given.  Needed-fair steps
+    come from the tracker's predicate, which takes them from its pilot
+    where it can.  Needed-fair pilots run on the run's fuel, and on at
+    least PILOT_FUEL; the trace records theirs, so that an audit replays
+    the same pilots."""
+    scan_bound = _scan_bound(stable_bound)
     pilot_fuel = max(fuel, PILOT_FUEL)
     tracker = FairnessTracker(kind, system, scan_bound, pilot_fuel)
     terms = [term]
     steps = []
     cur = term
     status = None
-    redexes = find_redexes(cur, system, scan_bound)
+    if redexes is None:
+        redexes = find_redexes(cur, system, scan_bound)
+    if scans is not None:
+        scans.append(redexes)
     for _ in range(fuel):
         if until is not None and until(cur):
             status = "joined"
@@ -396,10 +445,13 @@ def _reduce(term, system, kind, stable_bound, fuel, until=None):
             status = "stable"
             break
         u = tracker.select(cur)
-        rec = contract(cur, u)
+        rec, taken = tracker.pred.step(cur, u, scan_bound)
         tracker.observe_step(len(steps), cur, rec)
         steps.append(rec)
-        redexes = rec.target_redexes(redexes, system, scan_bound)
+        redexes = (rec.target_redexes(redexes, system, scan_bound)
+                   if taken is None else taken)
+        if scans is not None:
+            scans.append(redexes)
         cur = rec.target
         terms.append(cur)
     return Trace(system, kind.kind, terms, steps, ledger=tracker.obligations,
@@ -476,11 +528,25 @@ def detect_rational_nf(trace):
                         if c in earlier:
                             candidate = Rec("S1", graft(t, q + (i,), RecVar("S1")))
                             if is_normal_form(candidate, system):
-                                return candidate
+                                return _least_period(t, q + (i,), candidate)
                         below.append((q + (i,), c))
                 level = below
         earlier.add(root)
     return None
+
+
+def _least_period(t, q, candidate):
+    """The candidate rec S. C[S] certified at q of t, written with its least
+    period: a recurrence k periods deep has a context C that is k copies of
+    the one-period context, so the first proper prefix q' of q, shortest
+    first, whose length divides |q| and whose rec S. t[q' <- S] unfolds to
+    the candidate's tree is taken; else the candidate itself."""
+    for n in range(1, len(q)):
+        if len(q) % n == 0:
+            shorter = Rec("S1", graft(t, q[:n], RecVar("S1")))
+            if alpha_eq(shorter, candidate):
+                return shorter
+    return candidate
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +645,17 @@ class Pilot(Frozen, compare=("trace", "strata")):
                  "tail",
                  # the sweep's redex-local epsilon images, shared with its splices
                  "table",
+                 # the redexes of each trace term at the pilot run's scan bound
+                 "scans",
                  "__dict__")
 
-    def __init__(self, trace, strata, tail=(), table=None):
-        set_trace, set_strata, set_tail, set_table = self._set
+    def __init__(self, trace, strata, tail=(), table=None, scans=()):
+        set_trace, set_strata, set_tail, set_table, set_scans = self._set
         set_trace(self, trace)
         set_strata(self, strata)
         set_tail(self, tail)
         set_table(self, {} if table is None else table)
+        set_scans(self, scans)
 
     @cached_property
     def index(self):
@@ -640,28 +709,36 @@ class Pilot(Frozen, compare=("trace", "strata")):
         out = swept[start] if start < len(swept) else frozenset()
         collapsed = [st for st in self.strata if st.index < start]
         if collapsed:  # the strata go by depth, so the last is the deepest
-            deepest = collapsed[-1]
-            out = out | deepest.walk.above(deepest.depth)
+            out = out | collapsed[-1].prefix
         return out
 
-    def spliced(self, term, fuel):
+    def spliced(self, term, fuel, left=None):
         """The pilot from a term off the trace: outermost-fair from the term
         until it reaches a term of the trace, at index j say, then this
         pilot's steps from j on.  The strata are those of the spliced depth
         floor.  Past the join they are this pilot's strata past j, shifted,
         so the sweep there is this pilot's sweep past j and only the new
-        steps are swept.  A run that stabilises before it joins is the run
-        of a fresh pilot from the term, and is stratified as one; a run
-        that spends the fuel before it joins raises as a fresh pilot would.
-        None when the spliced run would be longer than the fuel."""
+        steps are swept, and the scans past the join are this pilot's.  A
+        run that stabilises before it joins is the run of a fresh pilot from
+        the term, and is stratified as one; a run that spends the fuel
+        before it joins raises as a fresh pilot would.  None when the
+        spliced run would be longer than the fuel.  `left`, when given, is
+        a step onto the term from this pilot's term i and the index i: the
+        run's first scan is derived from the scan of term i."""
         trace = self.trace
         system = trace.system
         depth_goal = len(self.strata)
-        run, status = _reduce(term, system, OUTERMOST_FAIR,
-                              depth_goal + max_lhs_depth(system), fuel,
-                              self.index.__contains__)
+        stable_bound = depth_goal + max_lhs_depth(system)
+        redexes = None
+        if left is not None:
+            step, i = left
+            redexes = step.target_redexes(self.scans[i], system,
+                                          _scan_bound(stable_bound))
+        scans = []
+        run, status = _reduce(term, system, OUTERMOST_FAIR, stable_bound, fuel,
+                              self.index.__contains__, redexes, scans)
         if status == "stable":
-            return _stratified(run, depth_goal, table=self.table)
+            return _stratified(run, depth_goal, table=self.table, scans=scans)
         if status is None:
             raise FuelExhausted("pilot run did not stabilise",
                                 _approximant(run, status, depth_goal), run)
@@ -670,32 +747,36 @@ class Pilot(Frozen, compare=("trace", "strata")):
             return None
         joined = Trace(system, trace.label, run.terms[:-1] + trace.terms[j:],
                        run.steps + trace.steps[j:])
-        return _stratified(joined, depth_goal, self._swept[j + 1:], self.table)
+        return _stratified(joined, depth_goal, self._swept[j + 1:], self.table,
+                           scans[:-1] + self.scans[j:])
 
 
-def _stratified(trace, depth_goal, tail=(), table=None):
+def _stratified(trace, depth_goal, tail=(), table=None, scans=()):
     """The pilot over a stabilised outermost-fair trace: for every depth d
     up to the goal, the index after which all contractions are below d, the
     term there, and its positions above d.  Each distinct stratum term is
     walked once, to the deepest depth among its strata, and only when a
     prefix of it is read.  The pilot sweeps on the given table of
-    redex-local images, or on a fresh one."""
+    redex-local images, or on a fresh one, and keeps the trace's scans."""
     floor = trace.depth_floor()
     index = {d: bisect_left(floor, d) for d in range(1, depth_goal + 1)}
     deepest = {trace.terms[n_d]: d for d, n_d in index.items()}  # last d wins
     walks = {s: _Walk(s, d) for s, d in deepest.items()}
     strata = tuple(Stratum(d, n_d, trace.terms[n_d], walks[trace.terms[n_d]])
                    for d, n_d in index.items())
-    return Pilot(trace, strata, tail, table)
+    return Pilot(trace, strata, tail, table, scans)
 
 
 def needed_pilot(term, system, depth_goal, fuel):
     """A fresh pilot: an outermost-fair run from the term to the goal depth,
-    re-indexed into depth strata, with a table of its own."""
+    re-indexed into depth strata, with a table of its own and the run's
+    scans."""
     require_valid(system)
+    scans = []
     run, status = _reduce(term, system, OUTERMOST_FAIR,
-                          depth_goal + max_lhs_depth(system), fuel)
+                          depth_goal + max_lhs_depth(system), fuel,
+                          scans=scans)
     if status != "stable":
         raise FuelExhausted("pilot run did not stabilise",
                             _approximant(run, status, depth_goal), run)
-    return _stratified(run, depth_goal)
+    return _stratified(run, depth_goal, scans=scans)

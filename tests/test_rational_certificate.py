@@ -132,10 +132,34 @@ def test_a_stream_without_a_period_gives_none(kind):
 
 
 def test_deep_recurrence_without_recursion():
-    """A run term recurring 3000 deep is found, and its form checked, over
-    explicit stacks."""
+    """A run term recurring 3000 deep is found, and its form checked and
+    written with its least period, over explicit stacks."""
     system = parse_system(corpus_text("outermost_pair.crs"))
     deep = parse_term("g(" * 3000 + "a" + ")" * 3000)
     trace = Trace(system, "scripted", [parse_term("a"), deep], [])
+    assert detect_rational_nf(trace) is parse_term("rec S1. g(S1)")
+    deep = parse_term("h(" + "g(" * 2999 + "a" + ")" * 3000)
+    trace = Trace(system, "scripted", [parse_term("a"), deep], [])
     nf = detect_rational_nf(trace)
-    assert nf is parse_term("rec S1. " + "g(" * 3000 + "S1" + ")" * 3000)
+    assert nf is parse_term("rec S1. h(" + "g(" * 2999 + "S1" + ")" * 3000)
+
+
+@pytest.mark.parametrize("strategy", ["fair", "needed-fair"])
+@pytest.mark.parametrize("depth", [2, 3])
+def test_short_fixpoint_runs_print_the_least_period(strategy, depth):
+    # the first recurrence of these runs is two or three periods deep
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["normalize", str(CORPUS / "lambda_beta.crs"), "--term", FIXPOINT,
+                     "--strategy", strategy, "--depth", str(depth),
+                     "--fuel", "4000", "--json"])
+    assert code == 0
+    assert (json.loads(out.getvalue())["rational_normal_form"]
+            == "rec S1. app(app(gc, bc), S1)")
+
+
+def test_a_period_that_is_no_repetition_is_kept():
+    # g(h(S)) is the least period; g(S) and the like do not unfold to it
+    system = parse_system(corpus_text("outermost_pair.crs"))
+    trace = Trace(system, "scripted", [parse_term("a"), parse_term("g(h(g(h(a))))")], [])
+    assert detect_rational_nf(trace) is parse_term("rec S1. g(h(S1))")
