@@ -43,10 +43,6 @@ EXIT_PARSE = 2
 EXIT_DIVERGENCE = 3
 EXIT_BUDGET = 4
 
-_STATUS_EXIT = {"divergence-suspected": EXIT_DIVERGENCE,
-                "fuel-exhausted": EXIT_BUDGET}
-
-
 def _load_system(path):
     with open(path, encoding="utf-8") as fh:
         return parse_system(fh.read())
@@ -132,7 +128,8 @@ def cmd_normalize(args, out):
         "needed-fair": strategies.NEEDED_FAIR,
     }[args.strategy]
     approx, trace = strategies.normalize(term, system, kind, args.depth, args.fuel)
-    code = _STATUS_EXIT.get(approx.status, EXIT_OK)
+    code = {"divergence-suspected": EXIT_DIVERGENCE,
+            "fuel-exhausted": EXIT_BUDGET}.get(approx.status, EXIT_OK)
     if args.json:
         nf = (strategies.detect_rational_nf(trace)
               if approx.status in ("normal-form", "approximant") else None)

@@ -72,18 +72,15 @@ def redexes_from_positions(term, system, positions):
 class _PathNode:
     """What term and rule nodes share: the parent node (None at the top of
     a chain), the child index from it, the resolved subterm, the projection
-    label, the child nodes once built, the extensions when they do not read
-    the path, and a hash taken once.  The position, the child indices from
-    the top of the chain, is built only when read."""
-    __slots__ = ("parent", "step", "sub", "label", "kids", "ext", "digest",
-                 "_position")
+    label and a hash taken once.  A node links only upwards; the space that
+    built it keeps its children and extensions.  The position, the child
+    indices from the top of the chain, is built only when read."""
+    __slots__ = ("parent", "step", "sub", "label", "digest", "_position")
 
     def __init__(self, parent, step, sub, top_digest):
         self.parent = parent
         self.step = step
         self.sub = sub
-        self.kids = None
-        self.ext = None
         self._position = None
         self.digest = top_digest if parent is None else hash((parent.digest, step))
 
@@ -284,7 +281,8 @@ class PathSpace:
     """Paths of `term` with respect to a redex set, literal positions.
 
     Path nodes are built on first reach, each from its parent's node, and
-    kept, so everything a walk reads at a node is read off the node."""
+    kept, so everything a walk reads at a node is read off the node.  The
+    space keeps the downward links, so it holds no reference cycle."""
 
     def __init__(self, term, redexes, system):
         self.system = require_valid(system)
@@ -292,6 +290,8 @@ class PathSpace:
         marks = None if self.all else redex_trie(redexes)
         # a pattern abstraction lies at most this deep below its redex
         self._reach = max_lhs_depth(self.system)
+        self._kids = {}  # node -> its (child index, node) pairs
+        self._ext = {}   # node -> its extensions, when they do not read the path
         self.root = self._settle(TermNode(None, None, resolve(term), marks))
 
     # -- nodes -----------------------------------------------------------------
@@ -330,16 +330,18 @@ class PathSpace:
     def kids(self, node):
         """(child index, node) pairs of the structural children of a term
         or rule node, built on first call and kept."""
-        if node.kids is None:
+        kids = self._kids.get(node)
+        if kids is None:
             if isinstance(node, RuleNode):
-                node.kids = tuple((i, RuleNode(node.rule, node, i, resolve(c), node.home))
-                                  for i, c in children(node.sub))
+                kids = tuple((i, RuleNode(node.rule, node, i, resolve(c), node.home))
+                             for i, c in children(node.sub))
             else:
                 marks = node.marks and node.marks[1]
-                node.kids = tuple(
+                kids = tuple(
                     (i, self._settle(TermNode(node, i, resolve(c), marks and marks.get(i))))
                     for i, c in children(node.sub))
-        return node.kids
+            self._kids[node] = kids
+        return kids
 
     def child(self, node, i):
         """The node one step below a term or rule node."""
@@ -364,12 +366,12 @@ class PathSpace:
     # -- the six extension clauses ------------------------------------------
     def extensions(self, path):
         node = path.node
-        if node.ext is not None:
-            return node.ext
-        if isinstance(node, TermNode) and node.bound is not None:
-            return self._return(path, *node.bound)
-        node.ext = self._extensions(node)
-        return node.ext
+        ext = self._ext.get(node)
+        if ext is None:
+            if isinstance(node, TermNode) and node.bound is not None:
+                return self._return(path, *node.bound)
+            ext = self._ext[node] = self._extensions(node)
+        return ext
 
     def _extensions(self, node):
         """The clauses that do not read the path: into the rule at a redex,

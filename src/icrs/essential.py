@@ -90,23 +90,22 @@ def _fed(paths):
     return frozenset(out)
 
 
-def _redex_paths(rel, stage, table=None):
+def _redex_paths(rel, stage, table):
     """The paths of a stage realised as one step, at p, walked in the redex
     subterm alone with the redex at the empty position, whose edge words lie
     in `rel`, the positions of the prefix set at or below p taken relative
     to p; positions are relative to p.  The whole-term paths through p are
-    the plain path down to p followed by one of these.  A table keeps the
+    the plain path down to p followed by one of these.  The table keeps the
     redex's path space by (redex node, rule), so its nodes are built once."""
     if () not in rel:
         return ()
     step, = stage.steps
     u = step.redex
     node = step.path[-1]
-    space = None if table is None else table.get((node, u.rule))
+    space = table.get((node, u.rule))
     if space is None:
-        space = PathSpace(node, (Redex((), u.rule, u.valuation),), stage.system)
-        if table is not None:
-            table[node, u.rule] = space
+        space = table[node, u.rule] = PathSpace(
+            node, (Redex((), u.rule, u.valuation),), stage.system)
     enum = space.enumerate(word_filter=rel.__contains__, collect_all=True)
     if enum.truncated:
         raise PreconditionViolated("path prefix set enumeration was cut short")
@@ -125,20 +124,20 @@ def epsilon_step(prefix, stage):
     paths are enumerated only from the redex node (`_redex_paths`)."""
     if stage.steps is None or len(stage.steps) != 1:
         return _fed(path_prefix_set(prefix, stage).paths)
-    return local_epsilon_step(_check_prefix_set(prefix, stage.target), stage)
+    return local_epsilon_step(_check_prefix_set(prefix, stage.target), stage, {})
 
 
-def local_epsilon_step(prefix, stage, table=None):
+def local_epsilon_step(prefix, stage, table):
     """`epsilon_step` through a stage realised as one step, for a frozenset
     of positions that the caller built as a prefix set of the stage target:
     it is not checked again.  The needed-fair sweep passes unions of
     epsilon images and stratum prefixes, which are prefix sets.
 
-    A caller stepping through many stages of one system may pass a dict,
-    `table`, to keep each redex-local image by (redex node, rule, relative
-    prefix) and each redex's path space by (redex node, rule).  The image
-    reads nothing else: the node is hash-consed and the valuation is its
-    match.  A cut enumeration raises and is not kept."""
+    `table`, a dict that may serve many stages of one system, keeps each
+    redex-local image by (redex node, rule, relative prefix) and each
+    redex's path space by (redex node, rule).  The image reads nothing
+    else: the node is hash-consed and the valuation is its match.  A cut
+    enumeration raises and is not kept."""
     step, = stage.steps
     p = step.redex.position
     n = len(p)
@@ -149,14 +148,10 @@ def local_epsilon_step(prefix, stage, table=None):
         else:
             out.add(q)
     if () in rel:
-        rel = frozenset(rel)
-        if table is None:
-            image = _fed(_redex_paths(rel, stage))
-        else:
-            key = (step.path[-1], step.redex.rule, rel)
-            image = table.get(key)
-            if image is None:
-                image = table[key] = _fed(_redex_paths(rel, stage, table))
+        key = (step.path[-1], step.redex.rule, frozenset(rel))
+        image = table.get(key)
+        if image is None:
+            image = table[key] = _fed(_redex_paths(key[2], stage, table))
         out.update(p + q for q in image)
     return frozenset(out)
 

@@ -304,12 +304,13 @@ def match(rule, term, position=()):
     shadows an earlier binder of the same match, so that each pattern binder
     stands for one name.
 
-    The result is kept on the resolved node by rule (`match_memo`): False
-    for no match, else the valuation itself, unless the match unrolled a
-    rec binder, and then a weak reference to it.  A match that unrolled
-    nothing binds subterms of the node and renamings of them, none of which
-    can hold the node; one that unrolled a binder can bind an unrolling
-    with the node as a subterm (see `Term`)."""
+    The result is kept on the resolved node by `rule.ref`, which does not
+    keep the rule alive (`match_memo`): False for no match, else the
+    valuation itself, unless the match unrolled a rec binder, and then a
+    weak reference to it.  A match that unrolled nothing binds subterms of
+    the node and renamings of them, none of which can hold the node; one
+    that unrolled a binder can bind an unrolling with the node as a subterm
+    (see `Term`)."""
     if position:
         try:
             term = subterm_at(term, position)
@@ -318,12 +319,12 @@ def match(rule, term, position=()):
     cls = term.__class__
     node = resolve(term) if cls is Rec or cls is RecVar else term
     memo = match_memo(node)
-    v = memo.get(rule)
+    v = memo.get(rule.ref)
     if v.__class__ is weakref.ref:
         v = v()  # None when it died
     if v is None:
         v, unrolled = _match_node(rule, node)
-        memo[rule] = False if v is None else weakref.ref(v) if unrolled else v
+        memo[rule.ref] = False if v is None else weakref.ref(v) if unrolled else v
     return v or None
 
 

@@ -9,7 +9,7 @@ fully-extended system throughout.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import weakref
 from typing import NamedTuple
 
 from .errors import (
@@ -24,16 +24,18 @@ from .terms import (
 
 
 class Rule(Frozen, compare=("name", "lhs", "rhs")):
-    """A rule, hashed once, when it is built: every match memo lookup and
-    every `Redex` hash reads the digest."""
-    __slots__ = ("name", "lhs", "rhs", "digest")
+    """A rule, hashed once, when it is built: every `Redex` hash reads the
+    digest.  The match memos are keyed by `ref`, a weak reference to the
+    rule made once, which hashes and compares like the live rule."""
+    __slots__ = ("name", "lhs", "rhs", "digest", "ref", "__weakref__")
 
     def __init__(self, name, lhs, rhs):
-        set_name, set_lhs, set_rhs, set_digest = self._set
+        set_name, set_lhs, set_rhs, set_digest, set_ref = self._set
         set_name(self, name)
         set_lhs(self, lhs)
         set_rhs(self, rhs)
         set_digest(self, hash((name, lhs, rhs)))
+        set_ref(self, weakref.ref(self))
 
     def __hash__(self):
         return self.digest
@@ -47,10 +49,12 @@ class RewriteSystem(Frozen, compare=("rules", "signature")):
                  # whose lhs root is no symbol (check_rule rejects them, an
                  # unchecked system may have them), which are candidates at
                  # every node
-                 "_rules_by_root")
+                 "_rules_by_root",
+                 "_valid")  # True once `require_valid` has passed it
 
     def __init__(self, rules, signature):
-        set_rules, set_signature, set_index = self._set
+        set_rules, set_signature, set_index, set_valid = self._set
+        set_valid(self, False)
         set_rules(self, rules)
         set_signature(self, signature)
 
@@ -61,12 +65,6 @@ class RewriteSystem(Frozen, compare=("rules", "signature")):
         for k in {key(r) for r in rules}:
             index[k] = tuple(r for r in rules if key(r) in (k, None))
         set_index(self, index)
-
-    def arity(self, f):
-        for g, n in self.signature:
-            if g == f:
-                return n
-        raise KeyError(f)
 
     def rule(self, name):
         for r in self.rules:
@@ -193,12 +191,18 @@ class PatternMeta(Frozen):
         return max(map(len, self.positions), default=0)
 
 
-@lru_cache(maxsize=None)
+# lhs -> its PatternMeta (which holds no term node), weak by rule side
+_metas = weakref.WeakKeyDictionary()
+
+
 def pattern_meta(lhs):
     """The shape of a left-hand side, read in one walk that assumes nothing
     of it: a malformed pattern is recorded as it stands, for the checks to
     judge.  Meta-variable arguments (position None) are looked into for rec
     nodes only."""
+    meta = _metas.get(lhs)
+    if meta is not None:
+        return meta
     positions, abs_map, metavars = [], {}, []
     finite = True
     stack = [(lhs, (), ())]
@@ -219,7 +223,8 @@ def pattern_meta(lhs):
                 abs_map[p] = t.var
                 scope += ((p, t.var),)
             stack.extend((c, p + (i,), scope) for i, c in reversed(children(t)))
-    return PatternMeta(tuple(positions), abs_map, tuple(metavars), finite)
+    meta = _metas[lhs] = PatternMeta(tuple(positions), abs_map, tuple(metavars), finite)
+    return meta
 
 
 def max_lhs_depth(system):
@@ -517,14 +522,13 @@ def check_system(system):
     return CheckReport(tuple(verdicts))
 
 
-@lru_cache(maxsize=None)
-def _checked_ok(system):
-    return check_system(system)
-
-
 def require_valid(system):
-    """Gate for development/essentiality/strategy operations."""
-    report = _checked_ok(system)
-    if not report.ok:
-        raise SystemCheckFailed(report)
+    """Gate for development/essentiality/strategy operations.  A system
+    that passes is marked and not checked again; one that fails is checked
+    again, and raises, on every call."""
+    if not system._valid:
+        report = check_system(system)
+        if not report.ok:
+            raise SystemCheckFailed(report)
+        object.__setattr__(system, "_valid", True)
     return system

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 from .errors import NotCycleRoot, PositionError, TermError
 
@@ -612,6 +611,7 @@ def truncate(t, d):
 def distance(t, u):
     """0 if alpha-equivalent, else 2^-k with k the least depth where the
     truncations differ modulo alpha."""
+    from fractions import Fraction  # its only use: not loaded at import
     k = mismatch_depth(t, u)
     return Fraction(0) if k is None else Fraction(1, 2 ** k)
 

@@ -2,11 +2,11 @@
 seed.  Term nodes hash by identity, so sets and dicts of nodes, redexes and
 machine states iterate in an order that follows object addresses.  Each
 command below gives byte-identical output when run twice in one process,
-with the engine's caches cleared and unrelated nodes built and dropped in
-between so that the second run builds its nodes at other addresses, and
-once more in a fresh process under another PYTHONHASHSEED.  The work done
-does not depend on the hash seed either: the matcher runs and the nodes
-built are the same under three seeds."""
+with unrelated nodes built and dropped in between so that the second run
+builds its nodes at other addresses, and once more in a fresh process
+under another PYTHONHASHSEED.  The work done does not depend on the hash
+seed either: the matcher runs and the nodes built are the same under
+three seeds."""
 
 import contextlib
 import gc
@@ -67,14 +67,10 @@ def run_all(argvs):
 
 
 def churn():
-    """Clear the engine's caches, which hold nodes alive, then build
-    unrelated nodes, keep every third alive and drop the rest, so that
-    nodes built next are placed elsewhere; the kept ones are returned for
-    the caller to hold."""
-    for module in [m for n, m in sys.modules.items() if n.startswith("icrs.")]:
-        for value in vars(module).values():
-            if hasattr(value, "cache_info"):
-                value.cache_clear()
+    """Build unrelated nodes, keep every third alive and drop the rest, so
+    that nodes built next are placed elsewhere; the kept ones are returned
+    for the caller to hold.  The engine keeps no cache that would hold the
+    first run's nodes alive."""
     built = [Abs(f"u{i}", Sym("churn", (Var(f"v{i}"),), tag=i)) for i in range(6000)]
     kept = built[::3]
     del built

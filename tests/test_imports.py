@@ -94,41 +94,64 @@ def test_only_term_nodes_are_dataclasses():
     assert not found, "\n".join(found)
 
 
-# calls that make a mapping or a cache at module level
+# calls that make a mapping at module level, and caching decorators
 TABLE_MAKERS = {"dict", "defaultdict", "OrderedDict", "WeakKeyDictionary",
-                "WeakValueDictionary", "lru_cache", "cache"}
+                "WeakValueDictionary"}
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def called_name(node):
+    """The name a call or a bare reference names, `f` or `mod.f`."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None))
 
 
 def module_tables(path):
-    """Names the module binds at its top level to a dict or weak dictionary,
-    and its top-level functions under a caching decorator."""
+    """(name, maker) for each name the module binds at its top level to a
+    mapping: "dict" for a literal or comprehension, else the call."""
     found = []
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
-            value = node.value
-            if isinstance(value, ast.Call):
-                value = value.func
-            made = isinstance(node.value, (ast.Dict, ast.DictComp)) or getattr(
-                value, "id", getattr(value, "attr", None)) in TABLE_MAKERS
+            if isinstance(node.value, (ast.Dict, ast.DictComp)):
+                maker = "dict"
+            else:
+                maker = called_name(node.value)
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if made:
-                found += [t.id for t in targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.FunctionDef):
-            for d in node.decorator_list:
-                d = d.func if isinstance(d, ast.Call) else d
-                if getattr(d, "id", getattr(d, "attr", None)) in TABLE_MAKERS:
-                    found.append(node.name)
+            if maker in TABLE_MAKERS:
+                found += [(t.id, maker) for t in targets if isinstance(t, ast.Name)]
     return found
+
+
+def cached_functions(path):
+    """The functions of the module, at any depth, under a caching
+    decorator."""
+    return [f"{path.name}:{node.lineno}: {node.name}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(called_name(d) in CACHE_DECORATORS for d in node.decorator_list)]
 
 
 def test_needed_fair_tables_are_owned_by_the_run():
     """The redex-local epsilon images live in a table that a needed-fair
     run owns and drops: neither module on that route keeps a module-level
     mapping or cache, so a long-lived process does not accumulate them."""
-    assert module_tables(SRC / "rewriting.py") == ["_plans"]
-    assert len(module_tables(SRC / "systems.py")) == 2  # the two lru_caches
     for name in ("strategies.py", "essential.py"):
         assert module_tables(SRC / name) == [], name
+        assert cached_functions(SRC / name) == [], name
+
+
+def test_modules_keep_weak_tables_only():
+    """No engine module caches under a decorator, and every module-level
+    mapping is a weak table keyed by the term its entries are read from: a
+    fact derived from a rule side lives as long as the rule side, so
+    nothing a module holds outlives the systems that made it."""
+    paths = sorted(SRC.glob("*.py"))
+    cached = [c for path in paths for c in cached_functions(path)]
+    assert not cached, "\n".join(cached)
+    tables = {(path.name, name): maker for path in paths
+              for name, maker in module_tables(path)}
+    assert tables == {("rewriting.py", "_plans"): "WeakKeyDictionary",
+                      ("systems.py", "_metas"): "WeakKeyDictionary"}
 
 
 def undeleted_self_calls(path):

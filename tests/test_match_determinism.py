@@ -232,7 +232,7 @@ UNCACHED = rewriting._match_node
 def assert_memo_agrees(term, system, depth):
     """Every rule at every position to the depth: the memoised match, by
     position and at the node in hand, equals an uncached call, and is what
-    the node's memo holds for the rule: False for no match, the valuation
+    the node's memo holds under the rule's weak reference: False for no match, the valuation
     itself when the match unrolled no rec binder, else a weak reference to
     it.  Returns the valuations found, the number of them kept weakly and
     the number of `match` calls."""
@@ -244,7 +244,7 @@ def assert_memo_agrees(term, system, depth):
             expected, unrolled = uncached_match(rule, term, p)
             v = match(rule, term, p)
             assert v == expected
-            kept = match_memo(node)[rule]
+            kept = match_memo(node)[rule.ref]
             if v is None:
                 assert kept is False
             elif unrolled:
@@ -326,7 +326,7 @@ def test_memo_agrees_with_uncached_match(monkeypatch):
         for p in positions_to_depth(term, 5):
             node = resolve(subterm_at(term, p))
             for rule in system.rules:
-                held = match_memo(node).get(rule)
+                held = match_memo(node).get(rule.ref)
                 if held is not None and held.__class__ is not weakref.ref:
                     kept += held is not False
                     assert match(rule, node) is (held or None)

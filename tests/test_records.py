@@ -292,8 +292,10 @@ REFERENCE = {cls.__name__: cls for cls in (
     Sweep, Measure, ProjectionResult, ReductionDescriptor, StrategyKind, Trace,
     Approximant, Obligation, AuditVerdict, Stratum, Pilot, OracleReport,
     DevelopmentOutcome)}
-# slots that hold no field: the machine states' digests and a system's index
-NOT_FIELDS = {"__dict__", "__weakref__", "digest", "_rules_by_root"}
+# slots that hold no field: the machine states' and rules' digests, a
+# rule's weak reference to itself, and a system's index and validity flag
+NOT_FIELDS = {"__dict__", "__weakref__", "digest", "ref", "_rules_by_root",
+              "_valid"}
 
 
 # ---------------------------------------------------------------------------

@@ -438,17 +438,17 @@ def test_plans_do_not_pin_terms():
     """Rule sides with abstractions, rec binders and ground subterms, an
     rhs binder renamed away from a variable of the context: once the system
     and the terms are dropped, no node they built stays interned.  The
-    redexes have root symbols of their own: a node's memo keeps the rules
-    matched at it, so a redex node that outlives the test, built by another
-    one, would keep its rule."""
+    redexes have the root symbols of the seeded systems, so a redex node
+    built by another test may outlive this one: its memo holds the rules
+    matched at it weakly, so it keeps none of them."""
     gc.collect()
     before = interned()
     system = parse_system(
         "sym k/0 ; sym c1/1 ; sym c2/2 ;\n"
-        "rule lam: pin_ap(lm([x] Z(x)), W) -> c2(lm([y] Z(y)), rec S. c2(W, S)) ;\n"
-        "rule two: pin_dup(Z) -> c2(Z, c1(k)) ;\n"
-        "rule ground: pin_gnd(Z) -> c2(k, rec S. c1(S)) ;")
-    term = parse_term("[y] c2(pin_ap(lm([x] c2(x, y)), y), c2(pin_dup(k), pin_gnd(k)))")
+        "rule lam: ap(lm([x] Z(x)), W) -> c2(lm([y] Z(y)), rec S. c2(W, S)) ;\n"
+        "rule two: dup(Z) -> c2(Z, c1(k)) ;\n"
+        "rule ground: drop(Z) -> c2(k, rec S. c1(S)) ;")
+    term = parse_term("[y] c2(ap(lm([x] c2(x, y)), y), c2(dup(k), drop(k)))")
     made = [contract(term, u).target for u in find_redexes(term, system, 6)]
     assert len(made) == 3 and len(interned() - before) >= 30
     del system, term, made
