@@ -266,7 +266,8 @@ class PathProjection(Frozen):
 
 
 class PathEnumeration(Frozen):
-    __slots__ = ("maximal", "truncated")  # truncated: paths cut by the budget
+    __slots__ = ("maximal",    # or, enumerated in a prefix set, every path in it
+                 "truncated")  # paths cut by the budget
 
     def __init__(self, maximal, truncated):
         set_maximal, set_truncated = self._set
@@ -409,36 +410,31 @@ class PathSpace:
     def initial(self):
         return Path(None, None, self.root)
 
-    def enumerate(self, budget=4000, word_filter=None, collect_all=False):
-        """DFS path enumeration.
-
-        word_filter: predicate on edge words; extensions whose word falls
-        outside are not taken (used for path prefix sets).
-        collect_all: return every path visited, not only maximal ones.
+    def enumerate(self, budget=4000, prefix=None):
+        """DFS path enumeration: the maximal paths, or, given a prefix set,
+        every path whose edge word lies in it (a path prefix set).
         Returns PathEnumeration; `truncated` holds budget-cut paths.
         """
-        maximal, truncated, everything = [], [], []
+        found, truncated = [], []
         stack = [self.initial()]
         while stack:
             path = stack.pop()
-            if collect_all:
-                everything.append(path)
             exts = self.extensions(path)
-            if word_filter is not None:
+            if prefix is not None:
+                found.append(path)
                 word = path.word
                 exts = [(e, n) for e, n in exts
-                        if e is None or word_filter(word + (e,))]
+                        if e is None or word + (e,) in prefix]
             if not exts:
-                maximal.append(path)
+                if prefix is None:
+                    found.append(path)
                 continue
             if path.length >= budget:
                 truncated.append(path)
                 continue
             for e, n in exts:
                 stack.append(Path(path, e, n))
-        if collect_all:
-            return PathEnumeration(tuple(everything), tuple(truncated))
-        return PathEnumeration(tuple(maximal), tuple(truncated))
+        return PathEnumeration(tuple(found), tuple(truncated))
 
     def descendants_of(self, p, budget=4000):
         """Positions the term node p contributes to in the developed term:

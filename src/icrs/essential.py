@@ -62,11 +62,10 @@ def path_prefix_set(prefix, stage):
     if not prefix:
         return PathPrefixSet((), prefix)
     space = PathSpace(stage.source, stage.redexes, stage.system)
-    enum = space.enumerate(word_filter=lambda w: w in prefix, collect_all=True)
+    enum = space.enumerate(prefix=prefix)
     if enum.truncated:
         raise PreconditionViolated("path prefix set enumeration was cut short")
-    kept = tuple(p for p in enum.maximal if p.word in prefix)
-    return PathPrefixSet(kept, prefix)
+    return PathPrefixSet(enum.maximal, prefix)
 
 
 def zeta(path):
@@ -90,23 +89,22 @@ def _fed(paths):
     return frozenset(out)
 
 
-def _redex_paths(rel, stage, table):
-    """The paths of a stage realised as one step, at p, walked in the redex
-    subterm alone with the redex at the empty position, whose edge words lie
-    in `rel`, the positions of the prefix set at or below p taken relative
-    to p; positions are relative to p.  The whole-term paths through p are
-    the plain path down to p followed by one of these.  The table keeps the
+def _redex_paths(rel, step, system, table):
+    """The paths of a step's development, at p, walked in the redex subterm
+    alone with the redex at the empty position, whose edge words lie in
+    `rel`, the positions of the prefix set at or below p taken relative to
+    p; positions are relative to p.  The whole-term paths through p are the
+    plain path down to p followed by one of these.  The table keeps the
     redex's path space by (redex node, rule), so its nodes are built once."""
     if () not in rel:
         return ()
-    step, = stage.steps
     u = step.redex
     node = step.path[-1]
     space = table.get((node, u.rule))
     if space is None:
         space = table[node, u.rule] = PathSpace(
-            node, (Redex((), u.rule, u.valuation),), stage.system)
-    enum = space.enumerate(word_filter=rel.__contains__, collect_all=True)
+            node, (Redex((), u.rule, u.valuation),), system)
+    enum = space.enumerate(prefix=rel)
     if enum.truncated:
         raise PreconditionViolated("path prefix set enumeration was cut short")
     return enum.maximal
@@ -124,21 +122,22 @@ def epsilon_step(prefix, stage):
     paths are enumerated only from the redex node (`_redex_paths`)."""
     if stage.steps is None or len(stage.steps) != 1:
         return _fed(path_prefix_set(prefix, stage).paths)
-    return local_epsilon_step(_check_prefix_set(prefix, stage.target), stage, {})
+    return local_epsilon_step(_check_prefix_set(prefix, stage.target),
+                              stage.steps[0], stage.system, {})
 
 
-def local_epsilon_step(prefix, stage, table):
-    """`epsilon_step` through a stage realised as one step, for a frozenset
-    of positions that the caller built as a prefix set of the stage target:
-    it is not checked again.  The needed-fair sweep passes unions of
-    epsilon images and stratum prefixes, which are prefix sets.
+def local_epsilon_step(prefix, step, system, table):
+    """`epsilon_step` through the development of one step (a StepRecord)
+    of the system, for a frozenset of positions that the caller built as a
+    prefix set of the step's target: it is not checked again.  The
+    needed-fair sweep passes unions of epsilon images and cut prefixes,
+    which are prefix sets.
 
-    `table`, a dict that may serve many stages of one system, keeps each
+    `table`, a dict that may serve many steps of one system, keeps each
     redex-local image by (redex node, rule, relative prefix) and each
     redex's path space by (redex node, rule).  The image reads nothing
     else: the node is hash-consed and the valuation is its match.  A cut
     enumeration raises and is not kept."""
-    step, = stage.steps
     p = step.redex.position
     n = len(p)
     out, rel = set(), set()
@@ -151,7 +150,7 @@ def local_epsilon_step(prefix, stage, table):
         key = (step.path[-1], step.redex.rule, frozenset(rel))
         image = table.get(key)
         if image is None:
-            image = table[key] = _fed(_redex_paths(key[2], stage, table))
+            image = table[key] = _fed(_redex_paths(key[2], step, system, table))
         out.update(p + q for q in image)
     return frozenset(out)
 

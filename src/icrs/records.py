@@ -4,9 +4,9 @@
 A record's fields are its slots, in order (`__dict__` and `__weakref__`
 excepted).  Its `__init__` sets them through the slots' setters, `_set`,
 as `terms` sets a node's fields: a frozen record's `__setattr__` raises,
-and a setter call is cheaper than `object.__setattr__`.  Term nodes stay
-dataclasses (see `terms`); a record class costs no generated code, so the
-engine imports faster.
+and a setter call is cheaper than `object.__setattr__`.  A record class,
+like a term node class, costs no generated code, so the engine imports
+without `dataclasses`.
 """
 
 from operator import attrgetter
@@ -20,6 +20,8 @@ class Record:
     __hash__ = None
 
     def __init_subclass__(cls, compare=None):
+        if "__slots__" not in cls.__dict__:
+            return  # no slots of its own: the parent's fields stand
         fields = [n for n in cls.__slots__ if n not in ("__dict__", "__weakref__")]
         cls._set = tuple(cls.__dict__[n].__set__ for n in fields)
         compare = fields if compare is None else compare

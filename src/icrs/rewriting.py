@@ -305,7 +305,8 @@ def match(rule, term, position=()):
     stands for one name.
 
     The result is kept on the resolved node by `rule.ref`, which does not
-    keep the rule alive (`match_memo`): False for no match, else the
+    keep the rule alive (`match_memo`), and dropped on a later miss at the
+    node once the rule has died: False for no match, else the
     valuation itself, unless the match unrolled a rec binder, and then a
     weak reference to it.  A match that unrolled nothing binds subterms of
     the node and renamings of them, none of which can hold the node; one
@@ -323,6 +324,9 @@ def match(rule, term, position=()):
     if v.__class__ is weakref.ref:
         v = v()  # None when it died
     if v is None:
+        if memo:  # a rule that died leaves its key: drop them all
+            for ref in [ref for ref in memo if ref() is None]:
+                del memo[ref]
         v, unrolled = _match_node(rule, node)
         memo[rule.ref] = False if v is None else weakref.ref(v) if unrolled else v
     return v or None

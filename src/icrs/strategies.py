@@ -25,7 +25,6 @@ from bisect import bisect_left
 from functools import cached_property
 
 from .errors import FuelExhausted, NoEligibleRedex, PreconditionViolated
-from .developments import DevRecord
 from .essential import local_epsilon_step
 from .records import Frozen, Record
 from .rewriting import contract, find_redexes, match, redex_trie, step_redex
@@ -260,7 +259,7 @@ class _Predicate:
                 if pilot is None:  # a fresh pilot, on the run's table
                     fresh = needed_pilot(term, self.system, self.depth_goal,
                                          self.fuel)
-                    pilot = Pilot(fresh.trace, fresh.strata, table=self._table,
+                    pilot = Pilot(fresh.trace, fresh.cuts, table=self._table,
                                   scans=fresh.scans)
                 self._pilot = pilot
                 start = 0
@@ -598,49 +597,12 @@ def fairness_audit(trace, kind, window=None):
 # ---------------------------------------------------------------------------
 # needed-fair pilot
 
-class _Walk:
-    """The positions of a stratum term above the deepest depth among its
-    strata, from one walk made when a prefix is first read.  They are kept
-    shortest first, so each stratum's prefix is a slice."""
-
-    def __init__(self, term, depth):
-        self.term = term
-        self.depth = depth
-
-    @cached_property
-    def _positions(self):
-        positions = sorted(positions_to_depth(self.term, self.depth - 1),
-                           key=len)
-        return positions, [len(q) for q in positions]
-
-    def above(self, depth):
-        positions, lengths = self._positions
-        return frozenset(positions[:bisect_left(lengths, depth)])
-
-
-class Stratum(Frozen, compare=("depth", "index", "term")):
-    __slots__ = ("depth",
-                 "index",  # trace index after which all steps are at least this deep
-                 "term",
-                 "walk",   # shared by the term's strata
-                 "__dict__")
-
-    def __init__(self, depth, index, term, walk):
-        set_depth, set_index, set_term, set_walk = self._set
-        set_depth(self, depth)
-        set_index(self, index)
-        set_term(self, term)
-        set_walk(self, walk)
-
-    @cached_property
-    def prefix(self):
-        """Positions of the stratum term above the depth."""
-        return self.walk.above(self.depth)
-
-
-class Pilot(Frozen, compare=("trace", "strata")):
+class Pilot(Frozen, compare=("trace", "cuts")):
     __slots__ = ("trace",
-                 "strata",  # one per depth 1, 2, ... up to the pilot's depth goal
+                 # (index, depth) per distinct stratum index, in index order:
+                 # from the index on every step is at least the depth deep,
+                 # the deepest such depth up to the pilot's goal
+                 "cuts",
                  # the sweep's sets at the last indices, taken over by a spliced pilot
                  "tail",
                  # the sweep's redex-local epsilon images, shared with its splices
@@ -649,10 +611,10 @@ class Pilot(Frozen, compare=("trace", "strata")):
                  "scans",
                  "__dict__")
 
-    def __init__(self, trace, strata, tail=(), table=None, scans=()):
-        set_trace, set_strata, set_tail, set_table, set_scans = self._set
+    def __init__(self, trace, cuts, tail=(), table=None, scans=()):
+        set_trace, set_cuts, set_tail, set_table, set_scans = self._set
         set_trace(self, trace)
-        set_strata(self, strata)
+        set_cuts(self, cuts)
         set_tail(self, tail)
         set_table(self, {} if table is None else table)
         set_scans(self, scans)
@@ -666,34 +628,44 @@ class Pilot(Frozen, compare=("trace", "strata")):
         return out
 
     @cached_property
+    def _prefixes(self):
+        return {}
+
+    def prefix(self, i, depth):
+        """The positions of the term at index i above the depth, from one
+        walk of the term, made when the prefix is first read."""
+        out = self._prefixes.get((i, depth))
+        if out is None:
+            out = self._prefixes[i, depth] = frozenset(
+                positions_to_depth(self.trace.terms[i], depth - 1))
+        return out
+
+    @cached_property
     def _swept(self):
-        """The backward sweep's set at every index up to the deepest
-        stratum's.  Epsilon distributes over unions of prefix sets (a path's
-        edge word lies in P | Q iff it lies in P or in Q), so one sweep over
-        the pilot's own steps, adding each stratum's prefix at its index,
-        gives at each index the union of the per-stratum essential sets.
-        The sets of `tail` stand for the last indices, so only the steps
-        before them are swept, and only the strata at the swept indices
-        have their prefixes read.  Every set is a union of epsilon images
-        and stratum prefixes, so a prefix set of its term, and the steps do
-        not check it again.  The steps read and fill the run's table of
-        redex-local images, `table`."""
-        at_index = {}
-        for st in self.strata:
-            at_index.setdefault(st.index, []).append(st)
+        """The backward sweep's set at every index up to the last cut's.
+        Epsilon distributes over unions of prefix sets (a path's edge word
+        lies in P | Q iff it lies in P or in Q), and the strata at one index
+        nest, the deepest one's prefix being their union, so one sweep over
+        the pilot's own steps, adding each cut's prefix at its index, gives
+        at each index the union of the per-stratum essential sets.  The
+        sets of `tail` stand for the last indices, so only the steps before
+        them are swept, and only the cuts at the swept indices have their
+        prefixes read.  Every set is a union of epsilon images and cut
+        prefixes, so a prefix set of its term, and the steps do not check
+        it again.  The steps read and fill the run's table of redex-local
+        images, `table`."""
+        depths = dict(self.cuts)
 
         def fed(i, base=frozenset()):
-            strata = at_index.get(i)
-            return base.union(*(st.prefix for st in strata)) if strata else base
+            depth = depths.get(i)
+            return base | self.prefix(i, depth) if depth else base
 
         system = self.trace.system
-        last = max(at_index, default=0)
+        last = self.cuts[-1][0] if self.cuts else 0
         swept = list(reversed(self.tail)) or [fed(last)]
         for i in reversed(range(last + 1 - len(swept))):
-            step = self.trace.steps[i]
-            stage = DevRecord(step.source, step.target, (step.redex,), (step,),
-                              system)
-            swept.append(fed(i, local_epsilon_step(swept[-1], stage, self.table)))
+            swept.append(fed(i, local_epsilon_step(
+                swept[-1], self.trace.steps[i], system, self.table)))
         swept.reverse()
         return tuple(swept)
 
@@ -702,21 +674,20 @@ class Pilot(Frozen, compare=("trace", "strata")):
         stratum prefix of the suffix from there; by the neededness
         correspondence these are the needed ones.  Strata whose index falls
         before `start` collapse to it, with the positions of that term above
-        their depth as prefix.  No step from a stratum's index on is above
-        its depth, so those are the positions of the deepest collapsed
-        stratum's term above its depth, read off that term's one walk."""
+        their depth as prefix.  No step from a cut's index on is above its
+        depth, so those are the prefix of the last cut before `start`."""
         swept = self._swept
         out = swept[start] if start < len(swept) else frozenset()
-        collapsed = [st for st in self.strata if st.index < start]
-        if collapsed:  # the strata go by depth, so the last is the deepest
-            out = out | collapsed[-1].prefix
+        k = bisect_left(self.cuts, (start,))
+        if k:
+            out = out | self.prefix(*self.cuts[k - 1])
         return out
 
     def spliced(self, term, fuel, left=None):
         """The pilot from a term off the trace: outermost-fair from the term
         until it reaches a term of the trace, at index j say, then this
-        pilot's steps from j on.  The strata are those of the spliced depth
-        floor.  Past the join they are this pilot's strata past j, shifted,
+        pilot's steps from j on.  The cuts are those of the spliced depth
+        floor.  Past the join they are this pilot's cuts past j, shifted,
         so the sweep there is this pilot's sweep past j and only the new
         steps are swept, and the scans past the join are this pilot's.  A
         run that stabilises before it joins is the run of a fresh pilot from
@@ -727,7 +698,7 @@ class Pilot(Frozen, compare=("trace", "strata")):
         run's first scan is derived from the scan of term i."""
         trace = self.trace
         system = trace.system
-        depth_goal = len(self.strata)
+        depth_goal = self.cuts[-1][1] if self.cuts else 0
         stable_bound = depth_goal + max_lhs_depth(system)
         redexes = None
         if left is not None:
@@ -753,18 +724,13 @@ class Pilot(Frozen, compare=("trace", "strata")):
 
 def _stratified(trace, depth_goal, tail=(), table=None, scans=()):
     """The pilot over a stabilised outermost-fair trace: for every depth d
-    up to the goal, the index after which all contractions are below d, the
-    term there, and its positions above d.  Each distinct stratum term is
-    walked once, to the deepest depth among its strata, and only when a
-    prefix of it is read.  The pilot sweeps on the given table of
-    redex-local images, or on a fresh one, and keeps the trace's scans."""
+    up to the goal, the index after which all contractions are at least d
+    deep, one cut per index, with the deepest depth that falls there.  The
+    pilot sweeps on the given table of redex-local images, or on a fresh
+    one, and keeps the trace's scans."""
     floor = trace.depth_floor()
-    index = {d: bisect_left(floor, d) for d in range(1, depth_goal + 1)}
-    deepest = {trace.terms[n_d]: d for d, n_d in index.items()}  # last d wins
-    walks = {s: _Walk(s, d) for s, d in deepest.items()}
-    strata = tuple(Stratum(d, n_d, trace.terms[n_d], walks[trace.terms[n_d]])
-                   for d, n_d in index.items())
-    return Pilot(trace, strata, tail, table, scans)
+    cuts = {bisect_left(floor, d): d for d in range(1, depth_goal + 1)}  # last d wins
+    return Pilot(trace, tuple(cuts.items()), tail, table, scans)
 
 
 def needed_pilot(term, system, depth_goal, fuel):

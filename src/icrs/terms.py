@@ -19,7 +19,6 @@ results are stripped of tags.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, fields
 
 from .errors import NotCycleRoot, PositionError, TermError
 
@@ -60,7 +59,17 @@ class Term:
 
     def __reduce__(self):
         # rebuild through the constructor, which interns the copy
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class _Entry(weakref.ref):
@@ -70,11 +79,11 @@ class _Entry(weakref.ref):
 
 
 def _node(cls):
-    """Make cls a frozen, slotted node class with an intern table.  The
-    class's `_filler` is given the setters of its field slots, in field
-    order, and returns its `_fill`, which sets a new node's fields through
-    them, as a frozen class must, and its summaries by `_summarise`."""
-    cls = dataclass(frozen=True, slots=True, init=False, eq=False)(cls)
+    """Give the node class, whose field slots are its `__match_args__`, an
+    intern table.  The class's `_filler` is given the setters of its field
+    slots, in field order, and returns its `_fill`, which sets a new node's
+    fields through them, as a frozen class must, and its summaries by
+    `_summarise`."""
     cls._fill = staticmethod(cls._filler(
         *(cls.__dict__[name].__set__ for name in cls.__match_args__)))
     table = {}
@@ -137,8 +146,7 @@ def _summarise_args(node, args, tagged):
 
 @_node
 class Var(Term):
-    name: str
-    tag: object = None
+    __slots__ = __match_args__ = ("name", "tag")
 
     def __new__(cls, name, tag=None):
         return _intern(cls, (name, tag))
@@ -154,9 +162,7 @@ class Var(Term):
 
 @_node
 class Abs(Term):
-    var: str
-    body: Term
-    tag: object = None
+    __slots__ = __match_args__ = ("var", "body", "tag")
 
     def __new__(cls, var, body, tag=None):
         return _intern(cls, (var, body, tag))
@@ -174,9 +180,7 @@ class Abs(Term):
 
 @_node
 class Sym(Term):
-    fun: str
-    args: tuple = ()
-    tag: object = None
+    __slots__ = __match_args__ = ("fun", "args", "tag")
 
     def __new__(cls, fun, args=(), tag=None):
         return _intern(cls, (fun, args, tag))
@@ -193,8 +197,7 @@ class Sym(Term):
 
 @_node
 class MetaApp(Term):
-    mv: str
-    args: tuple = ()
+    __slots__ = __match_args__ = ("mv", "args")
 
     def __new__(cls, mv, args=()):
         return _intern(cls, (mv, args))
@@ -210,8 +213,7 @@ class MetaApp(Term):
 
 @_node
 class Rec(Term):
-    var: str
-    body: Term
+    __slots__ = __match_args__ = ("var", "body")
 
     def __new__(cls, var, body):
         return _intern(cls, (var, body))
@@ -229,7 +231,7 @@ class Rec(Term):
 
 @_node
 class RecVar(Term):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
     def __new__(cls, name):
         return _intern(cls, (name,))

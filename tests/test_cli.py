@@ -368,11 +368,11 @@ class TestNormalize:
         # one less than the depth + 2 the command line once gave them; the
         # run is the same
         pilot = strategies.needed_pilot
-        strata = []
+        goals = []
 
         def counting(term, system, depth_goal, fuel):
             out = pilot(term, system, depth_goal, fuel)
-            strata.append(len(out.strata))
+            goals.append(out.cuts[-1][1])
             return out
 
         def deeper(term, system, depth_goal, fuel):
@@ -383,7 +383,7 @@ class TestNormalize:
         monkeypatch.setattr(strategies, "needed_pilot", counting)
         code, out = run(*argv)
         assert code == 0
-        assert strata and set(strata) == {depth + 1}
+        assert goals and set(goals) == {depth + 1}
         monkeypatch.setattr(strategies, "needed_pilot", deeper)
         assert run(*argv) == (code, out)
 

@@ -1,7 +1,8 @@
 """The index after which every step of a trace is at least d deep has one
 implementation: bisection on `Trace.depth_floor()`.  `normalize`'s
-stability certificate and `needed_pilot`'s strata read it; both agree with
-the loops they replaced, written out below."""
+stability certificate and `needed_pilot`'s cuts read it; both agree with
+the loops they replaced, written out below.  A pilot keeps one cut per
+stratum index, and its prefix holds every stratum prefix there."""
 
 import pathlib
 import random
@@ -9,7 +10,10 @@ from bisect import bisect_left
 
 import pytest
 
-from icrs import FAIR, OUTERMOST_FAIR, needed_pilot, normalize, parse_system, parse_term
+from icrs import (
+    FAIR, OUTERMOST_FAIR, needed_pilot, normalize, parse_system, parse_term,
+    positions_to_depth,
+)
 from icrs.errors import EngineError
 
 import genrand
@@ -61,8 +65,27 @@ def check_trace(trace, depths):
     return len(depths)
 
 
+def check_cuts(pilot, goal):
+    """For every depth d up to the goal, the stratum of depth d, at the
+    index after which every step is at least d deep, with the positions of
+    the term there above d, lies in its cut's prefix, and the strata at an
+    index make up the prefix of the cut there."""
+    trace = pilot.trace
+    cuts = dict(pilot.cuts)
+    assert list(cuts) == sorted(cuts) and len(cuts) == len(pilot.cuts)
+    unions = {}
+    for d in range(1, goal + 1):
+        i = old_stratum_index(trace, d)
+        prefix = frozenset(positions_to_depth(trace.terms[i], d - 1))
+        assert all(len(p) < d for p in prefix)
+        assert d <= cuts[i] and prefix <= pilot.prefix(i, cuts[i])
+        unions[i] = unions.get(i, frozenset()) | prefix
+    assert unions == {i: pilot.prefix(i, d) for i, d in pilot.cuts}
+    return goal
+
+
 def check_run(term, system, goal, fuel):
-    """Certificates of fair and outermost-fair runs and the strata of the
+    """Certificates of fair and outermost-fair runs and the cuts of the
     pilot; the number of indices compared."""
     checked = 0
     for kind in (FAIR, OUTERMOST_FAIR):
@@ -71,11 +94,7 @@ def check_run(term, system, goal, fuel):
             assert approx.certificate == old_certificate(trace, goal)
             checked += 1
         checked += check_trace(trace, range(1, goal + 3))
-    pilot = needed_pilot(term, system, goal, fuel)
-    for st in pilot.strata:
-        assert st.index == old_stratum_index(pilot.trace, st.depth)
-        assert st.term == pilot.trace.terms[st.index]
-    return checked + len(pilot.strata)
+    return checked + check_cuts(needed_pilot(term, system, goal, fuel), goal)
 
 
 @pytest.mark.parametrize("system_file,term", CORPUS_INPUTS)

@@ -62,9 +62,12 @@ class TestPaths:
                                   (growth_system, "g(f([x] g(g(x))))", [(1,)])]:
             s = T(text)
             space = PathSpace(s, redexes_from_positions(s, system, pos), system)
-            enum = space.enumerate(collect_all=True)
+            enum = space.enumerate()
+            assert not enum.truncated
             projections = {}
-            for p in enum.maximal:
+            # every path: the prefixes of the maximal ones
+            for p in {m.prefix(n) for m in enum.maximal
+                      for n in range(1, len(m.nodes) + 1)}:
                 proj = space.project(p)
                 assert projections.setdefault(proj, p) == p
 
@@ -289,7 +292,9 @@ class TestPathSpaceWalks:
             us = (ALL_REDEXES if all_redexes
                   else genrand.random_redex_set(rng, t, system, max_size=3))
             space = PathSpace(t, us, system)
-            paths = space.enumerate(budget=30, collect_all=True).maximal
+            enum = space.enumerate(budget=30)
+            # every path walked is a prefix of a maximal or a cut one
+            paths = enum.maximal + enum.truncated
             reached = {n.position for path in paths for n in path.nodes
                        if isinstance(n, TermNode)}
             for p in sorted(reached):

@@ -3,7 +3,10 @@ only: no module reaches for a `_`-prefixed name of a sibling, and no engine
 import hides inside a function."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 from icrs.terms import Term
 
@@ -84,14 +87,19 @@ def dataclass_uses(path):
     return found
 
 
-def test_only_term_nodes_are_dataclasses():
+def test_no_module_uses_dataclasses():
     """A dataclass generates and compiles its methods when the module is
-    imported; the engine's records are plain slotted classes, and only the
-    term nodes of `terms.py` are dataclasses."""
-    assert dataclass_uses(SRC / "terms.py")
-    found = [o for path in sorted(SRC.glob("*.py")) if path.name != "terms.py"
-             for o in dataclass_uses(path)]
+    imported, and `dataclasses` loads `inspect`: the engine's records and
+    term nodes are plain slotted classes, and importing the engine loads
+    neither module."""
+    found = [o for path in sorted(SRC.glob("*.py")) for o in dataclass_uses(path)]
     assert not found, "\n".join(found)
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, icrs; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
+    assert loaded.strip() == "[]"
 
 
 # calls that make a mapping at module level, and caching decorators

@@ -21,7 +21,7 @@ from icrs import systems
 from icrs.developments import PathSpace
 from icrs.errors import EngineError, SystemCheckFailed
 from icrs.oracle import all_development_orders
-from icrs.terms import Abs, MetaApp, Rec, RecVar, Sym, Var
+from icrs.terms import Abs, MetaApp, Rec, RecVar, Sym, Var, match_memo
 
 import genrand
 
@@ -129,6 +129,17 @@ def test_a_dropped_system_frees_its_rule():
     finally:
         gc.enable()
     assert match(parse_system(SYSTEM_TEXT).rule("dup"), node) is not None
+
+
+def test_a_match_memo_drops_the_keys_of_dead_rules():
+    """A node held while system after system is parsed, matched at it and
+    dropped keeps one memo entry, not one per dead rule."""
+    node = parse_term("dup(c1(k))")
+    for _ in range(1000):
+        system = parse_system("rule dup: dup(Z) -> c2(Z, Z) ;")
+        assert match(system.rule("dup"), node) is not None
+        del system
+    assert len(match_memo(node)) <= 1
 
 
 def interned():

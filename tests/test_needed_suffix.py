@@ -175,11 +175,10 @@ def test_splice_is_a_run_and_sweeps_as_a_fresh_pass(monkeypatch):
         out = splice(self, term, fuel, left)
         if out is not None:
             # the old pilot's sets stand for the last indices: the sweep
-            # builds no prefix of their strata (a collapsed stratum's is
-            # read later, by essential_start_positions)
+            # reads no prefix of their cuts (a collapsed cut's is read
+            # later, by essential_start_positions)
             covered = len(out._swept) - len(out.tail)
-            assert not any("prefix" in vars(st)
-                           for st in out.strata if st.index >= covered)
+            assert all(i < covered for i, _ in vars(out).get("_prefixes", ()))
             splices.append((term, out))
         return out
 
@@ -199,7 +198,7 @@ def test_splice_is_a_run_and_sweeps_as_a_fresh_pass(monkeypatch):
         for i, step in enumerate(trace.steps):
             assert step.source == trace.terms[i]
             assert step.target == trace.terms[i + 1]
-        swept = Pilot(trace, pilot.strata)
+        swept = Pilot(trace, pilot.cuts)
         for i in range(len(trace.terms)):
             assert (pilot.essential_start_positions(i)
                     == swept.essential_start_positions(i))

@@ -1,6 +1,7 @@
 """The needed-fair pilot's single backward sweep agrees with the route it
-replaced: one epsilon sequence per stratum prefix, replayed through
-`dev_sequence_of_steps`, unioned over the strata.  Its epsilon steps are
+replaced: one epsilon sequence per stratum prefix, one stratum per depth,
+replayed through `dev_sequence_of_steps`, unioned over the strata.  A
+pilot reads each cut's prefix from one walk of its term.  Its epsilon steps are
 redex-local, and agree with zeta over the whole-term path prefix set, in
 sets and in path counts.  Also pins the fact the sweep relies on to skip the
 finite-jumps check: a stage realised step by step always has the finite
@@ -9,6 +10,7 @@ sweep, and each image and path space is computed once per run."""
 
 import pathlib
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -21,7 +23,7 @@ from icrs import (
 from icrs import essential, strategies
 from icrs.developments import DevRecord, PathSpace
 from icrs.errors import EngineError, PreconditionViolated
-from icrs.strategies import Pilot, Stratum
+from icrs.strategies import Pilot
 
 import genrand
 
@@ -31,29 +33,56 @@ RANDOM_PILOTS = 400
 RANDOM_SEQUENCES = 300
 
 
-def per_stratum_positions(pilot):
-    """The old route: an epsilon sequence per stratum over a replay of the
-    pilot's steps up to the stratum index."""
+def depth_strata(pilot):
+    """(index, prefix) for every depth d up to the pilot's goal, as the
+    pilot once made its strata: the index after which every step is at
+    least d deep, and the positions of the term there above d."""
+    floor = pilot.trace.depth_floor()
+    out = []
+    for d in range(1, pilot.cuts[-1][1] + 1):
+        i = bisect_left(floor, d)
+        out.append((i, frozenset(positions_to_depth(pilot.trace.terms[i], d - 1))))
+    return out
+
+
+def per_stratum_positions(pilot, strata):
+    """The old route: an epsilon sequence per (index, prefix) stratum over a
+    replay of the pilot's steps up to the index, unioned over the strata."""
     initial, system = pilot.trace.initial, pilot.trace.system
     specs = pilot.trace.step_specs()
     out = set()
-    for st in pilot.strata:
-        if not st.prefix:
+    for i, prefix in strata:
+        if not prefix:
             continue
-        dev = dev_sequence_of_steps(initial, specs[: st.index], system)
-        out |= epsilon_seq(st.prefix, dev)[0]
+        dev = dev_sequence_of_steps(initial, specs[:i], system)
+        out |= epsilon_seq(prefix, dev)[0]
     return frozenset(out)
 
 
-class GivenPrefix:
-    """Stands in for the walk of a stratum term: every stratum that reads
-    it gets the one given prefix set."""
+class GivenPrefix(Pilot):
+    """A pilot whose cut at an index reads the union of the prefix sets
+    given there, {index: [prefix set, ...]}, in place of the positions of
+    the term above the cut's depth."""
 
-    def __init__(self, prefix):
-        self.prefix = prefix
+    def __init__(self, trace, given, table=None):
+        super().__init__(trace, tuple((i, k + 1) for k, i in enumerate(sorted(given))),
+                         table=table)
+        vars(self)["given"] = given
 
-    def above(self, depth):
-        return self.prefix
+    def prefix(self, i, depth):
+        return frozenset().union(*self.given[i])
+
+    def strata(self):
+        return [(i, prefix) for i, sets in self.given.items() for prefix in sets]
+
+
+def random_given(rng, trace):
+    """Three random prefix sets at random indices of the trace, some of them
+    perhaps at one index."""
+    given = {}
+    for i in sorted(rng.randint(0, len(trace.steps)) for _ in range(3)):
+        given.setdefault(i, []).append(genrand.random_prefix_set(rng, trace.terms[i]))
+    return given
 
 
 def outcome(fn):
@@ -110,7 +139,7 @@ def test_sweep_matches_per_stratum_on_needed_inputs(system_file, term, depth):
     for s in dict.fromkeys(first.trace.terms[:4]):
         pilot = needed_pilot(s, system, goal, 600)
         swept = pilot.essential_start_positions()
-        assert swept == per_stratum_positions(pilot)
+        assert swept == per_stratum_positions(pilot, depth_strata(pilot))
         checked += bool(pilot.trace.steps)
     assert checked
 
@@ -129,18 +158,48 @@ def test_sweep_matches_per_stratum_on_random_pilots():
         # the pilot's own strata nest; random strata test the union law
         # itself, with prefixes the deepest stratum does not cover
         trace = pilot.trace
-        picked = sorted(rng.randint(0, len(trace.steps)) for _ in range(3))
-        random_strata = Pilot(trace, tuple(
-            Stratum(k + 1, i, trace.terms[i],
-                    GivenPrefix(genrand.random_prefix_set(rng, trace.terms[i])))
-            for k, i in enumerate(picked)))
-        for p in (pilot, random_strata):
+        random_strata = GivenPrefix(trace, random_given(rng, trace))
+        for p, strata in ((pilot, depth_strata(pilot)),
+                          (random_strata, random_strata.strata())):
             swept = outcome(p.essential_start_positions)
-            assert swept == outcome(lambda: per_stratum_positions(p)), term
+            assert swept == outcome(lambda: per_stratum_positions(p, strata)), term
         compared += 1
         with_steps += bool(trace.steps)
     assert compared >= 300
     assert with_steps >= 200
+
+
+@pytest.mark.parametrize("system_file,term,depth",
+                         NEEDED_INPUTS + [("lambda_beta.crs", None, 16)])
+def test_a_run_walks_each_cut_term_once_per_pilot(monkeypatch, system_file,
+                                                   term, depth):
+    """A needed-fair run reads a cut's prefix at the cut, as its pilots
+    sweep, and after it, as starts past it collapse onto it; each pilot
+    walks the term at a cut index once, on the first read."""
+    system = parse_system((CORPUS / system_file).read_text())
+    t = parse_term(term if term is not None else fixpoint_term())
+    walk, read = strategies.positions_to_depth, Pilot.prefix
+    pilots, walks, reading = [], {}, []  # walks: (pilot, index) -> count
+
+    def walking(u, d):
+        walks[reading[-1]] += 1
+        return walk(u, d)
+
+    def prefix(self, i, d):
+        pilots.append(self)  # alive, so no two pilots share an id
+        reading.append((id(self), i))
+        walks.setdefault(reading[-1], 0)
+        try:
+            return read(self, i, d)
+        finally:
+            reading.pop()
+
+    monkeypatch.setattr(strategies, "positions_to_depth", walking)
+    monkeypatch.setattr(Pilot, "prefix", prefix)
+    normalize(t, system, NEEDED_FAIR, depth, 4000)
+    monkeypatch.undo()
+    assert walks and set(walks.values()) == {1}
+    assert len(pilots) > len(walks)
 
 
 def test_realised_stages_have_finite_jumps():
@@ -191,7 +250,8 @@ def local_counts(prefix, stage):
     n = len(p)
     passed = sum(q[:n] != p for q in prefix)
     rel = frozenset(q[n:] for q in prefix if q[:n] == p)
-    return passed, len(essential._redex_paths(rel, stage, {}))
+    step, = stage.steps
+    return passed, len(essential._redex_paths(rel, step, stage.system, {}))
 
 
 def assert_local_agrees(prefix, stage):
@@ -236,7 +296,7 @@ def test_collapsed_start_positions_match_a_fresh_walk():
     for pilot in corpus_pilots():
         terms, swept = pilot.trace.terms, pilot._swept
         for start in range(len(terms)):
-            depths = [st.depth for st in pilot.strata if st.index < start]
+            depths = [d for i, d in pilot.cuts if i < start]
             want = swept[start] if start < len(swept) else frozenset()
             if depths:
                 want = want | frozenset(
@@ -279,16 +339,16 @@ def test_sweep_builds_term_nodes_only_below_the_contracted_redexes(monkeypatch):
     system = parse_system((CORPUS / "lambda_beta.crs").read_text())
     t = parse_term(fixpoint_term())
     pilot = needed_pilot(t, system, pilot_depth(system, t, 16), 600)
-    stages, space_stage, built = [], {}, []
+    steps, space_step, built = [], {}, []
     step_fn = strategies.local_epsilon_step
     init, settle = PathSpace.__init__, PathSpace._settle
 
-    def stepping(prefix, stage, table):
-        stages.append(stage)
-        return step_fn(prefix, stage, table)
+    def stepping(prefix, step, system, table):
+        steps.append(step)
+        return step_fn(prefix, step, system, table)
 
     def initialising(self, term, redexes, system):
-        space_stage[self] = stages[-1]
+        space_step[self] = steps[-1]
         init(self, term, redexes, system)
 
     def settling(self, node):
@@ -300,9 +360,9 @@ def test_sweep_builds_term_nodes_only_below_the_contracted_redexes(monkeypatch):
     monkeypatch.setattr(PathSpace, "_settle", settling)
     swept = pilot._swept
     monkeypatch.undo()
-    assert len(stages) == len(swept) - 1 and built
+    assert len(steps) == len(swept) - 1 and built
     for space, node in built:
-        step, = space_stage[space].steps
+        step = space_step[space]
         assert space.root.sub is step.path[-1]
         q = step.redex.position + node.position
         assert node.sub is resolve(subterm_at(step.source, q))
@@ -313,8 +373,8 @@ def test_sweep_builds_term_nodes_only_below_the_contracted_redexes(monkeypatch):
         return settle(self, node)
 
     monkeypatch.setattr(PathSpace, "_settle", counting)
-    for i, stage in enumerate(reversed(stages)):
-        path_prefix_set(swept[i + 1], stage)
+    for i, step in enumerate(reversed(steps)):
+        path_prefix_set(swept[i + 1], stage_of(step, system))
     monkeypatch.undo()
     assert len(built) < len(whole)
 
@@ -331,18 +391,21 @@ NEEDED_LADDER = [
 ]
 
 
-def table_free(prefix, stage, table):
+def table_free(prefix, step, system, table):
     """The full-enumeration route: zeta over the whole term's path prefix
     set, with no table."""
-    return whole_term(prefix, stage)[0]
+    return whole_term(prefix, stage_of(step, system))[0]
 
 
 def table_free_sweep(pilot, tail=True):
     """The pilot's sweep with every local step made afresh."""
+    if isinstance(pilot, GivenPrefix):
+        fresh = GivenPrefix(pilot.trace, pilot.given)
+    else:
+        fresh = Pilot(pilot.trace, pilot.cuts, pilot.tail if tail else ())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strategies, "local_epsilon_step", table_free)
-        return outcome(lambda: Pilot(pilot.trace, pilot.strata,
-                                     pilot.tail if tail else ())._swept)
+        return outcome(lambda: fresh._swept)
 
 
 def run_pilots(monkeypatch, term, system, depth):
@@ -404,11 +467,7 @@ def test_table_backed_sweeps_match_on_random_pilots():
             hits += reaching - sum(len(k) == 3 for k in pilot.table)
         assert swept == table_free_sweep(pilot), term
         # random strata on the same table
-        picked = sorted(rng.randint(0, len(trace.steps)) for _ in range(3))
-        random_strata = Pilot(trace, tuple(
-            Stratum(k + 1, i, trace.terms[i],
-                    GivenPrefix(genrand.random_prefix_set(rng, trace.terms[i])))
-            for k, i in enumerate(picked)), table=pilot.table)
+        random_strata = GivenPrefix(trace, random_given(rng, trace), pilot.table)
         swept = outcome(lambda: random_strata._swept)
         assert swept == table_free_sweep(random_strata), term
         compared += 1
@@ -429,12 +488,11 @@ def test_table_work_on_the_fixpoint_at_depth_16(monkeypatch):
     step_fn = strategies.local_epsilon_step
     init, enumerate_ = PathSpace.__init__, PathSpace.enumerate
 
-    def stepping(prefix, stage, table):
-        step, = stage.steps
+    def stepping(prefix, step, system, table):
         p = step.redex.position
         rel = frozenset(q[len(p):] for q in prefix if q[:len(p)] == p)
         keys.append((step.path[-1], step.redex.rule, rel))
-        return step_fn(prefix, stage, table)
+        return step_fn(prefix, step, system, table)
 
     def initialising(self, *args):
         counts["spaces"] += 1
@@ -464,7 +522,7 @@ def test_a_cut_enumeration_is_never_kept(monkeypatch):
     pilot = needed_pilot(t, system, 8, 600)
     i = next(i for i, step in enumerate(pilot.trace.steps)
              if step.redex.position in pilot._swept[i + 1])
-    stage = stage_of(pilot.trace.steps[i], system)
+    step = pilot.trace.steps[i]
     prefix = pilot._swept[i + 1]
     enumerate_ = PathSpace.enumerate
     table = {}
@@ -472,10 +530,10 @@ def test_a_cut_enumeration_is_never_kept(monkeypatch):
                         lambda self, **kw: enumerate_(self, budget=1, **kw))
     for _ in range(2):
         with pytest.raises(PreconditionViolated):
-            essential.local_epsilon_step(prefix, stage, table)
+            essential.local_epsilon_step(prefix, step, system, table)
         assert all(len(k) == 2 for k in table)
     monkeypatch.undo()
-    want = table_free(prefix, stage, None)
-    assert essential.local_epsilon_step(prefix, stage, table) == want
-    assert essential.local_epsilon_step(prefix, stage, table) == want
+    want = table_free(prefix, step, system, None)
+    assert essential.local_epsilon_step(prefix, step, system, table) == want
+    assert essential.local_epsilon_step(prefix, step, system, table) == want
     assert sum(len(k) == 3 for k in table) == 1

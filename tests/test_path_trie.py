@@ -97,23 +97,26 @@ class TuplePaths:
         node = resolve(subterm_at(self.system.rule(n[0]).rhs, n[1]))
         return None if isinstance(node, MetaApp) else root_label(node)
 
-    def enumerate(self, budget, word_filter=None, collect_all=False):
-        maximal, truncated, everything = [], [], []
+    def enumerate(self, budget, prefix=None):
+        """The maximal paths, or, given a prefix set, every path whose
+        word lies in it; and the paths cut by the budget."""
+        found, truncated = [], []
         stack = [((("s", ()),), ())]
         while stack:
             nodes, edges = stack.pop()
-            if collect_all:
-                everything.append((nodes, edges))
+            if prefix is not None:
+                found.append((nodes, edges))
             exts = [(e, n) for e, n in self.extensions(nodes)
-                    if word_filter is None or e is None
-                    or word_filter(word((nodes, edges)) + (e,))]
+                    if prefix is None or e is None
+                    or word((nodes, edges)) + (e,) in prefix]
             if not exts:
-                maximal.append((nodes, edges))
+                if prefix is None:
+                    found.append((nodes, edges))
             elif len(nodes) >= budget:
                 truncated.append((nodes, edges))
             else:
                 stack.extend((nodes + (n,), edges + (e,)) for e, n in exts)
-        return (everything if collect_all else maximal), truncated
+        return found, truncated
 
     def descendants_of(self, p, budget):
         out = set()
@@ -189,15 +192,21 @@ def instances(seed, count):
     return out
 
 
+class ShortWords:
+    """Every word of length 2 or less, as a prefix-closed set."""
+
+    def __contains__(self, w):
+        return len(w) <= 2
+
+
 def target_words(t, us, system):
-    """A prefix-closed word filter: the positions of the developed term to
+    """A prefix-closed set of words: the positions of the developed term to
     depth 2, or every word of length 2 or less when the set has no complete
     development."""
     target = outcome(lambda: target_term(t, us, system))
     if isinstance(target, type):
-        return lambda w: len(w) <= 2
-    words = frozenset(positions_to_depth(target, 2))
-    return words.__contains__
+        return ShortWords()
+    return frozenset(positions_to_depth(target, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +220,18 @@ class TestTrieAgainstTuples:
             space = PathSpace(t, us, system)
             old = TuplePaths(t, us, system)
             for budget in (6, 20):
-                for word_filter in (None, target_words(t, us, system)):
-                    for collect_all in (False, True):
-                        new = space.enumerate(budget, word_filter, collect_all)
-                        ref, ref_cut = old.enumerate(budget, word_filter, collect_all)
-                        got = new.maximal
-                        assert [p.render() for p in got] == [render(p) for p in ref]
-                        assert [p.word for p in got] == [word(p) for p in ref]
-                        assert ([space.project(p).render() for p in got]
-                                == [render_projection(old, p) for p in ref])
-                        assert ([p.render() for p in new.truncated]
-                                == [render(p) for p in ref_cut])
-                        cut += bool(ref_cut)
-                        filtered += word_filter is not None and bool(ref)
+                for prefix in (None, target_words(t, us, system)):
+                    new = space.enumerate(budget, prefix)
+                    ref, ref_cut = old.enumerate(budget, prefix)
+                    got = new.maximal
+                    assert [p.render() for p in got] == [render(p) for p in ref]
+                    assert [p.word for p in got] == [word(p) for p in ref]
+                    assert ([space.project(p).render() for p in got]
+                            == [render_projection(old, p) for p in ref])
+                    assert ([p.render() for p in new.truncated]
+                            == [render(p) for p in ref_cut])
+                    cut += bool(ref_cut)
+                    filtered += prefix is not None and bool(ref)
             for p in sorted(positions_to_depth(t, 2)):
                 got = outcome(lambda: space.descendants_of(p, budget=30))
                 assert got == outcome(lambda: old.descendants_of(p, budget=30))
@@ -250,8 +258,7 @@ class TestTrieAgainstTuples:
             sets, refs = [], []
             for prefix in prefixes:
                 pps = path_prefix_set(prefix, dev)
-                ref, _ = old.enumerate(4000, prefix.__contains__, collect_all=True)
-                ref = [p for p in ref if word(p) in prefix]
+                ref, _ = old.enumerate(4000, prefix)
                 assert sorted(p.render() for p in pps.paths) == sorted(map(render, ref))
                 # built afresh, in a space of its own, it is the same set
                 assert path_prefix_set(prefix, dev) == pps

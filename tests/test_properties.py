@@ -127,16 +127,15 @@ class TestNormalFormSafety:
         term = T("f(a, c)")
         pilot = needed_pilot(term, spine_system, 4, 300)
         specs = pilot.trace.step_specs()
-        for stratum in pilot.strata:
-            if not stratum.prefix:
-                continue
-            d_d = dev_sequence_of_steps(term, specs[: stratum.index],
-                                        spine_system)
+        # a cut's prefix holds every stratum prefix at its index
+        for i, depth in pilot.cuts:
+            prefix = pilot.prefix(i, depth)
+            d_d = dev_sequence_of_steps(term, specs[:i], spine_system)
             for _ in range(6):
                 candidates = find_redexes(term, spine_system, 4)
                 v = rng.choice(candidates)
                 # never raises ResidualHitsPrefix: the projection is defined
-                emaciate_step(d_d, v, stratum.prefix)
+                emaciate_step(d_d, v, prefix)
 
 
 class TestNeededFairNeverWasteful:

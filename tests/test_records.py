@@ -253,17 +253,9 @@ class AuditVerdict:
 
 
 @dataclass(frozen=True)
-class Stratum:
-    depth: int
-    index: int
-    term: object
-    walk: object = field(compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class Pilot:
     trace: object
-    strata: tuple
+    cuts: tuple
     tail: tuple = field(default=(), compare=False, repr=False)
     table: dict = field(default=None, compare=False, repr=False)
     scans: tuple = field(default=(), compare=False, repr=False)
@@ -290,7 +282,7 @@ REFERENCE = {cls.__name__: cls for cls in (
     Substitute, Valuation, Redex, StepRecord, AllRedexes, PathProjection,
     PathEnumeration, _TState, _RState, DevRecord, DevSequence, PathPrefixSet,
     Sweep, Measure, ProjectionResult, ReductionDescriptor, StrategyKind, Trace,
-    Approximant, Obligation, AuditVerdict, Stratum, Pilot, OracleReport,
+    Approximant, Obligation, AuditVerdict, Pilot, OracleReport,
     DevelopmentOutcome)}
 # slots that hold no field: the machine states' and rules' digests, a
 # rule's weak reference to itself, and a system's index and validity flag
@@ -468,7 +460,7 @@ def test_pairs_compare_as_the_reference(records):
 
 @pytest.mark.parametrize("name, ignored", [
     ("StepRecord", ("path", "target_path")), ("Verdict", ("witness",)),
-    ("Stratum", ("walk",)), ("Pilot", ("tail", "scans"))])
+    ("Pilot", ("tail", "scans"))])
 def test_fields_left_out_of_equality(records, name, ignored):
     for rec in records[name][:50]:
         values = {f: getattr(rec, f) for f in type(rec).__slots__ if f not in NOT_FIELDS}

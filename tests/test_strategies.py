@@ -170,16 +170,22 @@ class TestRationalNF:
 class TestPilot:
     def test_strata_shape(self, spine_system):
         pilot = needed_pilot(T("f(a, c)"), spine_system, 4, 300)
-        assert [st.depth for st in pilot.strata] == [1, 2, 3, 4]
+        indices = [i for i, _ in pilot.cuts]
+        assert indices == sorted(set(indices)) and pilot.cuts[-1][1] == 4
         depths = [len(s.redex.position) for s in pilot.trace.steps]
-        for st in pilot.strata:
-            assert all(d >= st.depth for d in depths[st.index:])
-            assert all(len(p) < st.depth for p in st.prefix)
+        below = 0
+        for i, depth in pilot.cuts:
+            # from the index on every step is at least the cut's depth deep,
+            # and the step before it is as deep as the cut before it
+            assert all(d >= depth for d in depths[i:])
+            assert i == 0 or depths[i - 1] == below
+            assert all(len(p) < depth for p in pilot.prefix(i, depth))
+            below = depth
 
     def test_already_normal(self, spine_system):
         pilot = needed_pilot(T("g(b, b)"), spine_system, 3, 50)
-        assert all(st.index == 0 for st in pilot.strata)
-        assert all(alpha_eq(st.term, T("g(b, b)")) for st in pilot.strata)
+        assert pilot.cuts == ((0, 3),)
+        assert alpha_eq(pilot.trace.terms[0], T("g(b, b)"))
 
     def test_pilot_fuel_error(self):
         system = parse_system("rule loop: c -> c ;")

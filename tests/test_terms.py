@@ -6,7 +6,6 @@ import pickle
 import random
 import weakref
 from collections.abc import MutableMapping
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -28,6 +27,17 @@ from icrs.terms import (
 )
 
 import genrand
+
+
+def fields(t):
+    """The names of a node's (or node class's) fields, in constructor
+    order."""
+    return t.__match_args__
+
+
+def replace(t, **changes):
+    """The node with the given fields changed, built through its class."""
+    return type(t)(*(changes.get(n, getattr(t, n)) for n in fields(t)))
 
 
 def T(text):
@@ -351,7 +361,7 @@ class TestNodes:
         # and hashes alike; distinct nodes are unequal
         for t in nodes:
             assert type(t).__hash__ is object.__hash__
-            twin = type(t)(*(getattr(t, f.name) for f in fields(t)))
+            twin = type(t)(*(getattr(t, n) for n in fields(t)))
             assert twin is t and twin == t and hash(twin) == hash(t)
         for t in nodes[:200]:
             assert pickle.loads(pickle.dumps(t)) is t
@@ -363,6 +373,19 @@ class TestNodes:
     def test_nodes_have_no_dict(self, nodes):
         for t in nodes:
             assert not hasattr(t, "__dict__")
+
+    def test_nodes_reject_assignment_and_show_their_fields(self, nodes):
+        for t in nodes:
+            for n in fields(t) + ("_tagged", "not_a_field"):
+                before = getattr(t, n, None)
+                with pytest.raises(AttributeError):
+                    setattr(t, n, None)
+                with pytest.raises(AttributeError):
+                    delattr(t, n)
+                assert getattr(t, n, None) is before
+        assert repr(Sym("f", (Var("x"),))) == (
+            "Sym(fun='f', args=(Var(name='x', tag=None),), tag=None)")
+        assert repr(Rec("S", RecVar("S"))) == "Rec(var='S', body=RecVar(name='S'))"
 
     def test_replaced_tag_returns_the_node(self, nodes):
         for t in nodes:
@@ -404,11 +427,11 @@ def structurally_equal(a, b):
         a, b = todo.pop()
         if type(a) is not type(b):
             return False
-        for f in fields(a):
-            x, y = getattr(a, f.name), getattr(b, f.name)
+        for n in fields(a):
+            x, y = getattr(a, n), getattr(b, n)
             if isinstance(x, Term):
                 todo.append((x, y))
-            elif f.name == "args":
+            elif n == "args":
                 if len(x) != len(y):
                     return False
                 todo.extend(zip(x, y))
@@ -515,7 +538,7 @@ class TestBoundedMemory:
         assert Term.__slots__ == ("_tagged", "_free", "_free_rec", "_has_vars",
                                   "_matches", "_unrolled", "__weakref__")
         for cls in (Var, Abs, Sym, MetaApp, Rec, RecVar):
-            assert cls.__slots__ == tuple(f.name for f in fields(cls))
+            assert cls.__slots__ == fields(cls)
 
     def test_term_and_rewriting_layers_keep_no_cache(self):
         """Summaries and memos live on the nodes: the term, system and
