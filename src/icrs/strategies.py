@@ -8,10 +8,12 @@ scheduler always serves the oldest open obligation, contracting its
 outermost-leftmost eligible member, which bounds every obligation's delay by
 the number of live obligation classes.
 
-Neededness is not computed directly; needed-fair selection classifies
-redexes as essential against a stratified pilot reduction (an outermost-fair
-run cut into depth strata), which coincides with neededness on terms that
-reach normal forms.  Exhaustive neededness lives in the oracle module.
+Neededness is not computed directly: needed-fair replays the essential
+skeleton of a stratified pilot reduction (an outermost-fair run cut into
+depth strata), the steps whose redexes are essential for the strata, which
+coincide with the needed ones on terms that reach normal forms.  The
+fairness audit checks such a trace by asking every term's essential set of
+a pilot of its own.  Exhaustive neededness lives in the oracle module.
 
 A rational normal form is reported only when the run proves it: a run term
 that recurs below the root of a later one certifies a cycle, and the cycle
@@ -170,41 +172,23 @@ class _Predicate:
     of the term's recorded scan by one walk down the trie of its redex
     positions, deeper ones (which tracked residuals reach) by matching.
 
-    Needed-fair classifies a redex by whether its position is essential for
-    an outermost-fair pilot run from the term.  One live pilot serves every
-    term on its trace: a term met again is looked up among the pilot's
-    terms.  A suffix of an outermost-fair reduction is itself outermost-fair
-    (a redex outermost in the suffix is outermost in the whole run at the
-    same index, so the run contracts it or its residuals stop being
-    outermost), and it tends to the same limit.  Its strata stratify that
-    limit: a stratum of depth d whose index falls before the suffix's start
-    collapses to the start, because every step of the suffix is at depth d
-    or more already.
-
-    A term off the trace runs outermost-fair only until it joins the trace,
-    and the pilot's steps from the join on are spliced after the new ones.
-    A finite prefix followed by an outermost-fair suffix is outermost-fair
-    with the same limit, so the spliced run is a pilot from the term.  A
-    run that stabilises or spends the pilot fuel before it joins is the run
-    a fresh pilot would make, and serves or fails as that pilot.  A fresh
-    pilot starts only when the spliced run would be longer than the pilot
-    fuel, `fuel`.  Every pilot stratifies to `depth_goal`.  A fresh pilot
-    ages its obligations afresh and may take other steps than the suffix or
-    the splice, but by the neededness correspondence the essential positions
-    of every outermost-fair reduction to the limit are the needed ones (Huet
-    & Levy, "Computations in orthogonal rewriting systems", 1991;
-    Middeldorp, "Call by need computations to root-stable form", 1997), so
-    all of them serve the same set.
-
-    The run's pilots and splices share one table of redex-local epsilon
-    images (`local_epsilon_step`), which lives as long as the run.
-
-    The run takes its steps from the pilot it follows (`step`): on the
-    pilot's term at index j, a run that selects the pilot's step-j redex
-    takes the pilot's step, whose target is the pilot's term j+1, and the
-    pilot's scan of that term.  A step that leaves the trace there hands
-    the splice from its target the pilot's scan of term j, from which
-    `target_redexes` derives the target's."""
+    Needed-fair, which only the fairness audit asks (a route independent
+    of the run's skeleton replay), classifies a redex by whether its
+    position is essential for an outermost-fair pilot run from the term:
+    by the neededness correspondence, whether it is needed (Huet & Levy,
+    "Computations in orthogonal rewriting systems", 1991; Middeldorp, "Call
+    by need computations to root-stable form", 1997).  One live pilot
+    serves every term on its trace: a suffix of an outermost-fair reduction
+    is outermost-fair with the same limit, and a stratum of depth d whose
+    index falls before the suffix's start collapses to the start.  A term
+    off the trace runs outermost-fair until it joins the trace, and the
+    pilot's steps from the join are spliced after the new ones (a finite
+    prefix followed by an outermost-fair suffix is outermost-fair with the
+    same limit).  A run that stabilises or spends the pilot fuel `fuel`
+    before it joins serves or fails as a fresh pilot; a fresh pilot starts
+    when the splice would be longer than the fuel.  Pilots stratify to
+    `depth_goal` and share one table of redex-local epsilon images
+    (`local_epsilon_step`), which lives as long as the predicate."""
 
     def __init__(self, kind, system, depth_goal=0, fuel=0):
         self.kind = kind
@@ -214,9 +198,7 @@ class _Predicate:
         self._scan = (None, redex_trie(()), 0)  # (term, its redex trie, bound)
         self._pilot = None
         self._table = {}  # the redex-local epsilon images of every pilot's sweep
-        # (term in hand, its needed positions, its index on the pilot's trace)
-        self._held = (None, None, None)
-        self._left = None  # (a step off the trace from the pilot's term j, j)
+        self._held = (None, None)  # (term in hand, its needed positions)
 
     def scanned(self, term, redexes, bound):
         """Record the redexes of the term at depth < bound: outermost-fair
@@ -251,43 +233,16 @@ class _Predicate:
         if self._held[0] is not term:
             pilot = self._pilot
             start = pilot.index.get(term) if pilot else None
-            left, self._left = self._left, None
             if start is None:
-                if left is not None and left[0].target is not term:
-                    left = None
-                pilot = pilot and pilot.spliced(term, self.fuel, left)
-                if pilot is None:  # a fresh pilot, on the run's table
+                pilot = pilot and pilot.spliced(term, self.fuel)
+                if pilot is None:  # a fresh pilot, on the predicate's table
                     fresh = needed_pilot(term, self.system, self.depth_goal,
                                          self.fuel)
-                    pilot = Pilot(fresh.trace, fresh.cuts, table=self._table,
-                                  scans=fresh.scans)
+                    pilot = Pilot(fresh.trace, fresh.cuts, table=self._table)
                 self._pilot = pilot
                 start = 0
-            self._held = (term, self._pilot.essential_start_positions(start),
-                          start)
+            self._held = (term, self._pilot.essential_start_positions(start))
         return self._held[1]
-
-    def step(self, term, redex, bound):
-        """The step contracting the redex of the term, and the target's
-        redexes at depth < bound when they come from the pilot, else None.
-        On the pilot's term j with the pilot's step-j redex, the step is
-        the pilot's own: contracting an equal redex of the same term makes
-        an equal step onto the same target.  The pilot's scan of the target
-        is at the pilot's bound, past the run's, and in `find_redexes`
-        order, so the run's scan is a prefix of it.  Any other step is
-        contracted; from a term of the trace it is kept for the splice."""
-        held, _, start = self._held
-        if held is term:
-            pilot = self._pilot
-            steps = pilot.trace.steps
-            if start < len(steps) and steps[start].redex == redex:
-                scan = pilot.scans[start + 1]
-                return steps[start], scan[:bisect_left(scan, bound,
-                                                       key=lambda u: u.depth)]
-            rec = contract(term, redex)
-            self._left = (rec, start)
-            return rec, None
-        return contract(term, redex), None
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +367,12 @@ def _scan_bound(stable_bound):
     return stable_bound + 2
 
 
-def _reduce(term, system, kind, stable_bound, fuel, until=None, redexes=None,
-            scans=None):
-    """The loop of `normalize`: reduce with the kind's strategy until no
-    redex lies above stable_bound (status 'stable'), until a term passes
-    the test `until` (status 'joined'), or for fuel steps (status None).
-    Returns the trace and the status.  `redexes` is the scan of the term at
-    the run's scan bound when the caller has it; the scan of every run term
-    is appended to the list `scans` when one is given.  Needed-fair steps
-    come from the tracker's predicate, which takes them from its pilot
-    where it can.  Needed-fair pilots run on the run's fuel, and on at
-    least PILOT_FUEL; the trace records theirs, so that an audit replays
-    the same pilots."""
+def _reduce(term, system, kind, stable_bound, fuel, until=None, scans=None):
+    """The loop of fair and outermost-fair `normalize` and of the pilots:
+    reduce with the kind's strategy until no redex lies above stable_bound
+    (status 'stable'), until a term passes the test `until` (status
+    'joined'), or for fuel steps (status None); the trace and the status.
+    Each term's scan is appended to the list `scans` when one is given."""
     scan_bound = _scan_bound(stable_bound)
     pilot_fuel = max(fuel, PILOT_FUEL)
     tracker = FairnessTracker(kind, system, scan_bound, pilot_fuel)
@@ -431,8 +380,7 @@ def _reduce(term, system, kind, stable_bound, fuel, until=None, redexes=None,
     steps = []
     cur = term
     status = None
-    if redexes is None:
-        redexes = find_redexes(cur, system, scan_bound)
+    redexes = find_redexes(cur, system, scan_bound)
     if scans is not None:
         scans.append(redexes)
     for _ in range(fuel):
@@ -443,18 +391,79 @@ def _reduce(term, system, kind, stable_bound, fuel, until=None, redexes=None,
         if not any(u.depth < stable_bound for u in redexes):
             status = "stable"
             break
-        u = tracker.select(cur)
-        rec, taken = tracker.pred.step(cur, u, scan_bound)
+        rec = contract(cur, tracker.select(cur))
         tracker.observe_step(len(steps), cur, rec)
         steps.append(rec)
-        redexes = (rec.target_redexes(redexes, system, scan_bound)
-                   if taken is None else taken)
+        redexes = rec.target_redexes(redexes, system, scan_bound)
         if scans is not None:
             scans.append(redexes)
         cur = rec.target
         terms.append(cur)
     return Trace(system, kind.kind, terms, steps, ledger=tracker.obligations,
                  pilot_fuel=pilot_fuel), status
+
+
+def _needed_run(term, system, stable_bound, fuel):
+    """The loop of needed-fair `normalize`: the essential skeleton of an
+    outermost-fair pilot run from the term, replayed until no redex lies
+    above stable_bound (status 'stable') or for fuel steps (status None),
+    a fresh pilot starting from the term reached when a replay ends first.
+    The pilots stratify to one less than the run's scan bound and run on
+    the run's fuel, and on at least PILOT_FUEL; the trace records theirs,
+    so that an audit makes the same pilots.  It keeps no ledger.
+
+    A kept redex is essential for the pilot's strata, so needed (see
+    `_Predicate`).  Projecting the pilot over an inessential step keeps
+    the essential positions and mirrors the prefix above them (emaciated
+    projection, `essential.py`), so each kept redex is matched at its own
+    position on the term reached.  A pilot from a term with a redex above
+    stable_bound keeps at least its last step above its goal, essential for
+    the cut just after it."""
+    scan_bound = _scan_bound(stable_bound)
+    pilot_fuel = max(fuel, PILOT_FUEL)
+    terms = [term]
+    steps = []
+    redexes = find_redexes(term, system, scan_bound)
+    replay = iter(())
+    status = None
+    while len(steps) < fuel:
+        if not any(u.depth < stable_bound for u in redexes):
+            status = "stable"
+            break
+        taken = next(replay, None)
+        if taken is None:
+            pilot = needed_pilot(terms[-1], system, scan_bound - 1, pilot_fuel)
+            replay = _replay(pilot, redexes, scan_bound)
+            taken = next(replay)
+        rec, redexes = taken
+        steps.append(rec)
+        terms.append(rec.target)
+    return Trace(system, NEEDED_FAIR.kind, terms, steps,
+                 pilot_fuel=pilot_fuel), status
+
+
+def _replay(pilot, redexes, bound):
+    """The pilot's essential steps replayed from its first term, each with
+    its target's redexes at depth < bound, given the first term's.  On the
+    pilot's trace a step is the pilot's own, with the pilot's scan of its
+    target cut to the bound; off it, the redex is matched and contracted on
+    the term reached.  Steps past the last cut are at least the pilot's
+    goal deep, so inessential, and are not read."""
+    system = pilot.trace.system
+    cur = pilot.trace.initial
+    for i, step in enumerate(pilot.trace.steps[:pilot.cuts[-1][0]]):
+        p = step.redex.position
+        if p not in pilot.essential_start_positions(i):
+            continue
+        if step.source is cur:
+            rec = step
+            scan = pilot.scans[i + 1]
+            redexes = scan[:bisect_left(scan, bound, key=lambda u: u.depth)]
+        else:
+            rec = contract(cur, step_redex(cur, system, p, step.redex.rule))
+            redexes = rec.target_redexes(redexes, system, bound)
+        cur = rec.target
+        yield rec, redexes
 
 
 def normalize(term, system, kind, depth_goal, fuel):
@@ -468,19 +477,27 @@ def normalize(term, system, kind, depth_goal, fuel):
     """
     require_valid(system)
     stable_bound = depth_goal + max_lhs_depth(system)
-    trace, status = _reduce(term, system, kind, stable_bound, fuel)
+    if kind == NEEDED_FAIR:
+        trace, status = _needed_run(term, system, stable_bound, fuel)
+    else:
+        trace, status = _reduce(term, system, kind, stable_bound, fuel)
     return _approximant(trace, status, depth_goal), trace
 
 
 def _approximant(trace, status, depth_goal):
-    """The approximant of a run of `_reduce` that ended with the status."""
+    """The approximant of a run that ended with the status.  A run out of
+    fuel is suspected to diverge when its last step is at its shallowest
+    depth, above the goal; a needed-fair run, whose stabilised pilot comes
+    back to that depth as it converges, only when every step is there."""
     cur = trace.final
-    floor = trace.depth_floor()
     if status != "stable":
-        stuck = bool(floor) and floor[0] == floor[-1] and floor[0] < depth_goal
+        depths = [len(s.redex.position) for s in trace.steps]
+        if trace.label == NEEDED_FAIR.kind:
+            depths.sort()  # the last is the deepest
+        stuck = bool(depths) and min(depths) == depths[-1] < depth_goal
         status = "divergence-suspected" if stuck else "fuel-exhausted"
         return Approximant(truncate(cur, depth_goal), 0, len(trace), status)
-    certificate = bisect_left(floor, depth_goal)
+    certificate = bisect_left(trace.depth_floor(), depth_goal)
     if is_normal_form(cur, trace.system):
         return Approximant(cur, depth_goal, certificate, "normal-form")
     return Approximant(truncate(cur, depth_goal), depth_goal,
@@ -607,7 +624,7 @@ class Pilot(Frozen, compare=("trace", "cuts")):
                  "tail",
                  # the sweep's redex-local epsilon images, shared with its splices
                  "table",
-                 # the redexes of each trace term at the pilot run's scan bound
+                 # a fresh pilot's redexes of each trace term at its scan bound
                  "scans",
                  "__dict__")
 
@@ -648,12 +665,10 @@ class Pilot(Frozen, compare=("trace", "cuts")):
         nest, the deepest one's prefix being their union, so one sweep over
         the pilot's own steps, adding each cut's prefix at its index, gives
         at each index the union of the per-stratum essential sets.  The
-        sets of `tail` stand for the last indices, so only the steps before
-        them are swept, and only the cuts at the swept indices have their
-        prefixes read.  Every set is a union of epsilon images and cut
-        prefixes, so a prefix set of its term, and the steps do not check
-        it again.  The steps read and fill the run's table of redex-local
-        images, `table`."""
+        sets of `tail` stand for the last indices, and only the steps and
+        cuts before them are read.  Every set is a union of epsilon images
+        and cut prefixes, so a prefix set of its term, and the steps do not
+        check it again.  The steps read and fill the table `table`."""
         depths = dict(self.cuts)
 
         def fed(i, base=frozenset()):
@@ -683,33 +698,21 @@ class Pilot(Frozen, compare=("trace", "cuts")):
             out = out | self.prefix(*self.cuts[k - 1])
         return out
 
-    def spliced(self, term, fuel, left=None):
+    def spliced(self, term, fuel):
         """The pilot from a term off the trace: outermost-fair from the term
         until it reaches a term of the trace, at index j say, then this
-        pilot's steps from j on.  The cuts are those of the spliced depth
-        floor.  Past the join they are this pilot's cuts past j, shifted,
-        so the sweep there is this pilot's sweep past j and only the new
-        steps are swept, and the scans past the join are this pilot's.  A
-        run that stabilises before it joins is the run of a fresh pilot from
-        the term, and is stratified as one; a run that spends the fuel
-        before it joins raises as a fresh pilot would.  None when the
-        spliced run would be longer than the fuel.  `left`, when given, is
-        a step onto the term from this pilot's term i and the index i: the
-        run's first scan is derived from the scan of term i."""
+        pilot's steps from j on, cut by the spliced depth floor; past the
+        join the sweep is this pilot's, and only the new steps are swept.  A
+        run that stabilises or spends the fuel before it joins is, or raises
+        as, a fresh pilot.  None when the splice would outrun the fuel."""
         trace = self.trace
         system = trace.system
         depth_goal = self.cuts[-1][1] if self.cuts else 0
         stable_bound = depth_goal + max_lhs_depth(system)
-        redexes = None
-        if left is not None:
-            step, i = left
-            redexes = step.target_redexes(self.scans[i], system,
-                                          _scan_bound(stable_bound))
-        scans = []
         run, status = _reduce(term, system, OUTERMOST_FAIR, stable_bound, fuel,
-                              self.index.__contains__, redexes, scans)
+                              self.index.__contains__)
         if status == "stable":
-            return _stratified(run, depth_goal, table=self.table, scans=scans)
+            return _stratified(run, depth_goal, table=self.table)
         if status is None:
             raise FuelExhausted("pilot run did not stabilise",
                                 _approximant(run, status, depth_goal), run)
@@ -718,25 +721,22 @@ class Pilot(Frozen, compare=("trace", "cuts")):
             return None
         joined = Trace(system, trace.label, run.terms[:-1] + trace.terms[j:],
                        run.steps + trace.steps[j:])
-        return _stratified(joined, depth_goal, self._swept[j + 1:], self.table,
-                           scans[:-1] + self.scans[j:])
+        return _stratified(joined, depth_goal, self._swept[j + 1:], self.table)
 
 
 def _stratified(trace, depth_goal, tail=(), table=None, scans=()):
     """The pilot over a stabilised outermost-fair trace: for every depth d
     up to the goal, the index after which all contractions are at least d
-    deep, one cut per index, with the deepest depth that falls there.  The
-    pilot sweeps on the given table of redex-local images, or on a fresh
-    one, and keeps the trace's scans."""
+    deep, one cut per index, with the deepest depth that falls there, on
+    the given table of redex-local images or a fresh one."""
     floor = trace.depth_floor()
     cuts = {bisect_left(floor, d): d for d in range(1, depth_goal + 1)}  # last d wins
     return Pilot(trace, tuple(cuts.items()), tail, table, scans)
 
 
 def needed_pilot(term, system, depth_goal, fuel):
-    """A fresh pilot: an outermost-fair run from the term to the goal depth,
-    re-indexed into depth strata, with a table of its own and the run's
-    scans."""
+    """A fresh pilot: an outermost-fair run from the term to the goal depth
+    in depth strata, with a table of its own and the run's scans."""
     require_valid(system)
     scans = []
     run, status = _reduce(term, system, OUTERMOST_FAIR,

@@ -1,8 +1,9 @@
-"""Needed-fair serves the essential set of every term from the live pilot.
+"""The needed-fair predicate, which the fairness audit of a needed-fair
+trace replays, serves the essential set of every term from the live pilot.
 A term on the pilot's trace reads the pilot's suffix from there; a term off
 it runs outermost-fair until it joins the trace and splices the new steps
 onto the pilot's steps from the join.  The route both replaced, a fresh
-pilot for every term the run meets, is the reference here: for every term a
+pilot for every term, is the reference here: for every term the audit of a
 needed-fair run consults, the served set must equal the fresh pilot's.
 
 No difference is known.  A fresh pilot ages its obligations afresh and
@@ -15,7 +16,7 @@ import random
 
 import pytest
 
-from icrs import NEEDED_FAIR, normalize, parse_system, parse_term
+from icrs import FAIR, NEEDED_FAIR, fairness_audit, normalize, parse_system, parse_term
 from icrs import strategies
 from icrs.errors import EngineError
 from icrs.strategies import Pilot
@@ -49,12 +50,22 @@ def outcome(fn):
         return type(e)
 
 
+def audited(term, system, depth, fuel, kind=NEEDED_FAIR):
+    """Normalise with the kind's strategy and audit the trace against
+    needed-fair, which asks the predicate about every term of the trace;
+    the approximant.  A fair trace leaves the pilot's trace more often
+    than a needed-fair one, and so makes more splices."""
+    approx, trace = normalize(term, system, kind, depth, fuel)
+    fairness_audit(trace, NEEDED_FAIR)
+    return approx
+
+
 @pytest.fixture
 def consulted(monkeypatch):
-    """Every (predicate, term, answer) of the needed-fair runs in the test,
-    the number of fresh pilots and of splices they made, and the number of
-    outermost-fair runs made so far and of those that tried to join a
-    pilot's trace."""
+    """Every (predicate, term, answer) of the needed-fair predicates in the
+    test, the number of fresh pilots (the runs' own among them) and of
+    splices made, and the number of outermost-fair runs made so far and of
+    those that tried to join a pilot's trace."""
     seen = []
     counts = {"pilots": 0, "splices": 0}
     runs = {"runs": 0, "joins": 0}
@@ -116,7 +127,7 @@ def test_suffix_sets_match_fresh_pilots_on_needed_inputs(
     system = parse_system((CORPUS / system_file).read_text())
     t = parse_term(term if term is not None else fixpoint_term())
     for depth in depths:
-        approx, _ = normalize(t, system, NEEDED_FAIR, depth, 4000)
+        approx = audited(t, system, depth, 4000)
         assert approx.status != "fuel-exhausted"
     diffs, compared = differences(seen)
     assert diffs == []
@@ -132,12 +143,11 @@ def test_suffix_sets_match_fresh_pilots_on_random_systems(consulted):
         term = genrand.random_term(rng, system, rng.randint(2, 4))
         rng.randint(3, 5)  # unused; drawn so the random systems stay put
         before = len(seen)
-        outcome(lambda: normalize(term, system, NEEDED_FAIR, rng.randint(1, 3),
-                                  60))
+        outcome(lambda: audited(term, system, rng.randint(1, 3), 60, FAIR))
         runs += len(seen) > before
-    # 6 of the 39 join runs stabilise before they join and serve as fresh
-    # pilots
-    assert reduced == {"runs": 186, "joins": 39}
+    # 1 of the 65 join runs stabilises before it joins and serves as a
+    # fresh pilot
+    assert reduced == {"runs": 212, "joins": 65}
     diffs, compared = differences(seen)
     assert diffs == []
     assert runs >= 120
@@ -145,23 +155,23 @@ def test_suffix_sets_match_fresh_pilots_on_random_systems(consulted):
     assert counts["splices"] >= 30
 
 
-def test_one_pilot_serves_the_spine_run(consulted, spine_system):
+@pytest.mark.parametrize("system_file,term,depth", [
+    ("spine_growth.crs", "f(a, c)", 6), ("lambda_beta.crs", None, 8)],
+    ids=["spine", "fixpoint"])
+def test_one_pilot_serves_each_audit(consulted, system_file, term, depth):
+    """A needed-fair trace is the skeleton of an outermost-fair pilot, so
+    the audit's own pilot, fresh from the first term, serves every term
+    of it with no splice; on the fixpoint the pilot's inessential steps
+    contract the looping redex, whose target is its source."""
     seen, counts, _ = consulted
-    approx, trace = normalize(parse_term("f(a, c)"), spine_system,
-                              NEEDED_FAIR, 6, 4000)
+    system = parse_system((CORPUS / system_file).read_text())
+    t = parse_term(term if term is not None else fixpoint_term())
+    approx, trace = normalize(t, system, NEEDED_FAIR, depth, 4000)
     assert approx.status == "approximant"
-    assert len({id(t) for _, t, _ in seen}) >= len(trace.steps)
-    assert counts["pilots"] + counts["splices"] <= 2
-
-
-def test_splices_serve_the_fixpoint_run(consulted):
-    # the fresh-pilot route started 12 pilots here
-    _, counts, _ = consulted
-    system = parse_system((CORPUS / "lambda_beta.crs").read_text())
-    approx, _ = normalize(parse_term(fixpoint_term()), system,
-                          NEEDED_FAIR, 8, 4000)
-    assert approx.status == "approximant"
-    assert counts == {"pilots": 1, "splices": 11}
+    assert counts == {"pilots": 1, "splices": 0}  # the run's own
+    assert fairness_audit(trace, NEEDED_FAIR)
+    assert len({id(t) for _, t, _ in seen}) == len(trace.terms)
+    assert counts == {"pilots": 2, "splices": 0}
 
 
 def test_splice_is_a_run_and_sweeps_as_a_fresh_pass(monkeypatch):
@@ -171,8 +181,8 @@ def test_splice_is_a_run_and_sweeps_as_a_fresh_pass(monkeypatch):
     splices = []
     splice = strategies.Pilot.spliced
 
-    def keeping(self, term, fuel, left=None):
-        out = splice(self, term, fuel, left)
+    def keeping(self, term, fuel):
+        out = splice(self, term, fuel)
         if out is not None:
             # the old pilot's sets stand for the last indices: the sweep
             # reads no prefix of their cuts (a collapsed cut's is read
@@ -184,12 +194,12 @@ def test_splice_is_a_run_and_sweeps_as_a_fresh_pass(monkeypatch):
 
     monkeypatch.setattr(strategies.Pilot, "spliced", keeping)
     system = parse_system((CORPUS / "lambda_beta.crs").read_text())
-    normalize(parse_term(fixpoint_term()), system, NEEDED_FAIR, 4, 4000)
+    audited(parse_term(fixpoint_term()), system, 4, 4000)
     rng = random.Random(8)
     for _ in range(120):
         system = genrand.random_system(rng)
         term = genrand.random_term(rng, system, rng.randint(3, 5))
-        outcome(lambda: normalize(term, system, NEEDED_FAIR, 3, 60))
+        outcome(lambda: audited(term, system, 3, 60, FAIR))
     assert len(splices) >= 80
     assert sum(bool(p.tail) for _, p in splices) >= 60
     for term, pilot in splices:

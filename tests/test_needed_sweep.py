@@ -5,8 +5,8 @@ pilot reads each cut's prefix from one walk of its term.  Its epsilon steps are
 redex-local, and agree with zeta over the whole-term path prefix set, in
 sets and in path counts.  Also pins the fact the sweep relies on to skip the
 finite-jumps check: a stage realised step by step always has the finite
-jumps property.  A run's table of redex-local images changes no set of any
-sweep, and each image and path space is computed once per run."""
+jumps property.  A table of redex-local images changes no set of any
+sweep, and each image and path space is computed once per table."""
 
 import pathlib
 import random
@@ -16,7 +16,7 @@ import pytest
 
 from icrs import (
     complete_development, dev_sequence_of_steps, epsilon_seq, epsilon_step,
-    NEEDED_FAIR, find_redexes, has_finite_jumps, needed_pilot, normalize,
+    NEEDED_FAIR, fairness_audit, find_redexes, has_finite_jumps, needed_pilot, normalize,
     is_prefix_set, parse_system, parse_term, path_prefix_set,
     positions_to_depth, resolve, subterm_at, zeta,
 )
@@ -408,9 +408,9 @@ def table_free_sweep(pilot, tail=True):
         return outcome(lambda: fresh._swept)
 
 
-def run_pilots(monkeypatch, term, system, depth):
-    """The pilots a needed-fair normalize run serves its terms from, and
-    the run's table."""
+def audit_pilots(monkeypatch, term, system, depth):
+    """The pilots from which the fairness audit of a needed-fair normalize
+    run serves its terms, and the audit predicate's table."""
     pilots, tables = {}, {}
     answer = strategies._Predicate._needed_positions
 
@@ -420,8 +420,9 @@ def run_pilots(monkeypatch, term, system, depth):
         tables[id(self._table)] = self._table
         return out
 
+    _, trace = normalize(term, system, NEEDED_FAIR, depth, 4000)
     monkeypatch.setattr(strategies._Predicate, "_needed_positions", recording)
-    normalize(term, system, NEEDED_FAIR, depth, 4000)
+    fairness_audit(trace, NEEDED_FAIR)
     monkeypatch.undo()
     table, = tables.values()
     return list(pilots.values()), table
@@ -430,13 +431,14 @@ def run_pilots(monkeypatch, term, system, depth):
 @pytest.mark.parametrize("system_file,term,depths", NEEDED_LADDER)
 def test_table_backed_sweeps_match_table_free_ones(monkeypatch, system_file,
                                                    term, depths):
-    """Every pilot and splice of a run sweeps on the run's one table; each
-    set of its sweep is the set a sweep with no table gives, at every
-    index, also when a splice sweeps the whole joined trace afresh."""
+    """Every pilot and splice of an audit sweeps on the audit predicate's
+    one table; each set of its sweep is the set a sweep with no table
+    gives, at every index, also when a splice sweeps the whole joined trace
+    afresh."""
     system = parse_system((CORPUS / system_file).read_text())
     t = parse_term(term if term is not None else fixpoint_term())
     for depth in depths:
-        pilots, table = run_pilots(monkeypatch, t, system, depth)
+        pilots, table = audit_pilots(monkeypatch, t, system, depth)
         assert pilots and all(p.table is table for p in pilots)
         for pilot in pilots:
             swept = pilot._swept
@@ -477,11 +479,11 @@ def test_table_backed_sweeps_match_on_random_pilots():
 
 def test_table_work_on_the_fixpoint_at_depth_16(monkeypatch):
     """A machine-independent work count for needed-fair normalize of the
-    fixpoint at depth 16: of 280 local epsilon steps, 180 reach the
-    contracted redex, over 46 distinct (redex node, rule, relative prefix)
-    keys and 20 distinct (redex node, rule) pairs.  One path space is built
-    per pair and one enumeration made per key; a step whose prefix misses
-    the redex builds and enumerates nothing."""
+    fixpoint at depth 16, which sweeps one pilot: of 136 local epsilon
+    steps, 78 reach the contracted redex, over 26 distinct (redex node,
+    rule, relative prefix) keys and 6 distinct (redex node, rule) pairs.
+    One path space is built per pair and one enumeration made per key; a
+    step whose prefix misses the redex builds and enumerates nothing."""
     system = parse_system((CORPUS / "lambda_beta.crs").read_text())
     t = parse_term(fixpoint_term())
     keys, counts = [], {"spaces": 0, "enumerations": 0}
@@ -508,9 +510,9 @@ def test_table_work_on_the_fixpoint_at_depth_16(monkeypatch):
     normalize(t, system, NEEDED_FAIR, 16, 4000)
     monkeypatch.undo()
     reaching = [k for k in keys if () in k[2]]
-    assert (len(keys), len(reaching)) == (280, 180)
-    assert counts["spaces"] == len({k[:2] for k in reaching}) == 20
-    assert counts["enumerations"] == len(set(reaching)) == 46
+    assert (len(keys), len(reaching)) == (136, 78)
+    assert counts["spaces"] == len({k[:2] for k in reaching}) == 6
+    assert counts["enumerations"] == len(set(reaching)) == 26
 
 
 def test_a_cut_enumeration_is_never_kept(monkeypatch):
