@@ -11,11 +11,17 @@ substitute bodies keep theirs, and labels of substituted variables are
 dropped, so positions in the redex pattern and positions of redex-bound
 variables have no descendants.  An occurrence of a binder renamed to avoid
 capture is renamed, not substituted, and keeps its label.
+
+That part of a step reads only the redex node and the rule, and a run of a
+rational term contracts the same node again one depth further each time, so
+a run computes it once per (redex node, rule) (`Contraction`): the labelled
+replay runs once per node, rule and position below the redex in a run.
 """
 
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 
 from .errors import (
     ArityMismatch, FiniteChainsViolated, InfiniteResultError, PositionError,
@@ -409,6 +415,12 @@ def find_redexes(term, system, depth_bound):
     return out
 
 
+def cut_scan(scan, bound):
+    """The redexes at depth < bound of a scan ordered by depth, as
+    `find_redexes` orders them."""
+    return scan[:bisect_left(scan, bound, key=lambda u: u.depth)]
+
+
 def redex_at(term, system, p):
     try:
         node = resolve(subterm_at(term, p))
@@ -442,34 +454,63 @@ def _disjoint(q, p):
     return q[:n] != p[:n]
 
 
+class Contraction:
+    """The part of a step that reads only the redex node and the rule, the
+    valuation being the node's match: the contractum; its redexes, relative
+    to it, scanned at the deepest `bound` asked so far and cut by depth for
+    a shallower one; and the relative descendant positions of each relative
+    position below the redex asked for so far.  A run keeps one per (redex
+    node, rule), shared by every step contracting the pair."""
+    __slots__ = ("contractum", "scan", "bound", "images")
+
+    def __init__(self, contractum):
+        self.contractum = contractum
+        self.scan = []
+        self.bound = 0
+        self.images = {}  # relative position -> frozenset of relative positions
+
+    def redexes(self, system, bound):
+        if bound > self.bound:
+            self.scan = find_redexes(self.contractum, system, bound)
+            self.bound = bound
+        return cut_scan(self.scan, bound)
+
+
 class StepRecord(Frozen, compare=("source", "target", "redex")):
     """One contraction.  `path` holds the resolved nodes of the source from
     the root down to the redex, `target_path` the nodes of the target from
     the root down to the contractum; the target shares every subterm off
     that path with the source, so everything a step changes is reached from
-    these nodes.
+    these nodes.  `local` is the step's `Contraction`, shared with every
+    step of the run that contracts the same node by the same rule.
 
     In an orthogonal, fully-extended system a position disjoint from the
     redex keeps its subterm, and one above it keeps its pattern, because the
     redex lies in one of its meta-variable arguments (Huet & Levy,
     "Computations in orthogonal rewriting systems", 1991; Klop, van Oostrom
     & van Raamsdonk, "Combinatory reduction systems: introduction and
-    survey", 1993).  Only positions below the redex are replayed."""
-    __slots__ = ("source", "target", "redex", "path", "target_path")
+    survey", 1993).  Only positions below the redex are replayed, labelled
+    in the redex subterm alone, so the replay runs once per redex node,
+    rule and relative position in a run; shifting the images to the
+    redex's position and matching ancestors again are the step's own."""
+    __slots__ = ("source", "target", "redex", "path", "target_path", "local")
 
-    def __init__(self, source, target, redex, path, target_path):
-        set_source, set_target, set_redex, set_path, set_target_path = self._set
+    def __init__(self, source, target, redex, path, target_path, local):
+        (set_source, set_target, set_redex, set_path, set_target_path,
+         set_local) = self._set
         set_source(self, source)
         set_target(self, target)
         set_redex(self, redex)
         set_path(self, path)
         set_target_path(self, target_path)
+        set_local(self, local)
 
     def descendant_map(self, positions):
         """position -> frozenset of descendant positions.  A position
         disjoint from the redex or above it is its own descendant and the
         redex position has none; those below it are labelled in the redex
-        subterm alone, which is contracted again."""
+        subterm alone, which is contracted again, for the positions the
+        step's `Contraction` has no image of yet."""
         p = self.redex.position
         n = len(p)
         out = dict.fromkeys(map(tuple, positions))
@@ -485,23 +526,25 @@ class StepRecord(Frozen, compare=("source", "target", "redex")):
                 out[q] = frozenset()
             else:
                 below.append(q)
-        if not below:
-            return out
-        tagged = self.path[-1]
-        for i, q in enumerate(below):
-            tagged = set_tag_at(tagged, q[n:], i)
-        rule = self.redex.rule
-        v = match(rule, tagged)
-        if v is None:
-            raise StaleRedex(f"rule {rule.name} does not match the labelled redex")
-        found, complete = iter_tagged(apply_valuation(v, rule.rhs))
-        if not complete:
-            raise InfiniteResultError(
-                "a descendant lands inside a cycle; the descendant set is infinite")
-        descs = [set() for _ in below]
-        for r, i in found:
-            descs[i].add(p + r)
-        out.update(zip(below, map(frozenset, descs)))
+        images = self.local.images
+        missing = [q[n:] for q in below if q[n:] not in images]
+        if missing:
+            tagged = self.path[-1]
+            for i, r in enumerate(missing):
+                tagged = set_tag_at(tagged, r, i)
+            rule = self.redex.rule
+            v = match(rule, tagged)
+            if v is None:
+                raise StaleRedex(f"rule {rule.name} does not match the labelled redex")
+            found, complete = iter_tagged(apply_valuation(v, rule.rhs))
+            if not complete:
+                raise InfiniteResultError(
+                    "a descendant lands inside a cycle; the descendant set is infinite")
+            descs = [set() for _ in missing]
+            for r, i in found:
+                descs[i].add(r)
+            images.update(zip(missing, map(frozenset, descs)))
+        out.update((q, frozenset([p + r for r in images[q[n:]]])) for q in below)
         return out
 
     def residual_map(self, redexes):
@@ -538,8 +581,8 @@ class StepRecord(Frozen, compare=("source", "target", "redex")):
         `find_redexes` orders them, given `redexes`, those of the source at
         the same bound.  Those disjoint from the contracted position are
         kept, the ancestors of it are matched again at the rebuilt nodes,
-        and only the contractum is scanned: new redexes appear nowhere
-        else."""
+        and only the contractum is scanned, once per bound by its
+        `Contraction`: new redexes appear nowhere else."""
         p = self.redex.position
         n = len(p)
         out = [u for u in redexes if _disjoint(u.position, p)]
@@ -549,8 +592,7 @@ class StepRecord(Frozen, compare=("source", "target", "redex")):
                 if v is not None:
                     out.append(Redex(p[:k], rule, v))
         out.extend(Redex(p + u.position, u.rule, u.valuation)
-                   for u in find_redexes(self.target_path[-1], system,
-                                         depth_bound - n))
+                   for u in self.local.redexes(system, depth_bound - n))
         # stable: at one position the redexes come from one part, in rule order
         out.sort(key=lambda u: (len(u.position), u.position))
         return out
@@ -563,10 +605,11 @@ def _residual(rule, node, r, q):
     return Redex(q, rule, v)
 
 
-def contract(term, redex):
+def contract(term, redex, table=None):
     """Contract the redex, checking it still matches: one walk down to the
     redex, the match at the node in hand, and the path rebuilt over the
-    instantiated rhs."""
+    contractum.  The step's `Contraction` is the one the dict `table` holds
+    for the redex node and rule, a run's own, or a fresh one, kept there."""
     p = redex.position
     try:
         path = path_nodes(term, p)
@@ -578,9 +621,14 @@ def contract(term, redex):
         raise StaleRedex(
             f"rule {redex.rule.name} does not match at "
             f"{'.'.join(map(str, p)) or '@'}")
-    target_path = rebuild_path(path, p, apply_valuation(v, redex.rule.rhs))
+    table = {} if table is None else table
+    local = table.get((path[-1], redex.rule))
+    if local is None:
+        local = table[path[-1], redex.rule] = Contraction(
+            apply_valuation(v, redex.rule.rhs))
+    target_path = rebuild_path(path, p, local.contractum)
     return StepRecord(term, target_path[0], Redex(p, redex.rule, v),
-                      tuple(path), tuple(target_path))
+                      tuple(path), tuple(target_path), local)
 
 
 def descendants(positions, step):

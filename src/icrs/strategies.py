@@ -29,7 +29,7 @@ from functools import cached_property
 from .errors import FuelExhausted, NoEligibleRedex, PreconditionViolated
 from .essential import local_epsilon_step
 from .records import Frozen, Record
-from .rewriting import contract, find_redexes, match, redex_trie, step_redex
+from .rewriting import contract, cut_scan, find_redexes, match, redex_trie, step_redex
 from .syntax import position_str
 from .systems import max_lhs_depth, require_valid
 from .terms import (
@@ -59,16 +59,18 @@ class Trace(Record):
     __slots__ = ("system", "label", "terms",
                  "steps",       # StepRecord per step
                  "ledger",      # Obligations with birth/resolution bookkeeping
-                 "pilot_fuel")  # the fuel of the run's needed-fair pilots
+                 "pilot_fuel",  # the fuel of the run's needed-fair pilots
+                 "stable_bound")  # the bound a run ended stable at, else None
 
     def __init__(self, system, label, terms, steps, ledger=None,
-                 pilot_fuel=PILOT_FUEL):
+                 pilot_fuel=PILOT_FUEL, stable_bound=None):
         self.system = system
         self.label = label
         self.terms = terms
         self.steps = steps
         self.ledger = ledger
         self.pilot_fuel = pilot_fuel
+        self.stable_bound = stable_bound
 
     @property
     def initial(self):
@@ -376,6 +378,7 @@ def _reduce(term, system, kind, stable_bound, fuel, until=None, scans=None):
     scan_bound = _scan_bound(stable_bound)
     pilot_fuel = max(fuel, PILOT_FUEL)
     tracker = FairnessTracker(kind, system, scan_bound, pilot_fuel)
+    table = {}  # the run's Contraction per (redex node, rule)
     terms = [term]
     steps = []
     cur = term
@@ -391,7 +394,7 @@ def _reduce(term, system, kind, stable_bound, fuel, until=None, scans=None):
         if not any(u.depth < stable_bound for u in redexes):
             status = "stable"
             break
-        rec = contract(cur, tracker.select(cur))
+        rec = contract(cur, tracker.select(cur), table)
         tracker.observe_step(len(steps), cur, rec)
         steps.append(rec)
         redexes = rec.target_redexes(redexes, system, scan_bound)
@@ -400,7 +403,8 @@ def _reduce(term, system, kind, stable_bound, fuel, until=None, scans=None):
         cur = rec.target
         terms.append(cur)
     return Trace(system, kind.kind, terms, steps, ledger=tracker.obligations,
-                 pilot_fuel=pilot_fuel), status
+                 pilot_fuel=pilot_fuel,
+                 stable_bound=stable_bound if status == "stable" else None), status
 
 
 def _needed_run(term, system, stable_bound, fuel):
@@ -424,6 +428,7 @@ def _needed_run(term, system, stable_bound, fuel):
     terms = [term]
     steps = []
     redexes = find_redexes(term, system, scan_bound)
+    table = {}  # the Contractions of the steps made off a pilot's trace
     replay = iter(())
     status = None
     while len(steps) < fuel:
@@ -433,22 +438,22 @@ def _needed_run(term, system, stable_bound, fuel):
         taken = next(replay, None)
         if taken is None:
             pilot = needed_pilot(terms[-1], system, scan_bound - 1, pilot_fuel)
-            replay = _replay(pilot, redexes, scan_bound)
+            replay = _replay(pilot, redexes, scan_bound, table)
             taken = next(replay)
         rec, redexes = taken
         steps.append(rec)
         terms.append(rec.target)
-    return Trace(system, NEEDED_FAIR.kind, terms, steps,
-                 pilot_fuel=pilot_fuel), status
+    return Trace(system, NEEDED_FAIR.kind, terms, steps, pilot_fuel=pilot_fuel,
+                 stable_bound=stable_bound if status == "stable" else None), status
 
 
-def _replay(pilot, redexes, bound):
+def _replay(pilot, redexes, bound, table):
     """The pilot's essential steps replayed from its first term, each with
     its target's redexes at depth < bound, given the first term's.  On the
     pilot's trace a step is the pilot's own, with the pilot's scan of its
     target cut to the bound; off it, the redex is matched and contracted on
-    the term reached.  Steps past the last cut are at least the pilot's
-    goal deep, so inessential, and are not read."""
+    the term reached, with the table's Contractions.  Steps past the last
+    cut are at least the pilot's goal deep, so inessential, and are not read."""
     system = pilot.trace.system
     cur = pilot.trace.initial
     for i, step in enumerate(pilot.trace.steps[:pilot.cuts[-1][0]]):
@@ -457,10 +462,9 @@ def _replay(pilot, redexes, bound):
             continue
         if step.source is cur:
             rec = step
-            scan = pilot.scans[i + 1]
-            redexes = scan[:bisect_left(scan, bound, key=lambda u: u.depth)]
+            redexes = cut_scan(pilot.scans[i + 1], bound)
         else:
-            rec = contract(cur, step_redex(cur, system, p, step.redex.rule))
+            rec = contract(cur, step_redex(cur, system, p, step.redex.rule), table)
             redexes = rec.target_redexes(redexes, system, bound)
         cur = rec.target
         yield rec, redexes
@@ -586,7 +590,9 @@ def fairness_audit(trace, kind, window=None):
     every predicate-satisfying redex occurrence must, within the window,
     either have a residual contracted or stop having predicate-satisfying
     residuals.  Obligations younger than the window at the cut are
-    inconclusive and pass."""
+    inconclusive and pass, as are, in a run that ended stable, those whose
+    members all lie at or below its stable bound: the run certifies only
+    the prefix above it, and a continuation can still serve them."""
     require_valid(trace.system)
     end = len(trace.steps)
     if window is None:
@@ -599,8 +605,10 @@ def fairness_audit(trace, kind, window=None):
         tracker.observe_term(i, trace.terms[i])
         tracker.observe_step(i, trace.terms[i], step)
     tracker.observe_term(end, trace.final)
+    bound = trace.stable_bound
     for ob in tracker.obligations:
-        if ob.open and end - ob.born >= window:
+        if ob.open and end - ob.born >= window and (
+                bound is None or any(len(p) < bound for p, _ in ob.members)):
             pos = sorted(ob.members)
             return AuditVerdict(
                 False,

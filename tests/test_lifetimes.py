@@ -1,8 +1,9 @@
 """Engine objects die by reference count.  A path space keeps its nodes'
 downward links, so it holds no cycle; a node's match memo holds the rules
 matched at it weakly; rule-side facts live in weak tables keyed by the side;
-and a system's validity is a flag on the system.  So no run leaves work for
-the cyclic collector, and nothing a run built outlives it."""
+a system's validity is a flag on the system; and a run's table of
+contractions is a local of the run.  So no run leaves work for the cyclic
+collector, and nothing a run built outlives it."""
 
 import collections
 import gc
@@ -98,6 +99,34 @@ def test_no_cyclic_engine_garbage(work):
     assert engine_garbage(work) == {}
 
 
+@pytest.mark.parametrize("kind", [FAIR, OUTERMOST_FAIR, NEEDED_FAIR],
+                         ids=lambda k: k.kind)
+def test_a_run_and_its_contractions_leave_no_cycle(kind):
+    """A run's table of `Contraction`s and the records its steps share."""
+    system = parse_system((CORPUS / "lambda_beta.crs").read_text())
+    term = fixpoint_term()
+    assert engine_garbage(lambda: normalize(term, system, kind, 16, 4000)) == {}
+
+
+def test_a_contraction_record_dies_with_its_trace():
+    """The run's table dies with the run; the trace's steps hold the
+    records they share, and nothing else does."""
+    gc.collect()
+    gc.disable()
+    try:
+        system = parse_system((CORPUS / "lambda_beta.crs").read_text())
+        approx, trace = normalize(fixpoint_term(), system, FAIR, 16, 4000)
+        records = {id(s.local): s.local for s in trace.steps}
+        assert len(records) < len(trace.steps)
+        contracta = [weakref.ref(r.contractum) for r in records.values()]
+        scans = [weakref.ref(u.valuation) for r in records.values() for u in r.scan]
+        assert scans
+        del approx, records, trace, system
+        assert not any(ref() for ref in contracta + scans)
+    finally:
+        gc.enable()
+
+
 def test_a_path_space_leaves_no_cycle():
     """Term nodes, rule nodes and the returns from pattern-bound variables
     of a cyclic lambda-term with all its redexes."""
@@ -165,6 +194,25 @@ def test_the_intern_tables_stay_flat():
         assert len(interned() - before) >= 10
         del system, term, us, dev
         assert not interned() - before
+    finally:
+        gc.enable()
+
+
+def test_the_intern_tables_stay_flat_over_repeated_runs():
+    """With the collector off, run after run of each strategy leaves the
+    intern tables as they were before the first."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = interned()
+        for _ in range(3):
+            system = parse_system(SYSTEM_TEXT)
+            term = parse_term("c2(ap(lm([x] dup(x)), flat), rec R. c2(dup(flat), R))")
+            for kind in (FAIR, OUTERMOST_FAIR, NEEDED_FAIR):
+                normalize(term, system, kind, 4, 100)
+            assert len(interned() - before) >= 10
+            del system, term
+            assert not interned() - before
     finally:
         gc.enable()
 

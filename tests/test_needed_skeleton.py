@@ -127,9 +127,9 @@ def test_a_replay_that_ends_early_is_followed_by_a_fresh_pilot(monkeypatch):
     replay = strategies._replay
     replays = []
 
-    def first_three(pilot, redexes, bound):
+    def first_three(pilot, redexes, bound, table):
         replays.append(pilot)
-        for _, taken in zip(range(3), replay(pilot, redexes, bound)):
+        for _, taken in zip(range(3), replay(pilot, redexes, bound, table)):
             yield taken
 
     monkeypatch.setattr(strategies, "_replay", first_three)

@@ -55,11 +55,11 @@ def checked(monkeypatch):
     counts = {"taken": 0, "contracted": 0, "pilots": 0}
     replay = strategies._replay
 
-    def replaying(pilot, redexes, bound):
+    def replaying(pilot, redexes, bound, table):
         counts["pilots"] += 1
         own = {id(step) for step in pilot.trace.steps}
         system = pilot.trace.system
-        for rec, scan in replay(pilot, redexes, bound):
+        for rec, scan in replay(pilot, redexes, bound, table):
             fresh = contract(rec.source, rec.redex)
             assert rec == fresh and rec.target is fresh.target
             assert specs(scan) == specs(find_redexes(rec.target, system, bound))

@@ -108,6 +108,7 @@ class StepRecord:
     redex: object
     path: tuple = field(compare=False, repr=False)
     target_path: tuple = field(compare=False, repr=False)
+    local: object = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -221,6 +222,7 @@ class Trace:
     steps: list
     ledger: list = None
     pilot_fuel: int = strategies.PILOT_FUEL
+    stable_bound: int = None
 
     def __len__(self):
         return len(self.steps)
@@ -459,7 +461,7 @@ def test_pairs_compare_as_the_reference(records):
 
 
 @pytest.mark.parametrize("name, ignored", [
-    ("StepRecord", ("path", "target_path")), ("Verdict", ("witness",)),
+    ("StepRecord", ("path", "target_path", "local")), ("Verdict", ("witness",)),
     ("Pilot", ("tail", "scans"))])
 def test_fields_left_out_of_equality(records, name, ignored):
     for rec in records[name][:50]:
