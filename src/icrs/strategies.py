@@ -183,14 +183,9 @@ class _Predicate:
     serves every term on its trace: a suffix of an outermost-fair reduction
     is outermost-fair with the same limit, and a stratum of depth d whose
     index falls before the suffix's start collapses to the start.  A term
-    off the trace runs outermost-fair until it joins the trace, and the
-    pilot's steps from the join are spliced after the new ones (a finite
-    prefix followed by an outermost-fair suffix is outermost-fair with the
-    same limit).  A run that stabilises or spends the pilot fuel `fuel`
-    before it joins serves or fails as a fresh pilot; a fresh pilot starts
-    when the splice would be longer than the fuel.  Pilots stratify to
-    `depth_goal` and share one table of redex-local epsilon images
-    (`local_epsilon_step`), which lives as long as the predicate."""
+    off the trace gets a fresh pilot, run on the pilot fuel `fuel`.  Pilots
+    stratify to `depth_goal` and share one table of redex-local epsilon
+    images (`local_epsilon_step`), which lives as long as the predicate."""
 
     def __init__(self, kind, system, depth_goal=0, fuel=0):
         self.kind = kind
@@ -235,13 +230,10 @@ class _Predicate:
         if self._held[0] is not term:
             pilot = self._pilot
             start = pilot.index.get(term) if pilot else None
-            if start is None:
-                pilot = pilot and pilot.spliced(term, self.fuel)
-                if pilot is None:  # a fresh pilot, on the predicate's table
-                    fresh = needed_pilot(term, self.system, self.depth_goal,
-                                         self.fuel)
-                    pilot = Pilot(fresh.trace, fresh.cuts, table=self._table)
-                self._pilot = pilot
+            if start is None:  # a fresh pilot, on the predicate's table
+                fresh = needed_pilot(term, self.system, self.depth_goal,
+                                     self.fuel)
+                self._pilot = Pilot(fresh.trace, fresh.cuts, table=self._table)
                 start = 0
             self._held = (term, self._pilot.essential_start_positions(start))
         return self._held[1]
@@ -369,12 +361,12 @@ def _scan_bound(stable_bound):
     return stable_bound + 2
 
 
-def _reduce(term, system, kind, stable_bound, fuel, until=None, scans=None):
+def _reduce(term, system, kind, stable_bound, fuel, scans=None):
     """The loop of fair and outermost-fair `normalize` and of the pilots:
     reduce with the kind's strategy until no redex lies above stable_bound
-    (status 'stable'), until a term passes the test `until` (status
-    'joined'), or for fuel steps (status None); the trace and the status.
-    Each term's scan is appended to the list `scans` when one is given."""
+    (status 'stable') or for fuel steps (status None); the trace and the
+    status.  Each term's scan is appended to the list `scans` when one is
+    given."""
     scan_bound = _scan_bound(stable_bound)
     pilot_fuel = max(fuel, PILOT_FUEL)
     tracker = FairnessTracker(kind, system, scan_bound, pilot_fuel)
@@ -387,9 +379,6 @@ def _reduce(term, system, kind, stable_bound, fuel, until=None, scans=None):
     if scans is not None:
         scans.append(redexes)
     for _ in range(fuel):
-        if until is not None and until(cur):
-            status = "joined"
-            break
         tracker.observe_term(len(steps), cur, redexes)
         if not any(u.depth < stable_bound for u in redexes):
             status = "stable"
@@ -592,7 +581,11 @@ def fairness_audit(trace, kind, window=None):
     residuals.  Obligations younger than the window at the cut are
     inconclusive and pass, as are, in a run that ended stable, those whose
     members all lie at or below its stable bound: the run certifies only
-    the prefix above it, and a continuation can still serve them."""
+    the prefix above it, and a continuation can still serve them.  A run
+    stops stable only when no redex of its final term lies above that
+    bound, so the trace of such a run always passes, whatever the kind; a
+    verdict that tells strategies apart needs a scripted trace or one that
+    ran out of fuel."""
     require_valid(trace.system)
     end = len(trace.steps)
     if window is None:
@@ -628,19 +621,17 @@ class Pilot(Frozen, compare=("trace", "cuts")):
                  # from the index on every step is at least the depth deep,
                  # the deepest such depth up to the pilot's goal
                  "cuts",
-                 # the sweep's sets at the last indices, taken over by a spliced pilot
-                 "tail",
-                 # the sweep's redex-local epsilon images, shared with its splices
+                 # the sweep's redex-local epsilon images, shared with the
+                 # other pilots of an audit
                  "table",
                  # a fresh pilot's redexes of each trace term at its scan bound
                  "scans",
                  "__dict__")
 
-    def __init__(self, trace, cuts, tail=(), table=None, scans=()):
-        set_trace, set_cuts, set_tail, set_table, set_scans = self._set
+    def __init__(self, trace, cuts, table=None, scans=()):
+        set_trace, set_cuts, set_table, set_scans = self._set
         set_trace(self, trace)
         set_cuts(self, cuts)
-        set_tail(self, tail)
         set_table(self, {} if table is None else table)
         set_scans(self, scans)
 
@@ -672,11 +663,10 @@ class Pilot(Frozen, compare=("trace", "cuts")):
         lies in P | Q iff it lies in P or in Q), and the strata at one index
         nest, the deepest one's prefix being their union, so one sweep over
         the pilot's own steps, adding each cut's prefix at its index, gives
-        at each index the union of the per-stratum essential sets.  The
-        sets of `tail` stand for the last indices, and only the steps and
-        cuts before them are read.  Every set is a union of epsilon images
-        and cut prefixes, so a prefix set of its term, and the steps do not
-        check it again.  The steps read and fill the table `table`."""
+        at each index the union of the per-stratum essential sets.  Every
+        set is a union of epsilon images and cut prefixes, so a prefix set
+        of its term, and the steps do not check it again.  The steps read
+        and fill the table `table`."""
         depths = dict(self.cuts)
 
         def fed(i, base=frozenset()):
@@ -685,8 +675,8 @@ class Pilot(Frozen, compare=("trace", "cuts")):
 
         system = self.trace.system
         last = self.cuts[-1][0] if self.cuts else 0
-        swept = list(reversed(self.tail)) or [fed(last)]
-        for i in reversed(range(last + 1 - len(swept))):
+        swept = [fed(last)]
+        for i in reversed(range(last)):
             swept.append(fed(i, local_epsilon_step(
                 swept[-1], self.trace.steps[i], system, self.table)))
         swept.reverse()
@@ -706,41 +696,6 @@ class Pilot(Frozen, compare=("trace", "cuts")):
             out = out | self.prefix(*self.cuts[k - 1])
         return out
 
-    def spliced(self, term, fuel):
-        """The pilot from a term off the trace: outermost-fair from the term
-        until it reaches a term of the trace, at index j say, then this
-        pilot's steps from j on, cut by the spliced depth floor; past the
-        join the sweep is this pilot's, and only the new steps are swept.  A
-        run that stabilises or spends the fuel before it joins is, or raises
-        as, a fresh pilot.  None when the splice would outrun the fuel."""
-        trace = self.trace
-        system = trace.system
-        depth_goal = self.cuts[-1][1] if self.cuts else 0
-        stable_bound = depth_goal + max_lhs_depth(system)
-        run, status = _reduce(term, system, OUTERMOST_FAIR, stable_bound, fuel,
-                              self.index.__contains__)
-        if status == "stable":
-            return _stratified(run, depth_goal, table=self.table)
-        if status is None:
-            raise FuelExhausted("pilot run did not stabilise",
-                                _approximant(run, status, depth_goal), run)
-        j = self.index[run.final]
-        if len(run) + len(trace) - j > fuel:
-            return None
-        joined = Trace(system, trace.label, run.terms[:-1] + trace.terms[j:],
-                       run.steps + trace.steps[j:])
-        return _stratified(joined, depth_goal, self._swept[j + 1:], self.table)
-
-
-def _stratified(trace, depth_goal, tail=(), table=None, scans=()):
-    """The pilot over a stabilised outermost-fair trace: for every depth d
-    up to the goal, the index after which all contractions are at least d
-    deep, one cut per index, with the deepest depth that falls there, on
-    the given table of redex-local images or a fresh one."""
-    floor = trace.depth_floor()
-    cuts = {bisect_left(floor, d): d for d in range(1, depth_goal + 1)}  # last d wins
-    return Pilot(trace, tuple(cuts.items()), tail, table, scans)
-
 
 def needed_pilot(term, system, depth_goal, fuel):
     """A fresh pilot: an outermost-fair run from the term to the goal depth
@@ -753,4 +708,8 @@ def needed_pilot(term, system, depth_goal, fuel):
     if status != "stable":
         raise FuelExhausted("pilot run did not stabilise",
                             _approximant(run, status, depth_goal), run)
-    return _stratified(run, depth_goal, scans=scans)
+    # for every depth d up to the goal, the index after which all
+    # contractions are at least d deep: one cut per index, the last d wins
+    floor = run.depth_floor()
+    cuts = {bisect_left(floor, d): d for d in range(1, depth_goal + 1)}
+    return Pilot(run, tuple(cuts.items()), scans=scans)

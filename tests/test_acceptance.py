@@ -366,6 +366,8 @@ def test_criterion_09_audit_verdicts(report, pair_system, spine_system):
     steps2 = [((1,) + (1,) * k, "inner") for k in range(10)]
     trace2 = trace_of(T("f(a)"), steps2, pair_system)
     assert not fairness_audit(trace2, OUTERMOST_FAIR)
+    verdict = fairness_audit(trace2, NEEDED_FAIR)
+    assert not verdict and "@" in verdict.detail
     specs = []
     pos_f = ()
     for _ in range(6):

@@ -141,6 +141,10 @@ class TestAudits:
         verdict = fairness_audit(trace, OUTERMOST_FAIR)
         assert not verdict
         assert "@" in verdict.detail
+        # the root redex is needed, so needed-fair starves it too
+        verdict = fairness_audit(trace, NEEDED_FAIR)
+        assert not verdict
+        assert "@" in verdict.detail
 
     def test_spine_without_loop_service(self, spine_system):
         trace = trace_of(T("f(a, c)"), alternating_spine_steps(6), spine_system)
