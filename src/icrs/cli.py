@@ -6,8 +6,8 @@
     icrs paths FILE --term TERM [--redexes POS,POS] [--budget N]
     icrs essential FILE --script SCRIPT --prefix POS,POS
 
-A needed-fair pilot of normalize stratifies to D plus the largest lhs depth
-plus one, and runs on N steps, or on 600 when N is smaller.
+A needed-fair pilot of normalize goes to D plus the largest lhs depth plus
+one, and runs on N steps, or on 600 when N is smaller.
 
 Exit codes: 0 ok, 1 check/validation failure, 2 parse error, 3 divergence
 suspected, 4 budget exhausted (including terms too deep to traverse).
@@ -130,9 +130,10 @@ def cmd_normalize(args, out):
     approx, trace = strategies.normalize(term, system, kind, args.depth, args.fuel)
     code = {"divergence-suspected": EXIT_DIVERGENCE,
             "fuel-exhausted": EXIT_BUDGET}.get(approx.status, EXIT_OK)
+    # a recurrence certifies a form whether or not the run is stable
+    certified = approx.status != "divergence-suspected"
     if args.json:
-        nf = (strategies.detect_rational_nf(trace)
-              if approx.status in ("normal-form", "approximant") else None)
+        nf = strategies.detect_rational_nf(trace) if certified else None
         payload = {
             "status": approx.status,
             "approximant": print_term(approx.term),
@@ -147,7 +148,7 @@ def cmd_normalize(args, out):
         return code
     # the rational form first: when it exceeds a budget, nothing is written
     rational = None
-    if args.emit in ("rational", "all") and approx.status != "divergence-suspected":
+    if args.emit in ("rational", "all") and certified:
         nf = strategies.detect_rational_nf(trace)
         rational = print_term(nf) if nf is not None else "none detected"
     if args.emit in ("trace", "all"):

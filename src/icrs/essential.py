@@ -130,7 +130,7 @@ def local_epsilon_step(prefix, step, system, table):
     """`epsilon_step` through the development of one step (a StepRecord)
     of the system, for a frozenset of positions that the caller built as a
     prefix set of the step's target: it is not checked again.  The
-    needed-fair sweep passes unions of epsilon images and cut prefixes,
+    needed-fair sweep passes its cut's prefix and epsilon images of it,
     which are prefix sets.
 
     `table`, a dict that may serve many steps of one system, keeps each

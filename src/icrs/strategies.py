@@ -9,11 +9,12 @@ outermost-leftmost eligible member, which bounds every obligation's delay by
 the number of live obligation classes.
 
 Neededness is not computed directly: needed-fair replays the essential
-skeleton of a stratified pilot reduction (an outermost-fair run cut into
-depth strata), the steps whose redexes are essential for the strata, which
-coincide with the needed ones on terms that reach normal forms.  The
-fairness audit checks such a trace by asking every term's essential set of
-a pilot of its own.  Exhaustive neededness lives in the oracle module.
+skeleton of a pilot reduction (an outermost-fair run to a goal depth), the
+steps whose redexes are essential for the depth prefixes of its limit up to
+the goal, which coincide with the needed ones on terms that reach normal
+forms.  The fairness audit checks such a trace by asking every term's
+essential set of a pilot of its own.  Exhaustive neededness lives in the
+oracle module.
 
 A rational normal form is reported only when the run proves it: a run term
 that recurs below the root of a later one certifies a cycle, and the cycle
@@ -181,11 +182,10 @@ class _Predicate:
     "Computations in orthogonal rewriting systems", 1991; Middeldorp, "Call
     by need computations to root-stable form", 1997).  One live pilot
     serves every term on its trace: a suffix of an outermost-fair reduction
-    is outermost-fair with the same limit, and a stratum of depth d whose
-    index falls before the suffix's start collapses to the start.  A term
-    off the trace gets a fresh pilot, run on the pilot fuel `fuel`.  Pilots
-    stratify to `depth_goal` and share one table of redex-local epsilon
-    images (`local_epsilon_step`), which lives as long as the predicate."""
+    is outermost-fair with the same limit.  A term off the trace gets a
+    fresh pilot, run on the pilot fuel `fuel`.  Pilots go to `depth_goal`
+    and share one table of redex-local epsilon images
+    (`local_epsilon_step`), which lives as long as the predicate."""
 
     def __init__(self, kind, system, depth_goal=0, fuel=0):
         self.kind = kind
@@ -233,7 +233,7 @@ class _Predicate:
             if start is None:  # a fresh pilot, on the predicate's table
                 fresh = needed_pilot(term, self.system, self.depth_goal,
                                      self.fuel)
-                self._pilot = Pilot(fresh.trace, fresh.cuts, table=self._table)
+                self._pilot = Pilot(fresh.trace, fresh.cut, table=self._table)
                 start = 0
             self._held = (term, self._pilot.essential_start_positions(start))
         return self._held[1]
@@ -265,7 +265,7 @@ class FairnessTracker:
     again.  `live` holds the open obligations in ledger order; it is pruned
     wherever an obligation is resolved, so no step rescans the ledger.
 
-    Needed-fair pilots stratify to one less than the spawn bound, past every
+    Needed-fair pilots go to one less than the spawn bound, past every
     depth the run still rewrites at, or pending redexes near the bound would
     classify as inessential.  They run on pilot_fuel steps."""
 
@@ -401,17 +401,17 @@ def _needed_run(term, system, stable_bound, fuel):
     outermost-fair pilot run from the term, replayed until no redex lies
     above stable_bound (status 'stable') or for fuel steps (status None),
     a fresh pilot starting from the term reached when a replay ends first.
-    The pilots stratify to one less than the run's scan bound and run on
-    the run's fuel, and on at least PILOT_FUEL; the trace records theirs,
-    so that an audit makes the same pilots.  It keeps no ledger.
+    The pilots go to one less than the run's scan bound and run on the
+    run's fuel, and on at least PILOT_FUEL; the trace records theirs, so
+    that an audit makes the same pilots.  It keeps no ledger.
 
-    A kept redex is essential for the pilot's strata, so needed (see
-    `_Predicate`).  Projecting the pilot over an inessential step keeps
-    the essential positions and mirrors the prefix above them (emaciated
-    projection, `essential.py`), so each kept redex is matched at its own
-    position on the term reached.  A pilot from a term with a redex above
+    A kept redex is essential for a depth prefix of the pilot's limit, so
+    needed (see `_Predicate`).  Projecting the pilot over an inessential
+    step keeps the essential positions and mirrors the prefix above them
+    (emaciated projection, `essential.py`), so each kept redex is matched
+    at its own position on the term reached.  A pilot from a term with a redex above
     stable_bound keeps at least its last step above its goal, essential for
-    the cut just after it."""
+    the goal prefix at the cut just after it."""
     scan_bound = _scan_bound(stable_bound)
     pilot_fuel = max(fuel, PILOT_FUEL)
     terms = [term]
@@ -441,11 +441,11 @@ def _replay(pilot, redexes, bound, table):
     its target's redexes at depth < bound, given the first term's.  On the
     pilot's trace a step is the pilot's own, with the pilot's scan of its
     target cut to the bound; off it, the redex is matched and contracted on
-    the term reached, with the table's Contractions.  Steps past the last
-    cut are at least the pilot's goal deep, so inessential, and are not read."""
+    the term reached, with the table's Contractions.  Steps from the cut on
+    are at least the pilot's goal deep, so inessential, and are not read."""
     system = pilot.trace.system
     cur = pilot.trace.initial
-    for i, step in enumerate(pilot.trace.steps[:pilot.cuts[-1][0]]):
+    for i, step in enumerate(pilot.trace.steps[:pilot.cut[0]]):
         p = step.redex.position
         if p not in pilot.essential_start_positions(i):
             continue
@@ -615,12 +615,11 @@ def fairness_audit(trace, kind, window=None):
 # ---------------------------------------------------------------------------
 # needed-fair pilot
 
-class Pilot(Frozen, compare=("trace", "cuts")):
+class Pilot(Frozen, compare=("trace", "cut")):
     __slots__ = ("trace",
-                 # (index, depth) per distinct stratum index, in index order:
-                 # from the index on every step is at least the depth deep,
-                 # the deepest such depth up to the pilot's goal
-                 "cuts",
+                 # (index, goal): from the index on every step is at least
+                 # the pilot's goal deep
+                 "cut",
                  # the sweep's redex-local epsilon images, shared with the
                  # other pilots of an audit
                  "table",
@@ -628,10 +627,10 @@ class Pilot(Frozen, compare=("trace", "cuts")):
                  "scans",
                  "__dict__")
 
-    def __init__(self, trace, cuts, table=None, scans=()):
-        set_trace, set_cuts, set_table, set_scans = self._set
+    def __init__(self, trace, cut, table=None, scans=()):
+        set_trace, set_cut, set_table, set_scans = self._set
         set_trace(self, trace)
-        set_cuts(self, cuts)
+        set_cut(self, cut)
         set_table(self, {} if table is None else table)
         set_scans(self, scans)
 
@@ -644,62 +643,40 @@ class Pilot(Frozen, compare=("trace", "cuts")):
         return out
 
     @cached_property
-    def _prefixes(self):
-        return {}
-
-    def prefix(self, i, depth):
-        """The positions of the term at index i above the depth, from one
-        walk of the term, made when the prefix is first read."""
-        out = self._prefixes.get((i, depth))
-        if out is None:
-            out = self._prefixes[i, depth] = frozenset(
-                positions_to_depth(self.trace.terms[i], depth - 1))
-        return out
-
-    @cached_property
     def _swept(self):
-        """The backward sweep's set at every index up to the last cut's.
-        Epsilon distributes over unions of prefix sets (a path's edge word
-        lies in P | Q iff it lies in P or in Q), and the strata at one index
-        nest, the deepest one's prefix being their union, so one sweep over
-        the pilot's own steps, adding each cut's prefix at its index, gives
-        at each index the union of the per-stratum essential sets.  Every
-        set is a union of epsilon images and cut prefixes, so a prefix set
-        of its term, and the steps do not check it again.  The steps read
-        and fill the table `table`."""
-        depths = dict(self.cuts)
-
-        def fed(i, base=frozenset()):
-            depth = depths.get(i)
-            return base | self.prefix(i, depth) if depth else base
-
+        """The backward sweep's set at every index up to the cut's: the
+        positions of the cut's term above the goal (none at goal 0), taken
+        back through the pilot's steps.  It holds the essential set of every
+        depth prefix up to the goal.  For a depth d, every step from the
+        index c_d after which all steps are at least d deep leaves the
+        positions above d alone, so the prefix above d at c_d lies in the
+        goal's set there (a local epsilon step passes a position shallower
+        than its redex straight through), and epsilon is monotone in its
+        prefix set.  Every set is an epsilon image of a prefix set, so a
+        prefix set of its term, and the steps do not check it again.  The
+        steps read and fill the table `table`."""
+        index, goal = self.cut
         system = self.trace.system
-        last = self.cuts[-1][0] if self.cuts else 0
-        swept = [fed(last)]
-        for i in reversed(range(last)):
-            swept.append(fed(i, local_epsilon_step(
-                swept[-1], self.trace.steps[i], system, self.table)))
+        swept = [frozenset(positions_to_depth(self.trace.terms[index], goal - 1))
+                 if goal else frozenset()]
+        for step in reversed(self.trace.steps[:index]):
+            swept.append(local_epsilon_step(swept[-1], step, system, self.table))
         swept.reverse()
         return tuple(swept)
 
     def essential_start_positions(self, start=0):
         """Positions of the pilot's term at index `start` essential for some
-        stratum prefix of the suffix from there; by the neededness
-        correspondence these are the needed ones.  Strata whose index falls
-        before `start` collapse to it, with the positions of that term above
-        their depth as prefix.  No step from a cut's index on is above its
-        depth, so those are the prefix of the last cut before `start`."""
-        swept = self._swept
-        out = swept[start] if start < len(swept) else frozenset()
-        k = bisect_left(self.cuts, (start,))
-        if k:
-            out = out | self.prefix(*self.cuts[k - 1])
-        return out
+        depth prefix, up to the goal, of the suffix from there; by the
+        neededness correspondence these are the needed ones.  No step from
+        the cut on is above the goal, so a start past the cut reads the
+        cut's set: its term has the cut term's positions above the goal."""
+        return self._swept[min(start, self.cut[0])]
 
 
 def needed_pilot(term, system, depth_goal, fuel):
-    """A fresh pilot: an outermost-fair run from the term to the goal depth
-    in depth strata, with a table of its own and the run's scans."""
+    """A fresh pilot: an outermost-fair run from the term to the goal depth,
+    cut at the index after which every step is at least the goal deep, with
+    a table of its own and the run's scans."""
     require_valid(system)
     scans = []
     run, status = _reduce(term, system, OUTERMOST_FAIR,
@@ -708,8 +685,5 @@ def needed_pilot(term, system, depth_goal, fuel):
     if status != "stable":
         raise FuelExhausted("pilot run did not stabilise",
                             _approximant(run, status, depth_goal), run)
-    # for every depth d up to the goal, the index after which all
-    # contractions are at least d deep: one cut per index, the last d wins
-    floor = run.depth_floor()
-    cuts = {bisect_left(floor, d): d for d in range(1, depth_goal + 1)}
-    return Pilot(run, tuple(cuts.items()), scans=scans)
+    cut = (bisect_left(run.depth_floor(), depth_goal), depth_goal)
+    return Pilot(run, cut, scans=scans)

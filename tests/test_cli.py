@@ -190,6 +190,25 @@ class TestNormalize:
                         "--term", "c", "--depth", "3", "--fuel", "30")
         assert code == 3
 
+    def test_fuel_exhausted_run_prints_its_certified_form(self):
+        # the run's terms recur before it is stable, which certifies the
+        # form in either mode; a run suspected to diverge prints none
+        argv = ("normalize", corpus("spine_growth.crs"), "--term", "f(a, c)",
+                "--depth", "4", "--fuel", "3")
+        code, out = run(*argv, "--emit", "all")
+        assert code == 4 and "status: fuel-exhausted" in out
+        assert out.splitlines()[-1] == "rational normal form: rec S1. g(b, S1)"
+        code, out = run(*argv, "--json")
+        payload = json.loads(out)
+        assert (code, payload["status"]) == (4, "fuel-exhausted")
+        assert payload["rational_normal_form"] == "rec S1. g(b, S1)"
+        diverging = ("normalize", corpus("spine_growth.crs"), "--term", "c",
+                     "--depth", "3", "--fuel", "30")
+        code, out = run(*diverging, "--emit", "all")
+        assert code == 3 and "rational normal form" not in out
+        code, out = run(*diverging, "--json")
+        assert (code, json.loads(out)["rational_normal_form"]) == (3, None)
+
     def test_unguarded_cycle_exits_parse(self, capsys):
         code, out = run("normalize", corpus("spine_growth.crs"),
                         "--term", "rec X. X")
@@ -364,15 +383,15 @@ class TestNormalize:
 
     @pytest.mark.parametrize("depth", [2, 5, 10])
     def test_needed_fair_spine_pilot_depth(self, monkeypatch, depth):
-        # the spine's lhs depth is 0, so its pilots stratify to depth + 1,
-        # one less than the depth + 2 the command line once gave them; the
-        # run is the same
+        # the spine's lhs depth is 0, so its pilots go to depth + 1, one
+        # less than the depth + 2 the command line once gave them; the run
+        # is the same
         pilot = strategies.needed_pilot
         goals = []
 
         def counting(term, system, depth_goal, fuel):
             out = pilot(term, system, depth_goal, fuel)
-            goals.append(out.cuts[-1][1])
+            goals.append(out.cut[1])
             return out
 
         def deeper(term, system, depth_goal, fuel):

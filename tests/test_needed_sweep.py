@@ -1,9 +1,12 @@
 """The needed-fair pilot's single backward sweep agrees with the route it
-replaced: one epsilon sequence per stratum prefix, one stratum per depth,
-replayed through `dev_sequence_of_steps`, unioned over the strata.  A
-pilot reads each cut's prefix from one walk of its term.  Its epsilon steps are
-redex-local, and agree with zeta over the whole-term path prefix set, in
-sets and in path counts.  Also pins the fact the sweep relies on to skip the
+replaced: one epsilon sequence per stratum prefix, one stratum per depth up
+to the pilot's goal, replayed through `dev_sequence_of_steps`, unioned over
+the strata, at every start index, and a stratum whose index falls before
+the start collapsed to the start.  The pilot feeds the sweep one prefix,
+the goal's at its cut, walked once.  Its epsilon steps are redex-local, keep
+every position above the contracted redex, are monotone in the prefix set,
+and agree with zeta over the whole-term path prefix set, in sets and in
+path counts.  Also pins the fact the sweep relies on to skip the
 finite-jumps check: a stage realised step by step always has the finite
 jumps property.  A table of redex-local images changes no set of any
 sweep, and each image and path space is computed once per table."""
@@ -15,13 +18,13 @@ from bisect import bisect_left
 import pytest
 
 from icrs import (
-    complete_development, dev_sequence_of_steps, epsilon_seq, epsilon_step,
+    complete_development, contract, dev_sequence_of_steps, epsilon_seq, epsilon_step,
     NEEDED_FAIR, fairness_audit, find_redexes, has_finite_jumps, needed_pilot, normalize,
     is_prefix_set, parse_system, parse_term, path_prefix_set,
     positions_to_depth, resolve, subterm_at, zeta,
 )
 from icrs import essential, strategies
-from icrs.developments import DevRecord, PathSpace
+from icrs.developments import DevRecord, DevSequence, PathSpace
 from icrs.errors import EngineError, PreconditionViolated
 from icrs.strategies import Pilot
 
@@ -33,56 +36,38 @@ RANDOM_PILOTS = 400
 RANDOM_SEQUENCES = 300
 
 
-def depth_strata(pilot):
-    """(index, prefix) for every depth d up to the pilot's goal, as the
-    pilot once made its strata: the index after which every step is at
-    least d deep, and the positions of the term there above d."""
-    floor = pilot.trace.depth_floor()
-    out = []
-    for d in range(1, pilot.cuts[-1][1] + 1):
-        i = bisect_left(floor, d)
-        out.append((i, frozenset(positions_to_depth(pilot.trace.terms[i], d - 1))))
+def depth_strata(trace, goal):
+    """(index, depth) for every depth d up to the goal, as a pilot once
+    made its strata: the index after which every step is at least d deep."""
+    floor = trace.depth_floor()
+    return [(bisect_left(floor, d), d) for d in range(1, goal + 1)]
+
+
+def per_stratum_positions(trace, goal):
+    """The old route, at every start index of the trace: per stratum, an
+    epsilon sequence of the positions of the term at its index above its
+    depth, over a replay of the steps up to the index, read at each start
+    up to the index; a start past the index collapses the stratum to the
+    positions of the start's term above the depth.  Unioned over the
+    strata."""
+    strata = depth_strata(trace, goal)
+    last = max((i for i, _ in strata), default=0)
+    dev = dev_sequence_of_steps(trace.initial, trace.step_specs()[:last],
+                                trace.system)
+    out = [frozenset()] * len(trace.terms)
+    for i, d in strata:
+        prefix = frozenset(positions_to_depth(trace.terms[i], d - 1))
+        sets = epsilon_seq(prefix, DevSequence(trace.initial, dev.stages[:i]))
+        out = [got | (sets[start] if start <= i
+                      else frozenset(positions_to_depth(t, d - 1)))
+               for start, (got, t) in enumerate(zip(out, trace.terms))]
     return out
 
 
-def per_stratum_positions(pilot, strata):
-    """The old route: an epsilon sequence per (index, prefix) stratum over a
-    replay of the pilot's steps up to the index, unioned over the strata."""
-    initial, system = pilot.trace.initial, pilot.trace.system
-    specs = pilot.trace.step_specs()
-    out = set()
-    for i, prefix in strata:
-        if not prefix:
-            continue
-        dev = dev_sequence_of_steps(initial, specs[:i], system)
-        out |= epsilon_seq(prefix, dev)[0]
-    return frozenset(out)
-
-
-class GivenPrefix(Pilot):
-    """A pilot whose cut at an index reads the union of the prefix sets
-    given there, {index: [prefix set, ...]}, in place of the positions of
-    the term above the cut's depth."""
-
-    def __init__(self, trace, given, table=None):
-        super().__init__(trace, tuple((i, k + 1) for k, i in enumerate(sorted(given))),
-                         table=table)
-        vars(self)["given"] = given
-
-    def prefix(self, i, depth):
-        return frozenset().union(*self.given[i])
-
-    def strata(self):
-        return [(i, prefix) for i, sets in self.given.items() for prefix in sets]
-
-
-def random_given(rng, trace):
-    """Three random prefix sets at random indices of the trace, some of them
-    perhaps at one index."""
-    given = {}
-    for i in sorted(rng.randint(0, len(trace.steps)) for _ in range(3)):
-        given.setdefault(i, []).append(genrand.random_prefix_set(rng, trace.terms[i]))
-    return given
+def start_positions(pilot):
+    """The pilot's essential positions at every start index."""
+    return [pilot.essential_start_positions(start)
+            for start in range(len(pilot.trace.terms))]
 
 
 def outcome(fn):
@@ -135,13 +120,14 @@ def test_sweep_matches_per_stratum_on_needed_inputs(system_file, term, depth):
     goal = pilot_depth(system, t, depth)
     # the input and the next terms of its outermost-fair run
     first = needed_pilot(t, system, goal, 600)
-    checked = 0
+    checked = collapsed = 0
     for s in dict.fromkeys(first.trace.terms[:4]):
         pilot = needed_pilot(s, system, goal, 600)
-        swept = pilot.essential_start_positions()
-        assert swept == per_stratum_positions(pilot, depth_strata(pilot))
+        assert start_positions(pilot) == per_stratum_positions(pilot.trace, goal)
         checked += bool(pilot.trace.steps)
-    assert checked
+        # the starts past the depth-1 stratum's index, where it collapses
+        collapsed += len(pilot.trace.terms) - 1 - depth_strata(pilot.trace, 1)[0][0]
+    assert checked and collapsed
 
 
 def test_sweep_matches_per_stratum_on_random_pilots():
@@ -155,51 +141,40 @@ def test_sweep_matches_per_stratum_on_random_pilots():
             pilot = needed_pilot(term, system, depth, 200)
         except EngineError:
             continue
-        # the pilot's own strata nest; random strata test the union law
-        # itself, with prefixes the deepest stratum does not cover
-        trace = pilot.trace
-        random_strata = GivenPrefix(trace, random_given(rng, trace))
-        for p, strata in ((pilot, depth_strata(pilot)),
-                          (random_strata, random_strata.strata())):
-            swept = outcome(p.essential_start_positions)
-            assert swept == outcome(lambda: per_stratum_positions(p, strata)), term
+        swept = outcome(lambda: start_positions(pilot))
+        assert swept == outcome(lambda: per_stratum_positions(pilot.trace, depth)), term
         compared += 1
-        with_steps += bool(trace.steps)
+        with_steps += bool(pilot.trace.steps)
     assert compared >= 300
     assert with_steps >= 200
 
 
 @pytest.mark.parametrize("system_file,term,depth",
-                         NEEDED_INPUTS + [("lambda_beta.crs", None, 16)])
+                         NEEDED_INPUTS + [("lambda_beta.crs", None, 16),
+                                          ("lambda_beta.crs", None, 64)])
 def test_a_run_walks_each_cut_term_once_per_pilot(monkeypatch, system_file,
                                                    term, depth):
-    """A needed-fair run reads a cut's prefix at the cut, as its pilots
-    sweep, and after it, as starts past it collapse onto it; each pilot
-    walks the term at a cut index once, on the first read."""
+    """A needed-fair run's pilots sweep from the goal prefix at their cut
+    alone: each pilot walks its cut's term once, however many starts read
+    the sweep."""
     system = parse_system((CORPUS / system_file).read_text())
     t = parse_term(term if term is not None else fixpoint_term())
-    walk, read = strategies.positions_to_depth, Pilot.prefix
-    pilots, walks, reading = [], {}, []  # walks: (pilot, index) -> count
+    walk, made = strategies.positions_to_depth, strategies.needed_pilot
+    counts = {"pilots": 0, "walks": 0}
 
     def walking(u, d):
-        walks[reading[-1]] += 1
+        counts["walks"] += 1
         return walk(u, d)
 
-    def prefix(self, i, d):
-        pilots.append(self)  # alive, so no two pilots share an id
-        reading.append((id(self), i))
-        walks.setdefault(reading[-1], 0)
-        try:
-            return read(self, i, d)
-        finally:
-            reading.pop()
+    def making(*args):
+        counts["pilots"] += 1
+        return made(*args)
 
     monkeypatch.setattr(strategies, "positions_to_depth", walking)
-    monkeypatch.setattr(Pilot, "prefix", prefix)
+    monkeypatch.setattr(strategies, "needed_pilot", making)
     normalize(t, system, NEEDED_FAIR, depth, 4000)
     monkeypatch.undo()
-    assert walks and set(walks.values()) == {1}
-    assert len(pilots) > len(walks)
+    assert counts["pilots"] and counts["walks"] == counts["pilots"]
 
 
 def test_realised_stages_have_finite_jumps():
@@ -289,21 +264,17 @@ def test_swept_sets_are_prefix_sets_of_their_terms():
 
 
 def test_collapsed_start_positions_match_a_fresh_walk():
-    """Past an index where strata collapse, the start positions add the
-    deepest collapsed stratum's prefix; the route it replaced walked the
-    term at the start index instead."""
-    collapsed_starts = 0
+    """A start past the cut collapses onto it and reads the cut's set, the
+    positions of the cut's term above the goal; the route it replaced
+    walked the term at the start index instead."""
+    past_the_cut = 0
     for pilot in corpus_pilots():
-        terms, swept = pilot.trace.terms, pilot._swept
-        for start in range(len(terms)):
-            depths = [d for i, d in pilot.cuts if i < start]
-            want = swept[start] if start < len(swept) else frozenset()
-            if depths:
-                want = want | frozenset(
-                    positions_to_depth(terms[start], max(depths) - 1))
-                collapsed_starts += 1
+        index, goal = pilot.cut
+        for start in range(index + 1, len(pilot.trace.terms)):
+            want = frozenset(positions_to_depth(pilot.trace.terms[start], goal - 1))
             assert pilot.essential_start_positions(start) == want, start
-    assert collapsed_starts >= 20
+            past_the_cut += 1
+    assert past_the_cut >= 10
 
 
 def test_local_steps_match_whole_term_on_random_stages():
@@ -330,6 +301,39 @@ def test_local_steps_match_whole_term_on_random_stages():
         stages += 1
     assert stages >= 300
     assert walked >= 300
+
+
+def test_local_steps_keep_shallow_positions_and_are_monotone():
+    """The two facts the sweep's single cut rests on, over random steps and
+    prefix sets P and Q = P | P' of the target: every position of P
+    shallower than the contracted redex is in epsilon(P), and epsilon(P)
+    lies in epsilon(Q)."""
+    rng = random.Random(11)
+    steps = shallow = grown = 0
+    for _ in range(RANDOM_STAGES):
+        system = genrand.random_system(rng)
+        term = genrand.random_term(rng, system, rng.randint(2, 5))
+        redexes = find_redexes(term, system, 6)
+        if not redexes:
+            continue
+        step = outcome(lambda: contract(term, rng.choice(redexes)))
+        if isinstance(step, type):
+            continue
+        n = len(step.redex.position)
+        p = genrand.random_prefix_set(rng, step.target, rng.randint(0, 5))
+        q = p | genrand.random_prefix_set(rng, step.target, rng.randint(0, 5))
+        image_p = outcome(lambda: essential.local_epsilon_step(p, step, system, {}))
+        image_q = outcome(lambda: essential.local_epsilon_step(q, step, system, {}))
+        if isinstance(image_p, type) or isinstance(image_q, type):
+            continue
+        kept = {x for x in p if len(x) < n}
+        assert kept <= image_p
+        assert image_p <= image_q
+        steps += 1
+        shallow += bool(kept)
+        grown += image_p < image_q
+    assert steps >= 300
+    assert shallow >= 100 and grown >= 50
 
 
 def test_sweep_builds_term_nodes_only_below_the_contracted_redexes(monkeypatch):
@@ -399,10 +403,7 @@ def table_free(prefix, step, system, table):
 
 def table_free_sweep(pilot):
     """The pilot's sweep with every local step made afresh."""
-    if isinstance(pilot, GivenPrefix):
-        fresh = GivenPrefix(pilot.trace, pilot.given)
-    else:
-        fresh = Pilot(pilot.trace, pilot.cuts)
+    fresh = Pilot(pilot.trace, pilot.cut)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strategies, "local_epsilon_step", table_free)
         return outcome(lambda: fresh._swept)
@@ -445,9 +446,8 @@ def test_table_backed_sweeps_match_table_free_ones(monkeypatch, system_file,
 
 
 def test_table_backed_sweeps_match_on_random_pilots():
-    """Table-backed sweeps equal table-free ones on the seeded pilots and
-    random strata of `test_sweep_matches_per_stratum_on_random_pilots`,
-    the random strata sweeping on their pilot's table."""
+    """Table-backed sweeps equal table-free ones on the seeded pilots of
+    `test_sweep_matches_per_stratum_on_random_pilots`."""
     rng = random.Random(4)
     compared = hits = 0  # hits: local steps that read an image from the table
     for _ in range(RANDOM_PILOTS):
@@ -465,10 +465,6 @@ def test_table_backed_sweeps_match_on_random_pilots():
                            for i in range(len(swept) - 1))
             hits += reaching - sum(len(k) == 3 for k in pilot.table)
         assert swept == table_free_sweep(pilot), term
-        # random strata on the same table
-        random_strata = GivenPrefix(trace, random_given(rng, trace), pilot.table)
-        swept = outcome(lambda: random_strata._swept)
-        assert swept == table_free_sweep(random_strata), term
         compared += 1
     assert compared >= 300
     assert hits >= 100

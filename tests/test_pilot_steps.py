@@ -108,7 +108,7 @@ def test_pilot_scans_are_fresh_scans(monkeypatch):
     system = parse_system(corpus_text("lambda_beta.crs"))
     normalize(parse_term(FIXPOINT), system, NEEDED_FAIR, 8, 4000)
     pilot, = pilots
-    goal = pilot.cuts[-1][1]
+    goal = pilot.cut[1]
     bound = strategies._scan_bound(goal + max_lhs_depth(system))
     assert len(pilot.scans) == len(pilot.trace.terms)
     for t, scan in zip(pilot.trace.terms, pilot.scans):

@@ -3,6 +3,7 @@ under projection, sub-mirroring for nested prefix sets, safety of projections
 along depth-stratified normalising reductions, and strategy/oracle agreement."""
 
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -126,10 +127,13 @@ class TestNormalFormSafety:
         rng = random.Random(9)
         term = T("f(a, c)")
         pilot = needed_pilot(term, spine_system, 4, 300)
-        specs = pilot.trace.step_specs()
-        # a cut's prefix holds every stratum prefix at its index
-        for i, depth in pilot.cuts:
-            prefix = pilot.prefix(i, depth)
+        trace = pilot.trace
+        specs, floor = trace.step_specs(), trace.depth_floor()
+        # the stratum of depth d: the index after which every step is at
+        # least d deep, and the positions of the term there above d
+        for depth in range(1, 5):
+            i = bisect_left(floor, depth)
+            prefix = frozenset(positions_to_depth(trace.terms[i], depth - 1))
             d_d = dev_sequence_of_steps(term, specs[:i], spine_system)
             for _ in range(6):
                 candidates = find_redexes(term, spine_system, 4)

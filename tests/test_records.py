@@ -257,7 +257,7 @@ class AuditVerdict:
 @dataclass(frozen=True)
 class Pilot:
     trace: object
-    cuts: tuple
+    cut: tuple
     table: dict = field(default=None, compare=False, repr=False)
     scans: tuple = field(default=(), compare=False, repr=False)
 

@@ -3,8 +3,8 @@ import pytest
 from icrs import (
     FAIR, NEEDED_FAIR, OUTERMOST_FAIR, Trace, alpha_eq, detect_rational_nf,
     fairness_audit, find_redexes, is_normal_form, needed_pilot, normalize,
-    outermost_redexes, parse_system, parse_term, print_term, trace_of,
-    truncate,
+    outermost_redexes, parse_system, parse_term, positions_to_depth,
+    print_term, trace_of, truncate,
 )
 from icrs import strategies
 from icrs.errors import FuelExhausted, SystemCheckFailed
@@ -174,21 +174,20 @@ class TestRationalNF:
 class TestPilot:
     def test_strata_shape(self, spine_system):
         pilot = needed_pilot(T("f(a, c)"), spine_system, 4, 300)
-        indices = [i for i, _ in pilot.cuts]
-        assert indices == sorted(set(indices)) and pilot.cuts[-1][1] == 4
+        i, goal = pilot.cut
+        assert goal == 4
         depths = [len(s.redex.position) for s in pilot.trace.steps]
-        below = 0
-        for i, depth in pilot.cuts:
-            # from the index on every step is at least the cut's depth deep,
-            # and the step before it is as deep as the cut before it
-            assert all(d >= depth for d in depths[i:])
-            assert i == 0 or depths[i - 1] == below
-            assert all(len(p) < depth for p in pilot.prefix(i, depth))
-            below = depth
+        # from the index on every step is at least the goal deep, and the
+        # step before it is above the goal
+        assert all(d >= goal for d in depths[i:])
+        assert i > 0 and depths[i - 1] < goal
+        # the sweep starts from the positions of the cut's term above it
+        assert pilot.essential_start_positions(i) == frozenset(
+            positions_to_depth(pilot.trace.terms[i], goal - 1))
 
     def test_already_normal(self, spine_system):
         pilot = needed_pilot(T("g(b, b)"), spine_system, 3, 50)
-        assert pilot.cuts == ((0, 3),)
+        assert pilot.cut == (0, 3)
         assert alpha_eq(pilot.trace.terms[0], T("g(b, b)"))
 
     def test_pilot_fuel_error(self):
